@@ -349,7 +349,18 @@ def _stage_linear_oracle(ctx):
         details={"sup_error": err})
 
 
+# rounding allowance of the central difference, in units of
+# eps_mach * (|E(v+)| + |E(v-)|) / (2 h): each energy sum is exact only
+# to about eps_mach * |E|, whatever order the summation takes
+FD_ROUNDING = 2.0
+
+
 def _stage_gradient_fd(ctx):
+    """Gradient against central differences of the energy at probed
+    nodes of a random admissible candidate.  A probe passes when
+    |g - fd| <= tol |fd| + FD_ROUNDING eps_mach (|E+| + |E-|) / (2 h):
+    a small component next to a large energy would otherwise be judged
+    on the rounding of the energy sums alone."""
     prob = ctx.problem
     rng = ctx.stage_rng()
     if rng is None:
@@ -361,21 +372,29 @@ def _stage_gradient_fd(ctx):
     probe = rng.choice(n_om, size=min(12, n_om), replace=False)
     scale = max(1.0, float(np.abs(v.values).max()))
     eps = 1e-6 * scale
-    worst = 0.0
+    rows = []
     for k in probe:
         i = idx[k]
         vp = v.values.copy()
         vp[i] += eps
         vm = v.values.copy()
         vm[i] -= eps
-        fd = (sl._energy_values(prob, vp) - sl._energy_values(prob, vm)) \
-            / (2 * eps)
-        denom = max(abs(fd), 1e-12)
-        worst = max(worst, abs(g[k] - fd) / denom)
+        e_plus = sl._energy_values(prob, vp)
+        e_minus = sl._energy_values(prob, vm)
+        fd = (e_plus - e_minus) / (2 * eps)
+        rows.append((abs(g[k] - fd), max(abs(fd), 1e-12),
+                     abs(e_plus) + abs(e_minus)))
+    err, fd_abs, e_sum = np.array(rows).T
     tol = ctx.tol("gradient_fd", 1e-5)
+    relative = tol * fd_abs
+    rounding = FD_ROUNDING * np.finfo(float).eps * e_sum / (2 * eps)
+    w = int(np.argmax(err / (relative + rounding)))
     return EstimateReport.from_sides(
-        "gradient_fd", worst, {"tolerance": tol}, 1.0,
-        details={"max_rel_error": worst, "probes": int(probe.size)})
+        "gradient_fd", err[w],
+        {"relative": relative[w], "rounding": rounding[w]}, 1.0,
+        witnesses={"node": int(idx[probe[w]])},
+        details={"max_rel_error": float(np.max(err / fd_abs)),
+                 "tolerance": tol, "probes": int(probe.size)})
 
 
 def _stage_minimality(ctx):

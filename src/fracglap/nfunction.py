@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .quadrature import bisect_increasing, integrate_zero_to
 from .reports import EstimateReport, ratio_array
 
 REPRESENTABLE_MAX = 1e30
+# accelerator tables are certified to half of min(quadrature_tol, this)
+CERTIFY_TOL = 1e-11
 
 _FAMILIES = ("power", "power_log", "table")
 
@@ -125,11 +128,25 @@ class GrowthFunction:
         return float(val) if scalar else val
 
 
-class _ChebLogG:
-    """Piecewise-Chebyshev fit of log G(e^x), certified at construction
-    against the direct quadrature it accelerates."""
+def _clenshaw(c, x):
+    """Chebyshev series with one coefficient column per point: c has
+    shape (degree + 1, n), x shape (n,); numpy's chebval recurrence."""
+    x2 = 2.0 * x
+    c0, c1 = c[-2], c[-1]
+    for k in range(3, len(c) + 1):
+        c0, c1 = c[-k] - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
-    def __init__(self, exact, lo, hi, intervals, degree, target):
+
+class _ChebLogG:
+    """Piecewise-Chebyshev fits in x = log t on equal intervals of
+    [log lo, log hi]: one of log G(e^x), and the antiderivative in x of
+    a fit of G(e^x), which is H up to the constant H(lo).  Both are
+    certified at construction against the direct quadrature on off-node
+    points.  A failed G fit raises; a failed H fit leaves ``hcoef`` None.
+    """
+
+    def __init__(self, exact, lo, hi, intervals, degree, target, exact_H):
         self.lo = lo
         self.hi = hi
         self.edges = np.linspace(math.log(lo), math.log(hi), intervals + 1)
@@ -138,33 +155,60 @@ class _ChebLogG:
         a = self.edges[:-1][:, None]
         b = self.edges[1:][:, None]
         nodes = 0.5 * (a + b) + 0.5 * (b - a) * ref  # (intervals, degree+1)
-        phi = np.log(exact(np.exp(nodes.ravel()))).reshape(nodes.shape)
-        self.coef = np.empty((intervals, degree + 1))
-        for i in range(intervals):
-            self.coef[i] = np.polynomial.chebyshev.chebfit(ref, phi[i], degree)
+        Gn = exact(np.exp(nodes.ravel())).reshape(nodes.shape)
+        # one column of coefficients per interval
+        self.coef = np.polynomial.chebyshev.chebfit(ref, np.log(Gn).T, degree)
         # certify on off-node points
         probe = np.linspace(-0.97, 0.97, 9)
         xs = (0.5 * (a + b) + 0.5 * (b - a) * probe).ravel()
-        approx = self(np.exp(xs))
         truth = exact(np.exp(xs))
-        err = np.max(np.abs(approx - truth) / truth)
+        err = np.max(np.abs(self(np.exp(xs)) - truth) / truth)
         if err > target:
             raise _CertificationError(err)
 
-    def __call__(self, t):
+        # dH/dx = G(e^x): integrate a fit of G itself, certified the same way
+        self.hcoef = None
+        gcoef = np.polynomial.chebyshev.chebfit(ref, Gn.T, degree)
+        cols = np.repeat(np.arange(intervals), probe.size)
+        fit = _clenshaw(gcoef[:, cols], np.tile(probe, intervals))
+        if np.max(np.abs(fit - truth) / truth) <= target:
+            half = 0.5 * (self.edges[1] - self.edges[0])
+            self.hcoef = np.polynomial.chebyshev.chebint(gcoef, lbnd=-1,
+                                                         scl=half)
+            steps = self.hcoef.sum(axis=0)  # interval integrals (x_i = 1)
+            self.H_left = float(exact_H(np.array([lo]))[0]) \
+                + np.concatenate([[0.0], np.cumsum(steps[:-1])])
+
+    def _locate(self, t):
         x = np.log(t)
-        idx = np.clip(np.searchsorted(self.edges, x) - 1, 0, len(self.coef) - 1)
-        out = np.empty_like(x)
-        for i in np.unique(idx):
-            sel = idx == i
-            a, b = self.edges[i], self.edges[i + 1]
-            xi = (2.0 * x[sel] - (a + b)) / (b - a)
-            out[sel] = np.polynomial.chebyshev.chebval(xi, self.coef[i])
-        return np.exp(out)
+        idx = np.clip(np.searchsorted(self.edges, x) - 1, 0,
+                      self.coef.shape[1] - 1)
+        a, b = self.edges[idx], self.edges[idx + 1]
+        return idx, (2.0 * x - (a + b)) / (b - a)
+
+    def __call__(self, t):
+        idx, xi = self._locate(t)
+        return np.exp(_clenshaw(self.coef[:, idx], xi))
+
+    def H(self, t):
+        idx, xi = self._locate(t)
+        return self.H_left[idx] + _clenshaw(self.hcoef[:, idx], xi)
 
 
 class _CertificationError(Exception):
     pass
+
+
+def _segment_H(t0, g0, G0, slope, dt):
+    """int_{t0}^{t0+dt} G(tau)/tau dtau where G is the quadratic
+    G0 + g0 u + slope u^2/2 in u = tau - t0.  Dividing by tau = t0 + u
+    leaves a linear quotient and the remainder a/(t0 + u), whose
+    integral is a log term; a = G(0) = 0 on the segment at the origin."""
+    c = 0.5 * slope
+    a = G0 - g0 * t0 + c * t0 * t0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_term = np.where(t0 > 0, a * np.log1p(dt / t0), 0.0)
+    return 0.5 * c * dt * dt + (g0 - c * t0) * dt + log_term
 
 
 class NFunction:
@@ -248,6 +292,27 @@ class NFunction:
             val = self._quad_G(np.atleast_1d(t)).reshape(t.shape)
         return float(val) if scalar else val
 
+    def H(self, t):
+        """H(t) = int_0^t G(tau)/tau dtau, the profile of the far tail
+        of a level exterior model (see ``NonlocalProblem._far_energy``).
+
+        t**p/p**2 for the power family, the exact piecewise closed form
+        for tables, and for everything else a certified table in log t
+        (relative accuracy ``quadrature_tol``) with direct quadrature of
+        int_0^t g(u) log(t/u) du outside it.
+        """
+        t, scalar = _as_float_array(t)
+        _check_domain(t)
+        fam = self.growth.family
+        if fam == "power":
+            pw = self.growth.exponent
+            val = t ** pw / pw ** 2
+        elif fam == "table":
+            val = self._table_H(t)
+        else:
+            val = self._quad_H(np.atleast_1d(t)).reshape(t.shape)
+        return float(val) if scalar else val
+
     def inv_G(self, y):
         """t with G(t) = y, by doubling bracket + bisection (relative
         width 1e-12); inv_G(0) = 0."""
@@ -293,41 +358,81 @@ class NFunction:
     def _quad_exact(self, t):
         return integrate_zero_to(self.growth, t, tol=self.quadrature_tol / 2)
 
+    def _quad_H_exact(self, t):
+        # swapping the two integrals of H gives int_0^t g(u) log(t/u) du,
+        # one quadrature per entry
+        out = np.empty_like(t)
+        for i, ti in enumerate(t):
+            out[i] = integrate_zero_to(
+                lambda u, ti=ti: self.growth(u) * np.log(ti / u), ti,
+                tol=self.quadrature_tol / 2)
+        return out
+
     def _quad_G(self, t):
+        return self._accelerated(t, self._accel, self._quad_exact)
+
+    def _quad_H(self, t):
+        accel = self._accel
+        fast = accel.H if accel is not None and accel.hcoef is not None \
+            else None
+        return self._accelerated(t, fast, self._quad_H_exact)
+
+    def _accelerated(self, t, fast_fn, exact_fn):
+        """``fast_fn`` on the accelerator's range, ``exact_fn`` on the
+        rest of t > 0, and 0 at t = 0."""
         out = np.zeros_like(t)
         pos = t > 0
-        if self._accel is not None:
+        if fast_fn is not None:
             fast = pos & (t >= self._accel.lo) & (t <= self._accel.hi)
             if fast.any():
-                out[fast] = self._accel(t[fast])
+                out[fast] = fast_fn(t[fast])
             rest = pos & ~fast
         else:
             rest = pos
         if rest.any():
-            out[rest] = self._quad_exact(t[rest])
+            out[rest] = exact_fn(t[rest])
         return out
 
     def _build_accelerator(self):
-        target = min(self.quadrature_tol, 1e-11) / 2
+        target = min(self.quadrature_tol, CERTIFY_TOL) / 2
         for intervals, degree in ((64, 24), (160, 32)):
             try:
                 self._accel = _ChebLogG(self._quad_exact, 1e-14, 1e14,
-                                        intervals, degree, target)
+                                        intervals, degree, target,
+                                        self._quad_H_exact)
                 return
             except _CertificationError:
                 continue
         self._accel = None  # fall back to direct quadrature on every call
 
-    def _table_G(self, t):
+    @cached_property
+    def _table_knots(self):
+        """Knots t_k, g_k, G_k, H_k and segment slopes of a table."""
         tab = self.growth.table
-        if np.any(t > tab[-1, 0] * (1 + 1e-12)):
-            raise ValueError("argument outside the tabulated range")
         tk, gk = tab[:, 0], tab[:, 1]
-        Gk = np.concatenate([[0.0], np.cumsum(0.5 * (gk[1:] + gk[:-1]) * np.diff(tk))])
+        dt = np.diff(tk)
+        slope = np.diff(gk) / dt
+        Gk = np.concatenate([[0.0], np.cumsum(0.5 * (gk[1:] + gk[:-1]) * dt)])
+        Hseg = _segment_H(tk[:-1], gk[:-1], Gk[:-1], slope, dt)
+        Hk = np.concatenate([[0.0], np.cumsum(Hseg)])
+        return tk, gk, Gk, Hk, slope
+
+    def _table_segment(self, t):
+        tk = self.growth.table[:, 0]
+        if np.any(t > tk[-1] * (1 + 1e-12)):
+            raise ValueError("argument outside the tabulated range")
         idx = np.clip(np.searchsorted(tk, t, side="right") - 1, 0, len(tk) - 2)
-        dt = t - tk[idx]
-        slope = (gk[idx + 1] - gk[idx]) / (tk[idx + 1] - tk[idx])
-        return Gk[idx] + gk[idx] * dt + 0.5 * slope * dt * dt
+        return idx, t - tk[idx]
+
+    def _table_G(self, t):
+        idx, dt = self._table_segment(t)
+        tk, gk, Gk, _, slope = self._table_knots
+        return Gk[idx] + gk[idx] * dt + 0.5 * slope[idx] * dt * dt
+
+    def _table_H(self, t):
+        idx, dt = self._table_segment(t)
+        tk, gk, Gk, Hk, slope = self._table_knots
+        return Hk[idx] + _segment_H(tk[idx], gk[idx], Gk[idx], slope[idx], dt)
 
     def _estimate_indices(self):
         # log-spaced sweep of t g(t)/G(t); the segment anchored at the

@@ -2,10 +2,16 @@
 
     E(v) = sum over node pairs meeting the domain of
            G(|v(x)-v(y)| / |x-y|^s) K(x, y) h^(2n)
-         + analytic radial term for interactions past the truncation
-           radius, under the exterior model,
+         + sum over domain nodes of the tail past the truncation
+           radius r, c_far int_r^inf G(|v(x) - f(rho)| / rho^s) drho / rho,
 
 over functions that agree with the prescribed datum off the domain.
+For a zero or constant exterior model f = c, the substitution
+tau = |v(x) - c| rho^(-s) turns the tail into c_far H(T)/s with
+T = |v(x) - c| r^(-s) and H(T) = int_0^T G(tau)/tau dtau
+(``NFunction.H``); its derivative needs only G.  The radial quadrature
+remains only for the ``power`` exterior model.
+
 Pairs are counted with the symmetric convention (each unordered pair
 with a relevant end twice), the diagonal is excluded, and pairs closer
 than one spacing do not occur on a lattice, so no principal-value
@@ -198,10 +204,6 @@ class NonlocalProblem:
     def _far_profile(self):
         return self.exterior_datum.exterior
 
-    def _far_closed_form(self):
-        return (self.nf.growth.family == "power"
-                and self._far_profile().kind in ("zero", "constant"))
-
     def _check_far_energy(self):
         try:
             val = self._far_energy(np.array([1.0]))
@@ -214,15 +216,26 @@ class NonlocalProblem:
                 "for this exterior model"
             )
 
+    def _far_level_T(self, w):
+        """(w - c, T) for a level exterior model c (0 for ``zero``):
+        T = |w - c| r^(-s) is the tail argument at the truncation radius."""
+        model = self._far_profile()
+        dw = w - (model.value if model.kind == "constant" else 0.0)
+        return dw, np.abs(dw) * self.truncation_radius ** (-self.s)
+
     def _far_energy(self, w):
-        """Per-domain-node tail energy for node values ``w``."""
+        """Per-domain-node tail energy for node values ``w``:
+        c_far int_r^inf G(|w - f(rho)| rho^(-s)) rho^(-1) drho.
+
+        For a level model c, tau = |w - c| rho^(-s) turns the integral
+        into H(T)/s (``NFunction.H``); only the power model needs the
+        radial quadrature.
+        """
         model = self._far_profile()
         r, s = self.truncation_radius, self.s
-        if self._far_closed_form():
-            p = self.nf.p
-            lvl = model.value if model.kind == "constant" else 0.0
-            core = np.abs(w - lvl) ** p / p * r ** (-s * p) / (s * p)
-            return self._far_coef * core
+        if model.kind != "power":
+            _, T = self._far_level_T(w)
+            return self._far_coef * self.nf.H(T) / s
 
         def fn(rho):
             prof = model.signed_profile(rho)
@@ -235,14 +248,15 @@ class NonlocalProblem:
         return self._far_coef * val
 
     def _far_gradient(self, w):
+        """Derivative of ``_far_energy``; for a level model H'(T) = G(T)/T
+        gives c_far sign(w - c) G(T) r^(-s) / (s T), which is 0 at T = 0."""
         model = self._far_profile()
         r, s = self.truncation_radius, self.s
-        if self._far_closed_form():
-            p = self.nf.p
-            lvl = model.value if model.kind == "constant" else 0.0
-            dw = w - lvl
-            core = np.abs(dw) ** (p - 1.0) * np.sign(dw) * r ** (-s * p) / (s * p)
-            return self._far_coef * core
+        if model.kind != "power":
+            dw, T = self._far_level_T(w)
+            ratio = np.divide(self.nf.G(T), T, out=np.zeros_like(T),
+                              where=T > 0)
+            return self._far_coef * np.sign(dw) * ratio * r ** (-s) / s
 
         def fn(rho):
             dw = w[:, None] - model.signed_profile(rho)[None, :]
@@ -318,18 +332,7 @@ def weak_residual(prob, v):
     component there, which is what makes the minimizer/weak-solution
     equivalence checkable."""
     prob.require_admissible(v)
-    vals = v.values
-    ia, ja, dist, w = prob._pairs
-    dv = vals[ia] - vals[ja]
-    t = np.abs(dv) * prob._inv_ds
-    core = prob.nf.g(t) * np.sign(dv) * prob._inv_ds * w
-    pairing = np.zeros(prob.lattice.n_nodes)
-    # eta = indicator of node i: (eta(x)-eta(y)) is +1 at x=i, -1 at y=i
-    for idx, sign in ((ia, 1.0), (ja, -1.0)):
-        sel = prob.omega_mask[idx]
-        np.add.at(pairing, idx[sel], sign * core[sel])
-    res = pairing[prob.omega_mask] + prob._far_gradient(vals[prob.omega_mask])
-    return float(np.abs(res).max())
+    return float(np.abs(_gradient_omega(prob, v.values)).max())
 
 
 def convexity_probe(prob, v1, v2, thetas=None):

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracglap
 from fracglap import GridFunction, Lattice
+from fracglap import solver as sl
 from fracglap.cli import (EXIT_CONFIG, EXIT_ESTIMATE, EXIT_OK, EXIT_SOLVER,
                           SCHEMA, build_problem, generate_corpus, main, run,
                           validate_config)
@@ -136,6 +142,81 @@ class TestRun:
         assert run(p, out_override=str(out1), jobs=1) == EXIT_OK
         assert run(p, out_override=str(out2), jobs=4) == EXIT_OK
         assert read_reports(out1) == read_reports(out2)
+
+
+def small_component_config():
+    """2-D p = 2 config whose probed gradient components include one of
+    6.5e-4 next to an energy of about 7: the central difference there
+    is dominated by the rounding of the two energy sums."""
+    return {
+        "problem": {
+            "dim": 2,
+            "h": 0.0625,
+            "omega": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]},
+            "s": 0.5,
+            "nfunction": {"family": "power", "p": 2.0},
+            "kernel": {"form": "pure"},
+            "datum": {"family": "sin", "frequency": 1.989052024830522,
+                      "amplitude": 0.9958557423244019},
+            "exterior": {"kind": "constant", "value": 0.3},
+            "truncation_radius": 0.5,
+        },
+        "pipeline": ["verify:gradient_fd"],
+        "seed": 1198241697,
+    }
+
+
+def probed_components(cfg):
+    """Domain positions the gradient_fd stage probes: the stage draws
+    from the config seed's second stream (the first builds the problem)."""
+    prob = build_problem(cfg)
+    n_om = int(prob.omega_mask.sum())
+    rng = np.random.default_rng([cfg["seed"], 2])
+    v = prob.datum_extension(rng.normal(size=n_om))
+    probe = rng.choice(n_om, size=min(12, n_om), replace=False)
+    return probe, sl._gradient_omega(prob, v.values)
+
+
+class TestGradientFD:
+    def test_passes_with_one_blas_thread(self, tmp_path):
+        path = write_config(tmp_path, small_component_config())
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = "1"
+        src = str(Path(fracglap.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import sys; from fracglap.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        res = subprocess.run(
+            [sys.executable, "-c", code, "run", path, "--out",
+             str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == EXIT_OK, res.stdout + res.stderr
+        rep = json.loads(
+            (tmp_path / "out" / "estimate_gradient_fd.json").read_text())
+        assert rep["passed"]
+        assert rep["details"]["tolerance"] == 1e-5
+
+    def test_wrong_small_component_fails(self, tmp_path, monkeypatch):
+        cfg = small_component_config()
+        probe, g = probed_components(cfg)
+        k = probe[np.argmin(np.abs(g[probe]))]
+        assert abs(g[k]) < 1e-3
+        exact = sl._gradient_omega
+
+        def wrong(prob, vals):
+            out = exact(prob, vals)
+            out[k] *= 1.0 + 1e-4
+            return out
+
+        monkeypatch.setattr(sl, "_gradient_omega", wrong)
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) == EXIT_ESTIMATE
+        rep = json.loads((out / "estimate_gradient_fd.json").read_text())
+        assert not rep["passed"]
 
 
 class TestDeterminism:

@@ -60,6 +60,43 @@ class TestEvalBigG:
             assert nf_plog.G(t) == pytest.approx(want, rel=1e-9)
 
 
+class TestEvalH:
+    """H(t) = int_0^t G(tau)/tau dtau, the far-tail profile."""
+
+    def test_power_closed_form(self):
+        assert make_power(3.0).H(2.0) == pytest.approx(8.0 / 9.0, rel=1e-14)
+        assert make_power(2.0).H(0.0) == 0.0
+
+    def test_linear_table_is_half_square(self):
+        # g = 2t tabulated: G = t^2, so H = t^2/2 on every segment
+        nf = make_table([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [5.0, 10.0]])
+        t = np.array([0.0, 0.3, 1.0, 1.5, 2.0, 2.7, 4.2, 5.0])
+        np.testing.assert_allclose(nf.H(t), t ** 2 / 2, rtol=1e-15, atol=0)
+
+    def test_table_across_kinks_vs_quadrature_oracle(self):
+        pts = [[0.5, 0.4], [1.0, 1.1], [2.0, 2.5], [4.0, 6.0], [8.0, 13.0]]
+        nf = make_table(pts)
+        for t in (0.2, 0.5, 1.7, 6.0, 8.0):
+            edges = [0.0] + [k for k, _ in pts if k < t] + [t]
+            want = sum(quad(lambda u: nf.G(u) / u, a, b, epsabs=0,
+                            epsrel=1e-13)[0]
+                       for a, b in zip(edges[:-1], edges[1:]))
+            assert nf.H(t) == pytest.approx(want, rel=1e-12)
+
+    def test_power_log_vs_quadrature_oracle(self, nf_plog):
+        # in x = log tau, H is the integral of G(e^x); t = 1e-16 and
+        # 1e16 lie outside the certified table
+        for t in (1e-16, 1e-4, 0.3, 1.0, 7.0, 1e3, 1e8, 1e16):
+            want, _ = quad(lambda x: nf_plog.G(math.exp(x)), -80.0,
+                           math.log(t), epsabs=0, epsrel=1e-13, limit=500)
+            assert nf_plog.H(t) == pytest.approx(want, rel=1e-10)
+
+    def test_power_log_array_matches_scalars(self, nf_plog):
+        t = np.array([0.0, 1e-16, 2e-3, 1.0, 1e16])
+        np.testing.assert_array_equal(nf_plog.H(t),
+                                      [nf_plog.H(x) for x in t])
+
+
 class TestInverses:
     def test_inv_G_quadratic(self):
         assert make_power(2.0).inv_G(2.0) == pytest.approx(2.0, rel=1e-11)

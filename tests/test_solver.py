@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import fracglap.nfunction as nfm
 from fracglap import (ExteriorModel, GridFunction, InadmissibleError, Kernel,
                       Lattice, NonlocalProblem, assemble_quadratic,
-                      convexity_probe, energy, gradient, make_power, solve,
-                      sphere_measure, weak_residual)
+                      convexity_probe, energy, gradient, make_power,
+                      make_power_log, make_table, solve, sphere_measure,
+                      weak_residual)
+from fracglap.quadrature import integrate_radial
 from fracglap.solver import _energy_values, _gradient_omega
 
 from helpers import line_problem, oracle_energy, quadratic_oracle
@@ -354,3 +357,87 @@ class TestTwoDimensional:
         direct = np.linalg.solve(A, b)
         err = np.abs(rep.minimizer.values[prob.omega_mask] - direct).max()
         assert err < 1e-8
+
+
+def _far_problem(nf, model, h=1 / 8, r=1.0):
+    lat = Lattice.from_box([-0.5 - r - h], [0.5 + r + h], h)
+    x = lat.coords[:, 0]
+    omega = np.abs(x) < 0.5 + 1e-12
+    datum = GridFunction(lat, np.sin(2 * x), model.resolved(lat))
+    return NonlocalProblem(lat, omega, nf, Kernel(), 0.5, datum,
+                           truncation_radius=r)
+
+
+def _radial_far_terms(prob, w):
+    """The far energy and gradient as radial integrals over [r, inf)."""
+    model = prob.exterior_datum.exterior
+    r, s, nf = prob.truncation_radius, prob.s, prob.nf
+
+    def energy_density(rho):
+        dw = w[:, None] - model.signed_profile(rho)[None, :]
+        return nf.G(np.abs(dw) / rho[None, :] ** s) / rho[None, :]
+
+    def gradient_density(rho):
+        dw = w[:, None] - model.signed_profile(rho)[None, :]
+        rs = rho[None, :] ** s
+        return nf.g(np.abs(dw) / rs) * np.sign(dw) / rs / rho[None, :]
+
+    e, _ = integrate_radial(energy_density, r, tol=1e-10)
+    g, _ = integrate_radial(gradient_density, r, tol=1e-10)
+    return prob._far_coef * e, prob._far_coef * g
+
+
+FAR_PROFILES = {
+    "power1.5": lambda: make_power(1.5),
+    "power3": lambda: make_power(3.0),
+    "power_log": lambda: make_power_log(2.0),
+    "table": lambda: make_table([[0.5, 0.4], [1.0, 1.1], [2.0, 2.5],
+                                 [4.0, 6.0], [8.0, 13.0]]),
+}
+LEVEL_MODELS = {"zero": ExteriorModel(kind="zero"),
+                "constant": ExteriorModel(kind="constant", value=0.3)}
+
+
+class TestFarTail:
+    # node values on both sides of the level, at it and next to it
+    w = np.array([-2.0, -0.4, 0.0, 0.3, 0.3 + 1e-9, 1.7])
+
+    @pytest.mark.parametrize("model", sorted(LEVEL_MODELS))
+    @pytest.mark.parametrize("profile", sorted(FAR_PROFILES))
+    def test_substitution_matches_radial_quadrature(self, profile, model):
+        prob = _far_problem(FAR_PROFILES[profile](), LEVEL_MODELS[model])
+        want_e, want_g = _radial_far_terms(prob, self.w)
+        np.testing.assert_allclose(prob._far_energy(self.w), want_e,
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(prob._far_gradient(self.w), want_g,
+                                   rtol=1e-10, atol=0)
+
+    def test_gradient_vanishes_at_the_level(self):
+        prob = _far_problem(make_power_log(2.0), LEVEL_MODELS["constant"])
+        assert prob._far_gradient(np.array([0.3]))[0] == 0.0
+        assert prob._far_energy(np.array([0.3]))[0] == 0.0
+
+    def test_failed_certification_falls_back_to_quadrature(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(nfm, "CERTIFY_TOL", 0.0)
+        nf = make_power_log(2.0)
+        assert nf._accel is None
+        prob = _far_problem(nf, LEVEL_MODELS["constant"])
+        w = self.w[[1, 3, 5]]
+        want_e, want_g = _radial_far_terms(prob, w)
+        np.testing.assert_allclose(prob._far_energy(w), want_e,
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(prob._far_gradient(w), want_g,
+                                   rtol=1e-10, atol=0)
+
+    def test_power_exterior_keeps_radial_energy(self):
+        # the power model still goes through the radial quadrature; the
+        # pinned values were computed before the level models moved to H
+        model = ExteriorModel(kind="power", value=0.3, exponent=0.25)
+        prob = _far_problem(make_power(2.0), model)
+        v = prob.datum_extension(
+            np.linspace(-0.4, 0.6, int(prob.omega_mask.sum())))
+        assert energy(prob, v) == pytest.approx(3.035823596317273,
+                                                rel=1e-12)
+        assert float(np.abs(gradient(prob, v).values).max()) \
+            == pytest.approx(0.5431228558483872, rel=1e-12)
