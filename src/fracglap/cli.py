@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -733,11 +734,21 @@ def _parallel_map(ctx, fn, items):
 
 # -- pipeline ----------------------------------------------------------------
 
+@functools.cache
+def _schema_validator():
+    """The config validator, compiled on first use: ``jsonschema.validate``
+    would re-check the schema itself on every call."""
+    cls = jsonschema.validators.validator_for(SCHEMA)
+    cls.check_schema(SCHEMA)
+    return cls(SCHEMA)
+
+
 def validate_config(config):
-    try:
-        jsonschema.validate(config, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    # best_match picks the same error jsonschema.validate would raise
+    err = jsonschema.exceptions.best_match(
+        _schema_validator().iter_errors(config))
+    if err is not None:
+        raise ConfigError(f"config schema violation: {err.message}")
     needs_seed = False
     for stage in config["pipeline"]:
         if stage == "solve":
@@ -826,6 +837,10 @@ def run(config_path, out_override=None, seed_override=None,
     except SolverFailure as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SOLVER
+    except OverflowError as exc:
+        print(f"config error: the datum lies outside the representable "
+              f"range ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,6 +19,7 @@ from itertools import product
 
 import numpy as np
 
+from .pairs import distance_blocks
 from .quadrature import integrate_radial
 from .reports import EstimateReport
 
@@ -329,12 +330,9 @@ def gagliardo_modular(f, region, s, nf, chunk=512):
     n = lat.dim
     w_pair = lat.h ** (2 * n)
     total = 0.0
-    for start in range(0, len(idx), chunk):
-        ca = c[start:start + chunk]
-        va = v[start:start + chunk]
-        d = np.linalg.norm(ca[:, None, :] - c[None, :, :], axis=2)
+    for sl, d in distance_blocks(c, c, chunk):
         off = d > 0
-        dv = np.abs(va[:, None] - v[None, :])[off]
+        dv = np.abs(v[sl, None] - v[None, :])[off]
         dd = d[off]
         total += float(np.sum(nf.G(dv / dd ** s) / dd ** n)) * w_pair
     return total

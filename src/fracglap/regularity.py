@@ -19,6 +19,7 @@ import numpy as np
 
 from . import funcspace as fsp
 from .funcspace import Ball, ExteriorModel, GridFunction
+from .pairs import distance_blocks
 from .quadrature import integrate_radial
 from .reports import EstimateReport
 
@@ -106,12 +107,9 @@ def sobolev_poincare_check(f, ball, s, nf, theta, bound=math.inf, chunk=512):
 
     hn = f.lattice.h ** n
     total = 0.0
-    for start in range(0, idx.size, chunk):
-        ca = c[start:start + chunk]
-        va = v[start:start + chunk]
-        d = np.linalg.norm(ca[:, None, :] - c[None, :, :], axis=2)
+    for sl, d in distance_blocks(c, c, chunk):
         off = d > 0
-        total += float(np.sum(nf.G(np.abs(va[:, None] - v[None, :])[off]
+        total += float(np.sum(nf.G(np.abs(v[sl, None] - v[None, :])[off]
                                    / d[off] ** s)))
     rhs = total * hn / idx.size
     return EstimateReport.from_sides(
@@ -225,15 +223,13 @@ def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf,
     lhs = 0.0
     rhs_cut = 0.0
     lip = 0.0
-    for start in range(0, idx.size, chunk):
-        dm = np.linalg.norm(c[start:start + chunk, None, :] - c[None, :, :],
-                            axis=2)
+    for sl, dm in distance_blocks(c, c, chunk):
         off = dm > 0
         dd = dm[off]
-        dw = np.abs(w[start:start + chunk, None] - w[None, :])[off]
-        wmax = np.maximum(w[start:start + chunk, None], w[None, :])[off]
-        pq = np.minimum(phiq[start:start + chunk, None], phiq[None, :])[off]
-        dphi = np.abs(phi[start:start + chunk, None] - phi[None, :])[off]
+        dw = np.abs(w[sl, None] - w[None, :])[off]
+        wmax = np.maximum(w[sl, None], w[None, :])[off]
+        pq = np.minimum(phiq[sl, None], phiq[None, :])[off]
+        dphi = np.abs(phi[sl, None] - phi[None, :])[off]
         lhs += float(np.sum(nf.G(dw / dd ** s) * pq / dd ** n))
         rhs_cut += float(np.sum(nf.G(dphi / dd ** s * wmax) / dd ** n))
         lip = max(lip, float((dphi / dd).max(initial=0.0)))
@@ -252,11 +248,10 @@ def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf,
     if supp.size:
         cy = coords[supp]
         svals = np.zeros(supp.size)
-        if out_idx.size:
-            dm = np.linalg.norm(coords[out_idx][None, :, :] - cy[:, None, :],
-                                axis=2)
-            svals = np.sum(nf.g(wo[None, :] / dm ** s) * dm ** (-(n + s)),
-                           axis=1) * hn
+        # row sums do not depend on the block height
+        for sl, dm in distance_blocks(cy, coords[out_idx]):
+            svals[sl] = np.sum(nf.g(wo[None, :] / dm ** s)
+                               * dm ** (-(n + s)), axis=1) * hn
         far = _truncation_far_tail(u, x0, r, k, sign, s, nf, tail_tol)
         sup_tail = float(svals.max(initial=0.0)) + far
     rhs_mass = mass * sup_tail
@@ -325,11 +320,9 @@ def log_estimate_check(u, x0, r, R, d, nf, s, a=None, b=None, bound=math.inf,
     c = lat.coords[idx]
     logs = np.log(np.maximum(u.values[idx], 0.0) + d)
     lhs = 0.0
-    for start in range(0, idx.size, chunk):
-        dm = np.linalg.norm(c[start:start + chunk, None, :] - c[None, :, :],
-                            axis=2)
+    for sl, dm in distance_blocks(c, c, chunk):
         off = dm > 0
-        dl = np.abs(logs[start:start + chunk, None] - logs[None, :])[off]
+        dl = np.abs(logs[sl, None] - logs[None, :])[off]
         lhs += float(np.sum(dl / dm[off] ** n))
     lhs *= hn * hn
 
@@ -495,11 +488,13 @@ def holder_decay_fit(u, x0, r0, sigma, levels, s, nf, omega_mask=None,
     half = np.flatnonzero(dist <= r0 + 1e-12)
     ch = lat.coords[half]
     vh = u.values[half]
-    dm = np.linalg.norm(ch[:, None, :] - ch[None, :, :], axis=2)
-    off = dm > 0
-    quot = np.abs(vh[:, None] - vh[None, :])[off] / dm[off] ** alpha_hat \
-        if alpha_hat > 0 else np.abs(vh[:, None] - vh[None, :])[off]
-    seminorm = float(quot.max(initial=0.0))
+    seminorm = 0.0
+    for sl, dm in distance_blocks(ch, ch):
+        off = dm > 0
+        quot = np.abs(vh[sl, None] - vh[None, :])[off]
+        if alpha_hat > 0:
+            quot = quot / dm[off] ** alpha_hat
+        seminorm = max(seminorm, float(quot.max(initial=0.0)))
     tl = fsp.tail(u, x0, r, s, nf, tol=tail_tol)
     bracket = brep.rhs_terms["local"] + (
         r ** s * nf.inv_g(r ** s * tl) if math.isfinite(tl) else math.inf)

@@ -15,7 +15,10 @@ remains only for the ``power`` exterior model.
 Pairs are counted with the symmetric convention (each unordered pair
 with a relevant end twice), the diagonal is excluded, and pairs closer
 than one spacing do not occur on a lattice, so no principal-value
-handling is needed: G(0) = 0 kills the diagonal singularity.
+handling is needed: G(0) = 0 kills the diagonal singularity.  The pair
+arrays are built once per problem from the integer offset stencil within
+the truncation radius (``pairs.truncated_pairs``); every energy and
+gradient then gathers over them.
 
 Strict convexity of the energy (g strictly increasing) makes the
 minimizer unique; descent with Armijo backtracking therefore converges
@@ -31,6 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .funcspace import GridFunction, sphere_measure
+from .pairs import truncated_pairs
 from .quadrature import integrate_radial
 
 ARMIJO_C1 = 1e-4
@@ -130,23 +134,8 @@ class NonlocalProblem:
         symmetric double counting 2 K h^(2n)."""
         lat = self.lattice
         coords = lat.coords
-        omega_idx = np.flatnonzero(self.omega_mask)
-        ia_list, ja_list, d_list = [], [], []
-        chunk = max(1, int(2**22 / max(1, lat.n_nodes)))
-        for start in range(0, omega_idx.size, chunk):
-            rows = omega_idx[start:start + chunk]
-            d = np.linalg.norm(coords[rows, None, :] - coords[None, :, :], axis=2)
-            keep = (d > 0) & (d <= self.truncation_radius + 1e-12)
-            # dedupe domain-domain pairs: keep (i, j) with j > i
-            keep &= self.halo_mask[None, :] | (np.arange(lat.n_nodes)[None, :]
-                                               > rows[:, None])
-            r, c = np.nonzero(keep)
-            ia_list.append(rows[r])
-            ja_list.append(c)
-            d_list.append(d[keep])
-        ia = np.concatenate(ia_list)
-        ja = np.concatenate(ja_list)
-        dist = np.concatenate(d_list)
+        ia, ja, dist = truncated_pairs(lat, self.omega_mask,
+                                       self.truncation_radius)
         kvals = self.kernel.pair_values(coords[ia], coords[ja], dist)
         weight = 2.0 * kvals * lat.h ** (2 * lat.dim)
         return ia, ja, dist, weight

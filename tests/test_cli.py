@@ -118,6 +118,25 @@ class TestRun:
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_SOLVER
 
+    def test_unrepresentable_datum_is_config_error(self, tmp_path):
+        cfg = base_config()
+        cfg["problem"]["datum"]["amplitude"] = 1e30
+        path = write_config(tmp_path, cfg)
+        env = dict(os.environ)
+        src = str(Path(fracglap.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import sys; from fracglap.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        res = subprocess.run(
+            [sys.executable, "-c", code, "run", path, "--out",
+             str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == EXIT_CONFIG, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("config error:")
+        assert res.stderr.count("\n") == 1
+
     def test_estimate_failure_exit(self, tmp_path):
         cfg = base_config(pipeline=["solve", "verify:boundedness"],
                           tolerances={"solve": 1e-9, "boundedness": 1e-9})
