@@ -771,6 +771,13 @@ def validate_config(config):
         raise ConfigError("pipeline samples randomly: a seed is mandatory")
 
 
+def _numerical_failure(exc):
+    """A quadrature or bisection that could not meet its tolerance
+    (``RuntimeError``) ends the run like a solver failure."""
+    print(f"numerical failure: {exc}", file=sys.stderr)
+    return EXIT_SOLVER
+
+
 def run(config_path, out_override=None, seed_override=None,
         tol_override=None, jobs=1, stage_filter=None):
     """Execute the config's pipeline; returns the process exit code."""
@@ -797,6 +804,8 @@ def run(config_path, out_override=None, seed_override=None,
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:
+        return _numerical_failure(exc)
 
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -837,6 +846,8 @@ def run(config_path, out_override=None, seed_override=None,
     except SolverFailure as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SOLVER
+    except RuntimeError as exc:
+        return _numerical_failure(exc)
     except OverflowError as exc:
         print(f"config error: the datum lies outside the representable "
               f"range ({exc})", file=sys.stderr)

@@ -1,6 +1,7 @@
-"""Adaptive 1-D quadrature: dyadic Gauss-Legendre panels for integrals
-from zero, and log-domain integration of power-law-decaying radial
-integrands with analytic extrapolation past a cutoff."""
+"""1-D quadrature: adaptive dyadic Gauss-Legendre panels for integrals
+from zero, a fixed Gauss-Legendre rule graded toward both ends of each
+of many segments, and log-domain integration of power-law-decaying
+radial integrands with analytic extrapolation past a cutoff."""
 
 from __future__ import annotations
 
@@ -69,6 +70,39 @@ def _integrate_chunk(fn, tv, tol, panels):
         "dyadic Gauss-Legendre quadrature did not reach the requested "
         f"tolerance {tol:g} at order 256"
     )
+
+
+@functools.lru_cache(maxsize=8)
+def graded_rule(panels, npts):
+    """Nodes and weights on [0, 1] of a composite Gauss-Legendre rule,
+    ``npts`` points per panel, ``panels`` panels per half: the panel
+    edges of the left half are 2^-1, 2^-2, ..., 2^-panels and 0, and the
+    right half is its mirror image.  Panels that halve toward an end
+    resolve an integrable power-type corner there."""
+    x, w = _gl_rule(npts)
+    hi = 0.5 * np.exp2(-np.arange(panels, dtype=float))
+    lo = np.append(hi[1:], 0.0)
+    half = 0.5 * (hi - lo)
+    left = (0.5 * (hi + lo))[:, None] + half[:, None] * x
+    wl = half[:, None] * w
+    nodes = np.concatenate([left.ravel(), 1.0 - left.ravel()[::-1]])
+    weights = np.concatenate([wl.ravel(), wl.ravel()[::-1]])
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def integrate_graded(fn, lo, hi, panels, npts):
+    """Integral of ``fn`` over each segment [lo_k, hi_k] by the
+    ``graded_rule`` mapped onto it.
+
+    ``fn`` receives the (segments, points) array of nodes and returns
+    integrand values of that shape; segments with hi_k = lo_k give 0.
+    """
+    x, w = graded_rule(panels, npts)
+    lo = np.asarray(lo, dtype=float)
+    span = np.asarray(hi, dtype=float) - lo
+    return span * (fn(lo[:, None] + span[:, None] * x) @ w)
 
 
 def integrate_radial(fn, r0, tol=1e-10, cutoff_factor=1e6, max_levels=16):

@@ -6,11 +6,16 @@
            radius r, c_far int_r^inf G(|v(x) - f(rho)| / rho^s) drho / rho,
 
 over functions that agree with the prescribed datum off the domain.
-For a zero or constant exterior model f = c, the substitution
-tau = |v(x) - c| rho^(-s) turns the tail into c_far H(T)/s with
-T = |v(x) - c| r^(-s) and H(T) = int_0^T G(tau)/tau dtau
-(``NFunction.H``); its derivative needs only G.  The radial quadrature
-remains only for the ``power`` exterior model.
+No radial quadrature is left in the tail.  For a zero or constant
+exterior model f = c, the substitution tau = |v(x) - c| rho^(-s) turns
+it into c_far H(T)/s with T = |v(x) - c| r^(-s) and
+H(T) = int_0^T G(tau)/tau dtau (``NFunction.H``); its derivative needs
+only G.  For a power model f = c rho^a, tau = rho^(-m) with
+m = s - max(a, 0) maps [r, inf) onto [0, r^(-m)] with an integrand
+that is integrable at 0, and a Gauss-Legendre rule graded toward both
+ends of each segment between the zero of v(x) - f and, for tables,
+the knot crossings gives the tail and its derivative
+(``NonlocalProblem._far_power``).
 
 Pairs are counted with the symmetric convention (each unordered pair
 with a relevant end twice), the diagonal is excluded, and pairs closer
@@ -35,9 +40,13 @@ import numpy as np
 
 from .funcspace import GridFunction, sphere_measure
 from .pairs import truncated_pairs
-from .quadrature import integrate_radial
+from .quadrature import bisect_increasing, integrate_graded
 
 ARMIJO_C1 = 1e-4
+# graded rule of the power-exterior far tail: panels per half segment
+# and Gauss-Legendre points per panel
+FAR_PANELS = 40
+FAR_POINTS = 8
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 
@@ -133,10 +142,14 @@ class NonlocalProblem:
         in the domain, within the truncation radius; weight carries the
         symmetric double counting 2 K h^(2n)."""
         lat = self.lattice
-        coords = lat.coords
         ia, ja, dist = truncated_pairs(lat, self.omega_mask,
                                        self.truncation_radius)
-        kvals = self.kernel.pair_values(coords[ia], coords[ja], dist)
+        if self.kernel.coefficient is None:
+            # the pure kernel reads only the distance: no coordinate gathers
+            kvals = dist ** (-float(lat.dim))
+        else:
+            kvals = self.kernel.pair_values(lat.coords[ia], lat.coords[ja],
+                                            dist)
         weight = 2.0 * kvals * lat.h ** (2 * lat.dim)
         return ia, ja, dist, weight
 
@@ -205,11 +218,21 @@ class NonlocalProblem:
                 "for this exterior model"
             )
 
-    def _far_level_T(self, w):
-        """(w - c, T) for a level exterior model c (0 for ``zero``):
-        T = |w - c| r^(-s) is the tail argument at the truncation radius."""
+    def _far_level(self):
+        """Level c of an exterior model that is constant in rho (``zero``,
+        ``constant``, a ``power`` model with zero value or exponent), or
+        None for a genuine power model."""
         model = self._far_profile()
-        dw = w - (model.value if model.kind == "constant" else 0.0)
+        if model.kind == "zero":
+            return 0.0
+        if model.kind == "constant" or model.exponent == 0.0:
+            return model.value
+        return 0.0 if model.value == 0.0 else None
+
+    def _far_level_T(self, w, level):
+        """(w - c, T) for the level c: T = |w - c| r^(-s) is the tail
+        argument at the truncation radius."""
+        dw = w - level
         return dw, np.abs(dw) * self.truncation_radius ** (-self.s)
 
     def _far_energy(self, w):
@@ -217,44 +240,80 @@ class NonlocalProblem:
         c_far int_r^inf G(|w - f(rho)| rho^(-s)) rho^(-1) drho.
 
         For a level model c, tau = |w - c| rho^(-s) turns the integral
-        into H(T)/s (``NFunction.H``); only the power model needs the
-        radial quadrature.
+        into H(T)/s (``NFunction.H``); a power model goes through
+        ``_far_power``.
         """
-        model = self._far_profile()
-        r, s = self.truncation_radius, self.s
-        if model.kind != "power":
-            _, T = self._far_level_T(w)
-            return self._far_coef * self.nf.H(T) / s
-
-        def fn(rho):
-            prof = model.signed_profile(rho)
-            return self.nf.G(np.abs(w[:, None] - prof[None, :])
-                             / rho[None, :] ** s) / rho[None, :]
-
-        val, diverged = integrate_radial(fn, r, tol=1e-10)
-        if np.any(diverged):
-            return np.full_like(w, np.inf)
-        return self._far_coef * val
+        level = self._far_level()
+        if level is None:
+            return self._far_power(w, derivative=False)
+        _, T = self._far_level_T(w, level)
+        return self._far_coef * self.nf.H(T) / self.s
 
     def _far_gradient(self, w):
         """Derivative of ``_far_energy``; for a level model H'(T) = G(T)/T
         gives c_far sign(w - c) G(T) r^(-s) / (s T), which is 0 at T = 0."""
+        level = self._far_level()
+        if level is None:
+            return self._far_power(w, derivative=True)
+        dw, T = self._far_level_T(w, level)
+        ratio = np.divide(self.nf.G(T), T, out=np.zeros_like(T), where=T > 0)
+        return self._far_coef * np.sign(dw) * ratio \
+            * self.truncation_radius ** (-self.s) / self.s
+
+    def _far_power(self, w, derivative):
+        """Tail energy (or its derivative in w) of the power model
+        f(rho) = c rho^a, a != 0, after the substitution tau = rho^(-m),
+        m = s - max(a, 0); the tail diverges (inf) when m <= 0.
+
+        With delta = |a|/m and (A, B) = (c, w) for a > 0, (w, c) for
+        a < 0, |w - f(rho)| rho^(-s) = tau |A - B tau^delta| and
+        drho/rho = -dtau/(m tau), so the tail is
+        (1/m) int_0^T0 G(tau |A - B tau^delta|) / tau dtau, T0 = r^(-m),
+        and its derivative (1/m) int_0^T0 g(.) sign(w - f) tau^(s/m - 1)
+        dtau; both integrands are integrable at 0.  The graded rule runs
+        on the segments between 0, the zero tau* = (A/B)^(1/delta) of
+        the difference (when A B > 0), T0 and, for tables, the taus where
+        the difference crosses a knot.
+        """
         model = self._far_profile()
-        r, s = self.truncation_radius, self.s
-        if model.kind != "power":
-            dw, T = self._far_level_T(w)
-            ratio = np.divide(self.nf.G(T), T, out=np.zeros_like(T),
-                              where=T > 0)
-            return self._far_coef * np.sign(dw) * ratio * r ** (-s) / s
+        s, a = self.s, model.exponent
+        m = s - max(a, 0.0)
+        if m <= 0.0:
+            return np.full_like(w, np.inf)
+        delta = abs(a) / m
+        t0 = self.truncation_radius ** (-m)
+        c = np.full_like(w, model.value)
+        A, B = (c, w) if a > 0 else (w, c)
+        # sign(w - f(rho)) = flip * sign(A - B tau^delta)
+        flip = -1.0 if a > 0 else 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kink = np.where(A * B > 0, (A / B) ** (1.0 / delta), np.inf)
+        breaks = [np.zeros_like(w), np.minimum(kink, t0), np.full_like(w, t0)]
+        if self.nf.growth.family == "table":
+            breaks.append(_knot_crossings(self.nf.growth.table[1:-1, 0],
+                                          A, B, delta, kink, t0))
+        bp = np.sort(np.column_stack(breaks), axis=1)
+        lo, hi = bp[:, :-1], bp[:, 1:]
+        owner = np.broadcast_to(np.arange(w.size)[:, None], lo.shape)
+        keep = hi > lo
+        owner = owner[keep]
+        Ao, Bo = A[owner, None], B[owner, None]
 
-        def fn(rho):
-            dw = w[:, None] - model.signed_profile(rho)[None, :]
-            rs = rho[None, :] ** s
-            return self.nf.g(np.abs(dw) / rs) * np.sign(dw) / rs \
-                / rho[None, :]
+        def diff(tau):
+            return flip * tau * (Ao - Bo * tau ** delta)
 
-        val, _ = integrate_radial(fn, r, tol=1e-10)
-        return self._far_coef * val
+        if derivative:
+            def fn(tau):
+                d = diff(tau)
+                return self.nf.g(np.abs(d)) * np.sign(d) * tau ** (s / m - 1.0)
+        else:
+            def fn(tau):
+                return self.nf.G(np.abs(diff(tau))) / tau
+
+        vals = integrate_graded(fn, lo[keep], hi[keep], FAR_PANELS,
+                                FAR_POINTS)
+        return self._far_coef / m * np.bincount(owner, vals,
+                                                minlength=w.size)
 
     # -- admissibility ---------------------------------------------------
 
@@ -274,6 +333,43 @@ class NonlocalProblem:
         vals = self.exterior_datum.values.copy()
         vals[self.omega_mask] = omega_values
         return GridFunction(self.lattice, vals, self.exterior_datum.exterior)
+
+
+def _knot_crossings(knots, A, B, delta, kink, t0):
+    """(nodes, 3 len(knots)) matrix of the tau in [0, t0] where
+    phi(tau) = tau |A - B tau^delta| crosses a knot, padded with t0.
+
+    phi rises from 0 on [0, tau_m] and, past its zero tau* = ``kink``,
+    on [tau*, inf); on [tau_m, tau*] it falls to 0, tau_m =
+    tau* (1 + delta)^(-1/delta).  Each piece is walked from its zero, so
+    every crossing is a root of an increasing function of the distance u
+    from that zero (``bisect_increasing``).
+    """
+    finite = np.isfinite(kink)
+    zero = np.where(finite, kink, 0.0)
+    peak = zero * (1.0 + delta) ** (-1.0 / delta)
+    # start, direction and length of each piece (rows); an absent piece
+    # has length 0
+    start = np.stack([np.zeros_like(zero), zero, zero])
+    step = np.array([1.0, -1.0, 1.0])
+    span = np.stack([np.where(finite, np.minimum(peak, t0), t0),
+                     np.where(peak < t0, zero - peak, 0.0),
+                     np.where(finite, np.maximum(t0 - zero, 0.0), 0.0)])
+    tau = start + step[:, None] * span
+    top = tau * np.abs(A - B * tau ** delta)
+    piece, node, knot = np.nonzero(knots < top[..., None])
+    out = np.full((3, kink.size, knots.size), t0)
+    if node.size:
+        base, sign, length = start[piece, node], step[piece], span[piece, node]
+        Ar, Br = A[node], B[node]
+
+        def phi(u):
+            tau = base + sign * u
+            return tau * np.abs(Ar - Br * tau ** delta)
+
+        u = bisect_increasing(phi, knots[knot], hi=length, hi_cap=length)
+        out[piece, node, knot] = np.clip(base + sign * u, 0.0, t0)
+    return out.transpose(1, 0, 2).reshape(kink.size, -1)
 
 
 # -- energy / gradient / residual ----------------------------------------

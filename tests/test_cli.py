@@ -137,6 +137,32 @@ class TestRun:
         assert res.stderr.startswith("config error:")
         assert res.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("calls_before_failure", [0, 1])
+    def test_quadrature_failure_is_solver_exit(self, tmp_path, monkeypatch,
+                                               capsys, calls_before_failure):
+        # 0: the far-tail rule fails while the problem is built (its
+        # divergence check); 1: it fails inside the solve
+        real = sl.integrate_graded
+        calls = []
+
+        def failing(*args, **kwargs):
+            if len(calls) >= calls_before_failure:
+                raise RuntimeError("graded rule did not converge")
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sl, "integrate_graded", failing)
+        cfg = base_config()
+        cfg["problem"]["exterior"] = {"kind": "power", "value": 0.3,
+                                      "exponent": 0.25}
+        code = main(["run", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_SOLVER
+        assert err.startswith("numerical failure:")
+        assert err.count("\n") == 1
+        assert len(calls) == calls_before_failure
+
     def test_estimate_failure_exit(self, tmp_path):
         cfg = base_config(pipeline=["solve", "verify:boundedness"],
                           tolerances={"solve": 1e-9, "boundedness": 1e-9})

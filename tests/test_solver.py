@@ -1,15 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate, optimize
 
 import fracglap.nfunction as nfm
+from fracglap import solver as sl
 from fracglap import (ExteriorModel, GridFunction, InadmissibleError, Kernel,
                       Lattice, NonlocalProblem, assemble_quadratic,
                       convexity_probe, energy, gradient, make_power,
                       make_power_log, make_table, solve, sphere_measure,
                       weak_residual)
-from fracglap.quadrature import integrate_radial
+from fracglap.cli import run
+from fracglap.quadrature import integrate_graded, integrate_radial
 from fracglap.solver import _energy_values, _gradient_omega
 
 from helpers import line_problem, oracle_energy, quadratic_oracle
@@ -359,6 +363,19 @@ class TestTwoDimensional:
         assert err < 1e-8
 
 
+class TestGradedRule:
+    def test_power_corners_at_both_ends(self):
+        # int_lo^hi ((t - lo)(hi - t))^0.1 dt = L^1.2 B(1.1, 1.1); a
+        # zero-length segment gives 0
+        lo = np.array([0.0, 2.0, 1.0])
+        hi = np.array([1.0, 5.0, 1.0])
+        got = integrate_graded(
+            lambda t: ((t - lo[:, None]) * (hi[:, None] - t)) ** 0.1, lo, hi,
+            sl.FAR_PANELS, sl.FAR_POINTS)
+        want = (hi - lo) ** 1.2 * math.gamma(1.1) ** 2 / math.gamma(2.2)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 def _far_problem(nf, model, h=1 / 8, r=1.0):
     lat = Lattice.from_box([-0.5 - r - h], [0.5 + r + h], h)
     x = lat.coords[:, 0]
@@ -387,6 +404,66 @@ def _radial_far_terms(prob, w):
     return prob._far_coef * e, prob._far_coef * g
 
 
+def _scipy_far_terms(prob, w):
+    """The far energy and gradient of a power exterior model by
+    ``scipy.integrate.quad`` in u = log(rho), split at the zero of
+    w - f(rho) (geometrically graded when that zero lies just before
+    log r) and, for tables, where the tail argument crosses a knot
+    (located on a fine u grid and refined by ``brentq``)."""
+    model = prob.exterior_datum.exterior
+    r, s, nf = prob.truncation_radius, prob.s, prob.nf
+    c, a = model.value, model.exponent
+    u0 = math.log(r)
+    # past u0 + 700 both integrands are below 1e-16 of their peak here
+    u_end = u0 + 700.0
+    knots = nf.growth.table[1:-1, 0] if nf.growth.family == "table" else []
+    energies, gradients = [], []
+    for wi in w:
+        def arg(u):
+            rho = np.exp(u)
+            return np.abs(wi - c * rho ** a) * rho ** (-s)
+
+        def energy_density(u):
+            return float(nf.G(arg(u)))
+
+        def gradient_density(u):
+            rho = math.exp(u)
+            dw = wi - c * rho ** a
+            return float(nf.g(abs(dw) * rho ** (-s))) * math.copysign(
+                1.0, dw) * (dw != 0) * rho ** (-s)
+
+        points = []
+        if wi / c > 0:
+            zero = math.log(wi / c) / a
+            if zero > u0:
+                points.append(zero)
+            else:
+                # a zero just before u0 leaves a near-singular start:
+                # split geometrically away from it
+                gap = u0 - zero
+                points += [u0 + gap * 2.0 ** k for k in range(60)
+                           if 0 < gap * 2.0 ** k < 1.0]
+        grid = np.linspace(u0, u_end, 70001)
+        values = arg(grid)
+        for t in knots:
+            side = np.sign(values - t)
+            for i in np.flatnonzero(side[:-1] != side[1:]):
+                points.append(optimize.brentq(lambda u: arg(u) - t, grid[i],
+                                              grid[i + 1], xtol=1e-15,
+                                              rtol=1e-15))
+        edges = [u0] + sorted(points) + [u_end]
+        e = g = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            e += integrate.quad(energy_density, lo, hi, epsabs=0,
+                                epsrel=1e-12, limit=400)[0]
+            g += integrate.quad(gradient_density, lo, hi, epsabs=0,
+                                epsrel=1e-12, limit=400)[0]
+        energies.append(e)
+        gradients.append(g)
+    return prob._far_coef * np.array(energies), \
+        prob._far_coef * np.array(gradients)
+
+
 FAR_PROFILES = {
     "power1.5": lambda: make_power(1.5),
     "power3": lambda: make_power(3.0),
@@ -394,6 +471,9 @@ FAR_PROFILES = {
     "table": lambda: make_table([[0.5, 0.4], [1.0, 1.1], [2.0, 2.5],
                                  [4.0, 6.0], [8.0, 13.0]]),
 }
+POWER_EXTERIOR_PROFILES = {**FAR_PROFILES,
+                           "power1.1": lambda: make_power(1.1)}
+POWER_EXPONENTS = [-0.3, 0.25, 0.45]
 LEVEL_MODELS = {"zero": ExteriorModel(kind="zero"),
                 "constant": ExteriorModel(kind="constant", value=0.3)}
 
@@ -401,6 +481,11 @@ LEVEL_MODELS = {"zero": ExteriorModel(kind="zero"),
 class TestFarTail:
     # node values on both sides of the level, at it and next to it
     w = np.array([-2.0, -0.4, 0.0, 0.3, 0.3 + 1e-9, 1.7])
+    # the same for the power model f(r) = 0.3 (r = 1), plus 0.1, whose
+    # difference w - f changes sign inside the tail for a < 0 (1.7 does
+    # for a > 0)
+    w_power = np.array([-2.0, -0.4, 0.0, 0.1, 0.3 - 1e-9, 0.3, 0.3 + 1e-9,
+                        1.7])
 
     @pytest.mark.parametrize("model", sorted(LEVEL_MODELS))
     @pytest.mark.parametrize("profile", sorted(FAR_PROFILES))
@@ -430,14 +515,79 @@ class TestFarTail:
         np.testing.assert_allclose(prob._far_gradient(w), want_g,
                                    rtol=1e-10, atol=0)
 
-    def test_power_exterior_keeps_radial_energy(self):
-        # the power model still goes through the radial quadrature; the
-        # pinned values were computed before the level models moved to H
+    def test_power_exterior_matches_closed_form(self):
+        # p = 2, s = 0.5, r = 1, f = 0.3 rho^0.25: the per-node tail is
+        # (1/2) int_1^inf (w - 0.3 rho^0.25)^2 rho^-2 drho
+        # = (w^2 - 0.8 w + 0.18)/2
         model = ExteriorModel(kind="power", value=0.3, exponent=0.25)
         prob = _far_problem(make_power(2.0), model)
-        v = prob.datum_extension(
-            np.linspace(-0.4, 0.6, int(prob.omega_mask.sum())))
-        assert energy(prob, v) == pytest.approx(3.035823596317273,
-                                                rel=1e-12)
-        assert float(np.abs(gradient(prob, v).values).max()) \
-            == pytest.approx(0.5431228558483872, rel=1e-12)
+        w = np.linspace(-2.0, 2.0, 41)
+        cfar = prob._far_coef
+        np.testing.assert_allclose(prob._far_energy(w),
+                                   cfar * 0.5 * (w * w - 0.8 * w + 0.18),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(prob._far_gradient(w), cfar * (w - 0.4),
+                                   rtol=1e-12, atol=1e-12 * cfar)
+
+    @pytest.mark.parametrize("exponent", POWER_EXPONENTS)
+    @pytest.mark.parametrize("profile", sorted(POWER_EXTERIOR_PROFILES))
+    def test_power_exterior_matches_scipy_oracle(self, profile, exponent):
+        model = ExteriorModel(kind="power", value=0.3, exponent=exponent)
+        prob = _far_problem(POWER_EXTERIOR_PROFILES[profile](), model)
+        want_e, want_g = _scipy_far_terms(prob, self.w_power)
+        np.testing.assert_allclose(prob._far_energy(self.w_power), want_e,
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(prob._far_gradient(self.w_power), want_g,
+                                   rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("profile", sorted(FAR_PROFILES))
+    def test_zero_exponent_is_the_constant_model(self, profile):
+        power = _far_problem(FAR_PROFILES[profile](),
+                             ExteriorModel(kind="power", value=0.3,
+                                           exponent=0.0))
+        level = _far_problem(FAR_PROFILES[profile](),
+                             LEVEL_MODELS["constant"])
+        for fn in ("_far_energy", "_far_gradient"):
+            assert np.array_equal(getattr(power, fn)(self.w_power),
+                                  getattr(level, fn)(self.w_power))
+
+    @pytest.mark.parametrize("exponent", [-0.3, 0.25])
+    @pytest.mark.parametrize("profile", sorted(POWER_EXTERIOR_PROFILES))
+    def test_graded_rule_matches_a_refined_rule(self, profile, exponent,
+                                                monkeypatch):
+        model = ExteriorModel(kind="power", value=0.3, exponent=exponent)
+        prob = _far_problem(POWER_EXTERIOR_PROFILES[profile](), model)
+        e, g = prob._far_energy(self.w_power), prob._far_gradient(self.w_power)
+        monkeypatch.setattr(sl, "FAR_PANELS", 2 * sl.FAR_PANELS)
+        monkeypatch.setattr(sl, "FAR_POINTS", 4 * sl.FAR_POINTS)
+        e_fine = prob._far_energy(self.w_power)
+        g_fine = prob._far_gradient(self.w_power)
+        np.testing.assert_allclose(e, e_fine, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g, g_fine, rtol=0,
+                                   atol=1e-13 * np.abs(g_fine).max())
+
+    def test_power_exterior_solve_converges_quickly(self, tmp_path):
+        # with the radial quadrature's biased closure of the tail, this
+        # solve took 86 iterations
+        cfg = {
+            "problem": {
+                "dim": 1, "h": 1 / 16,
+                "omega": {"lo": [-0.5], "hi": [0.5]}, "s": 0.5,
+                "nfunction": {"family": "power", "p": 2.0},
+                "kernel": {"form": "pure"},
+                "datum": {"family": "sin", "frequency": 2.0,
+                          "amplitude": 1.0},
+                "exterior": {"kind": "power", "value": 0.3,
+                             "exponent": 0.25},
+                "truncation_radius": 2.0,
+            },
+            "pipeline": ["solve"], "seed": 1,
+            "solver": {"tol": 1e-11, "initial": "harmonic"},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run(str(path), out_override=str(out)) == 0
+        report = json.loads((out / "SolveReport.json").read_text())
+        assert report["converged"]
+        assert report["iterations"] <= 50
