@@ -15,6 +15,7 @@ Exit codes: 0 all declared criteria hold, 2 config/schema violation,
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import functools
 import json
@@ -32,7 +33,7 @@ from . import solver as sl
 from .funcspace import (Ball, ExteriorModel, GridFunction, Kernel, Lattice,
                         luxemburg_norm, membership_check, sphere_measure,
                         tail)
-from .reports import EstimateReport
+from .reports import EstimateReport, write_atomic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -176,11 +177,8 @@ def generate_corpus(spec, seed):
     rng = np.random.default_rng(seed)
     model = ExteriorModel(kind="zero")
     if family == "power-cusp":
-        center = np.asarray(spec.get("center", [0.0] * lattice.dim))
-        vals = np.linalg.norm(lattice.coords - center, axis=1) \
-            ** float(spec["gamma"])
-        return [GridFunction(lattice, float(spec.get("scale", 1.0)) * vals,
-                             model)]
+        vals = _datum_values({**spec, "family": "power_cusp"}, lattice, rng)
+        return [GridFunction(lattice, vals, model)]
     count = int(spec.get("count", 8))
     out = []
     for _ in range(count):
@@ -292,20 +290,20 @@ def _jsonable(obj):
 
 def _write_json(out_dir, name, payload):
     doc = {"timestamp": _timestamp(), **_jsonable(payload)}
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+
+    def write(fh):
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
+    write_atomic(os.path.join(out_dir, name), write)
+
 
 def _write_sweep_csv(out_dir, name, reports):
-    import csv as _csv
-
-    path = os.path.join(out_dir, f"sweep_{name}.csv")
     keys = sorted({k for r in reports for k in r.witnesses})
     rhs_keys = sorted({k for r in reports for k in r.rhs_terms})
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+
+    def write(fh):
+        writer = csv.writer(fh)
         writer.writerow(keys + ["lhs"] + [f"rhs_{k}" for k in rhs_keys]
                         + ["empirical_constant", "passed"])
         for r in reports:
@@ -314,6 +312,9 @@ def _write_sweep_csv(out_dir, name, reports):
             row += [repr(r.rhs_terms.get(k, "")) for k in rhs_keys]
             row += [repr(r.empirical_constant), str(r.passed)]
             writer.writerow(row)
+
+    write_atomic(os.path.join(out_dir, f"sweep_{name}.csv"), write,
+                 newline="")
 
 
 def _default_ball(ctx, shrink=1.0):
@@ -540,14 +541,18 @@ def _stage_de_giorgi(ctx):
                  "violations": violations})
 
 
-def _stage_boundedness(ctx):
-    rep = ctx.ensure_solved()
-    ball = _default_ball(ctx)
-    return rg.boundedness_check(rep.minimizer, ball, ctx.problem.s,
-                                ctx.problem.nf,
-                                kernel=ctx.problem.kernel,
+def _boundedness(ctx, ball):
+    """Local boundedness of the minimizer on ``ball``, which must lie in
+    the domain."""
+    prob = ctx.problem
+    return rg.boundedness_check(ctx.ensure_solved().minimizer, ball, prob.s,
+                                prob.nf, kernel=prob.kernel,
                                 bound=ctx.tol("boundedness", math.inf),
-                                omega_mask=ctx.problem.omega_mask)
+                                omega_mask=prob.omega_mask)
+
+
+def _stage_boundedness(ctx):
+    return _boundedness(ctx, _default_ball(ctx))
 
 
 def _stage_caccioppoli(ctx):
@@ -639,18 +644,12 @@ VERIFY_STAGES = {
 # -- sweep stages ------------------------------------------------------------
 
 def _sweep_boundedness(ctx):
-    rep = ctx.ensure_solved()
+    ctx.ensure_solved()
     base = _default_ball(ctx)
     cfg = ctx.config.get("sweeps", {}).get("boundedness", {})
     fractions = cfg.get("fractions", [1.0, 0.8, 0.6, 0.45])
     balls = [Ball(base.center, base.radius * f) for f in fractions]
-
-    def run_one(b):
-        return rg.boundedness_check(rep.minimizer, b, ctx.problem.s,
-                                    ctx.problem.nf,
-                                    bound=ctx.tol("boundedness", math.inf))
-
-    return _parallel_map(ctx, run_one, balls)
+    return _parallel_map(ctx, functools.partial(_boundedness, ctx), balls)
 
 
 def _sweep_caccioppoli(ctx):

@@ -4,6 +4,9 @@ A function lives on a finite lattice covering a computational box and
 carries an exterior model describing its radial far field; modulars and
 norms discretize integrals with node measure h^n, ball membership by
 node-center inclusion, and the double-sum modulars drop the diagonal.
+The Luxemburg norm and the pair seminorm solve modular(t f) = 1 for
+t = 1/lam with ``quadrature.bisect_increasing``: the modular increases
+in t.
 The nonlocal tail splits into a lattice Riemann sum over box nodes plus
 a 1-D radial integral of the far-field profile with power-law
 extrapolation.
@@ -20,8 +23,8 @@ from itertools import product
 import numpy as np
 
 from .pairs import distance_blocks
-from .quadrature import integrate_radial
-from .reports import EstimateReport
+from .quadrature import bisect_increasing, integrate_radial
+from .reports import EstimateReport, write_atomic
 
 
 def sphere_measure(n):
@@ -285,11 +288,14 @@ class GridFunction:
 
     def to_csv(self, path):
         multi = self.lattice.multi_indices()
-        with open(path, "w", newline="") as fh:
+
+        def write(fh):
             writer = csv.writer(fh)
             writer.writerow([f"i{d}" for d in range(self.lattice.dim)] + ["value"])
             for row, val in zip(multi, self.values):
                 writer.writerow([*map(int, row), repr(float(val))])
+
+        write_atomic(path, write, newline="")
 
     @classmethod
     def from_csv(cls, path, lattice, exterior=None):
@@ -338,45 +344,27 @@ def gagliardo_modular(f, region, s, nf, chunk=512):
     return total
 
 
+def _unit_scale(modular):
+    """lam = 1/t for the root t of modular(t) = 1, where ``modular`` is
+    increasing in t (``bisect_increasing``)."""
+    return 1.0 / bisect_increasing(lambda t: np.array([modular(t[0])]), 1.0)
+
+
 def gagliardo_seminorm(f, region, s, nf):
     """Luxemburg-type seminorm derived from the pair modular: the
     infimal lam with gagliardo_modular(f / lam) <= 1.  The modular is
     the primary quantity; the seminorm is reported alongside it since
     no canonical normalization ties the two."""
-    base = gagliardo_modular(f, region, s, nf)
-    if base == 0.0:
+    if gagliardo_modular(f, region, s, nf) == 0.0:
         return 0.0
-
-    def modular(lam):
-        return gagliardo_modular(f.with_values(f.values / lam), region, s, nf)
-
-    hi = 1.0
-    for _ in range(200):
-        if modular(hi) <= 1.0:
-            break
-        hi *= 2.0
-    lo = hi
-    for _ in range(200):
-        lo /= 2.0
-        if modular(lo) > 1.0:
-            break
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        m = modular(mid)
-        if abs(m - 1.0) <= 1e-10:
-            return mid
-        if m > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return _unit_scale(lambda t: gagliardo_modular(
+        f.with_values(t * f.values), region, s, nf))
 
 
 def luxemburg_norm(f, region, nf):
-    """inf of lam > 0 with sum_i G(|f_i| / lam) h^n <= 1, by monotone
-    bisection; 0 exactly when f vanishes on the region."""
+    """inf of lam > 0 with sum_i G(|f_i| / lam) h^n <= 1; 0 exactly when
+    f vanishes on the region.  The modular is taken of f / max|f|, so
+    its arguments stay in [0, t]."""
     lat = f.lattice
     idx = np.flatnonzero(lat.select(region))
     if idx.size == 0:
@@ -385,38 +373,9 @@ def luxemburg_norm(f, region, nf):
     vmax = float(v.max())
     if vmax == 0.0:
         return 0.0
+    u = v / vmax
     hn = lat.h ** lat.dim
-
-    def modular(lam):
-        return float(np.sum(nf.G(v / lam))) * hn
-
-    hi = vmax
-    for _ in range(200):
-        if modular(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("norm bracketing failed from above")
-    lo = hi
-    floor = vmax / 1e28
-    for _ in range(200):
-        lo_next = lo / 2.0
-        if lo_next < floor or modular(lo_next) > 1.0:
-            lo = max(lo_next, floor)
-            break
-        lo = lo_next
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = modular(mid)
-        if abs(m - 1.0) <= 1e-10:
-            return mid
-        if m > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return vmax * _unit_scale(lambda t: float(np.sum(nf.G(u * t))) * hn)
 
 
 def tail(f, x0, R, s, nf, tol=1e-9):

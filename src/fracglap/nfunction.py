@@ -319,15 +319,9 @@ class NFunction:
         return bisect_increasing(self.G, y, hi_cap=REPRESENTABLE_MAX)
 
     def inv_g(self, y):
-        """Preimage under g, same contract as inv_G."""
-        y, scalar = _as_float_array(y)
-        _check_domain(y, "target")
-        if self.growth.family == "table":
-            val = self.growth.inverse(y)
-        else:
-            val = bisect_increasing(self.g, y, hi_cap=REPRESENTABLE_MAX)
-        val = np.asarray(val, dtype=float)
-        return float(val) if scalar else val
+        """Preimage under g: ``GrowthFunction.inverse``, the closed form
+        y**(1/(p-1)) for the power family."""
+        return self.growth.inverse(y)
 
     def conjugate(self, t):
         """Legendre conjugate G*(t) = sup_{s>=0} (s*t - G(s)).

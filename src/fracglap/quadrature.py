@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+# bracket width, relative to its upper end, at which bisection stops
+BISECT_REL_TOL = 1e-12
+
 
 @functools.lru_cache(maxsize=32)
 def _gl_rule(npts: int):
@@ -169,21 +172,22 @@ def _simpson(h, a, b, n):
     return (b - a) / (3.0 * n) * (vals @ w)
 
 
-def bisect_increasing(fn, y, lo=0.0, hi=None, hi_cap=None, rel_tol=1e-12,
-                      max_iter=200):
-    """Solve fn(t) = y for an increasing vectorized ``fn``, entrywise.
+def bisect_increasing(fn, y, hi=None, hi_cap=None):
+    """Solve fn(t) = y on t >= 0 for an increasing vectorized ``fn``,
+    entrywise; the root of y = 0 is 0.
 
-    Brackets by doubling ``hi`` (capped at ``hi_cap``) until fn(hi) >= y,
-    then bisects until the bracket width is below ``rel_tol`` relative
-    to the root.
+    Brackets by doubling ``hi`` (default 1, capped at ``hi_cap``) until
+    fn(hi) >= y, then bisects [0, hi] until the bracket width is below
+    ``BISECT_REL_TOL`` relative to its upper end and returns the
+    midpoint.  This is the package's one root finder.
     """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     yv = np.atleast_1d(y).astype(float)
     if np.any(yv < 0):
         raise ValueError("targets must be >= 0")
-    lo_v = np.full_like(yv, lo)
-    hi_v = np.full_like(yv, 1.0 if hi is None else hi)
+    lo_v = np.zeros_like(yv)
+    hi_v = np.where(yv > 0, 1.0 if hi is None else hi, 0.0)
     for _ in range(200):
         need = fn(hi_v) < yv
         if not np.any(need):
@@ -192,23 +196,22 @@ def bisect_increasing(fn, y, lo=0.0, hi=None, hi_cap=None, rel_tol=1e-12,
         if np.all(grown[need] == hi_v[need]):
             raise RuntimeError(
                 "bracketing failed: target not reached at the cap "
-                f"hi={hi_v.max():.3e} (bracket state lo={lo_v.min():.3e})"
+                f"hi={hi_v.max():.3e}"
             )
         hi_v = np.where(need, grown, hi_v)
     else:
         raise RuntimeError(
             "bracketing failed: target not reached below "
-            f"hi={hi_v.max():.3e} (bracket state lo={lo_v.min():.3e})"
+            f"hi={hi_v.max():.3e}"
         )
-    for _ in range(max_iter):
+    # halving terminates: adjacent doubles (subnormals included) are
+    # closer than BISECT_REL_TOL relative to max(hi, 1e-300)
+    while np.any(hi_v - lo_v > BISECT_REL_TOL * np.maximum(hi_v, 1e-300)):
         mid = 0.5 * (lo_v + hi_v)
         high = fn(mid) >= yv
         hi_v = np.where(high, mid, hi_v)
         lo_v = np.where(high, lo_v, mid)
-        if np.all(hi_v - lo_v <= rel_tol * np.maximum(hi_v, 1e-300)):
-            break
     root = 0.5 * (lo_v + hi_v)
-    root[yv == 0.0] = 0.0
     if scalar:
         return float(root[0])
     return root.reshape(y.shape)

@@ -4,13 +4,14 @@ A check compares a left-hand quantity against a sum of named right-hand
 terms.  The empirical constant is lhs / sum(rhs) with unit coefficients,
 and the check passes when that constant stays below the declared bound.
 Multi-sample checks report the extremal sample and carry its parameters
-as witnesses.
+as witnesses.  Every artifact file is written through ``write_atomic``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 
 
@@ -71,3 +72,20 @@ def ratio_array(lhs, rhs):
         out = np.where(lhs == 0.0, 0.0,
                        np.where(rhs == 0.0, np.inf, lhs / np.where(rhs == 0, 1, rhs)))
     return out
+
+
+def write_atomic(path, write, newline=None):
+    """Write ``path`` through ``write(fh)`` on a text file: into a
+    temporary file in the same directory, renamed onto ``path`` when
+    complete, so a failed write leaves neither a partial ``path`` nor
+    the temporary file."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -27,7 +27,8 @@ gradient then gathers over them.
 
 Strict convexity of the energy (g strictly increasing) makes the
 minimizer unique; descent with Armijo backtracking therefore converges
-to the same function from any admissible start.
+to the same function from any admissible start, whatever the number of
+domain nodes.
 """
 
 from __future__ import annotations
@@ -505,7 +506,9 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
     backtracking (c1 = 1e-4, factor 0.5); the preconditioner is the
     diagonal sum of K d^(-2s) h^(2n) over interacting pairs.  Stops when
     the gradient sup-norm drops below tol * (1 + scale) with the
-    g(osc(f))-based scale, making the tolerance dimensionless.
+    g(osc(f))-based scale, making the tolerance dimensionless.  A domain
+    of one node takes the same route: with one unknown the
+    Barzilai-Borwein step is a secant step on the scalar derivative.
     """
     omega = prob.omega_mask
     vals = prob.exterior_datum.values.copy()
@@ -530,9 +533,6 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
         raise ValueError("initial must be 'zero' or 'harmonic'")
 
     threshold = tol * (1.0 + prob._gradient_scale)
-    if omega.sum() == 1:
-        return _solve_scalar(prob, vals, threshold, max_iter, initial)
-
     P = prob._precond
     v_om = vals[omega].copy()
     g_now = _gradient_omega(prob, vals)
@@ -591,42 +591,3 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
                                 "threshold": threshold, "initial": initial},
                        energy_history=history)
 
-
-def _solve_scalar(prob, vals, threshold, max_iter, initial):
-    """Single-unknown domain: the energy is a scalar strictly convex
-    function; bisect on its derivative."""
-    omega = prob.omega_mask
-
-    def dphi(x):
-        vals[omega] = x
-        return _gradient_omega(prob, vals)[0]
-
-    span = prob.data_oscillation() + 1.0
-    lo, hi = -span, span
-    for _ in range(200):
-        if dphi(lo) < 0:
-            break
-        lo -= span
-        span *= 2
-    for _ in range(200):
-        if dphi(hi) > 0:
-            break
-        hi += span
-        span *= 2
-    iterations = 0
-    for _ in range(min(max_iter, 200)):
-        mid = 0.5 * (lo + hi)
-        if dphi(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    vals[omega] = 0.5 * (lo + hi)
-    res = abs(dphi(0.5 * (lo + hi)))
-    u = GridFunction(prob.lattice, vals, prob.exterior_datum.exterior)
-    return SolveReport(u, _energy_values(prob, vals), float(res), iterations,
-                       0, bool(res <= threshold),
-                       details={"threshold": threshold, "initial": initial,
-                                "mode": "scalar_bisection"})

@@ -180,6 +180,18 @@ class TestRun:
         header = (out / "sweep_boundedness.csv").read_text().splitlines()[0]
         assert header.split(",")[:2] == ["center", "radius"]
 
+    def test_boundedness_sweep_rejects_ball_outside_domain(self, tmp_path,
+                                                           capsys):
+        # fraction 1.5 gives a radius-0.675 ball over the domain (-0.5, 0.5);
+        # the sweep must refuse it like verify:boundedness does
+        cfg = base_config(pipeline=["solve", "sweep:boundedness"],
+                          sweeps={"boundedness": {"fractions": [1.0, 1.5]}})
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) == EXIT_CONFIG
+        assert "compactly contained in the domain" in capsys.readouterr().err
+        assert not (out / "sweep_boundedness.csv").exists()
+
     def test_jobs_flag_deterministic(self, tmp_path):
         cfg = base_config(pipeline=["solve", "sweep:boundedness"])
         p = write_config(tmp_path, cfg)
@@ -286,6 +298,33 @@ class TestDeterminism:
         d1 = json.loads((out1 / "estimate_gradient_fd.json").read_text())
         d2 = json.loads((out2 / "estimate_gradient_fd.json").read_text())
         assert d1["details"]["max_rel_error"] != d2["details"]["max_rel_error"]
+
+
+class TestArtifacts:
+    def test_failed_json_write_leaves_no_file(self, tmp_path):
+        from fracglap.cli import _write_json
+        with pytest.raises(TypeError):
+            _write_json(str(tmp_path), "x.json", {"a": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_write_replaces_existing_file(self, tmp_path):
+        from fracglap.cli import _write_json
+        _write_json(str(tmp_path), "x.json", {"a": 1})
+        _write_json(str(tmp_path), "x.json", {"a": 2})
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+        assert json.loads((tmp_path / "x.json").read_text())["a"] == 2
+
+
+def test_cli_import_pulls_no_test_dependencies():
+    # the library depends on numpy and jsonschema only
+    code = ("import sys, fracglap.cli; "
+            "print(sorted(m for m in ('scipy', 'pytest', 'hypothesis') "
+            "if m in sys.modules))")
+    src = str(Path(fracglap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestCorpus:

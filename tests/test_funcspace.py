@@ -142,6 +142,21 @@ class TestGagliardoModular:
             gagliardo_modular(f, None, 1.2, nf2)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_norms_match_power_closed_forms(p):
+    # G(t) = t^p/p: sum G(|f|/lam) h^n = 1 gives lam = (sum |f|^p h^n/p)^(1/p),
+    # and the pair modular scales as lam^(-p), so the seminorm is modular^(1/p)
+    from fracglap import gagliardo_seminorm
+    nf = make_power(p)
+    lat = Lattice.from_box([0.0], [2.0], 0.125)
+    f = GridFunction(lat, np.random.default_rng(2).normal(size=lat.n_nodes))
+    want = (np.sum(np.abs(f.values) ** p) * lat.h / p) ** (1.0 / p)
+    assert luxemburg_norm(f, None, nf) == pytest.approx(want, rel=1e-12)
+    modular = gagliardo_modular(f, None, 0.5, nf)
+    assert gagliardo_seminorm(f, None, 0.5, nf) == pytest.approx(
+        modular ** (1.0 / p), rel=1e-12)
+
+
 class TestLuxemburgNorm:
     def test_zero_function(self, nf2):
         lat = Lattice.from_box([0.0], [1.0], 0.25)

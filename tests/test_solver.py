@@ -226,9 +226,17 @@ class TestSolve:
                                datum, truncation_radius=1.0)
         rep = solve(prob, tol=1e-10)
         assert rep.converged
-        assert rep.details["mode"] == "scalar_bisection"
         g = _gradient_omega(prob, rep.minimizer.values)
         assert abs(g[0]) <= rep.details["threshold"]
+        # the one unknown is the root of the scalar derivative
+        vals = rep.minimizer.values.copy()
+
+        def dphi(x):
+            vals[1] = x
+            return _gradient_omega(prob, vals)[0]
+
+        root = optimize.brentq(dphi, -1.0, 1.0, xtol=1e-14, rtol=1e-14)
+        assert rep.minimizer.values[1] == pytest.approx(root, abs=1e-10)
 
     def test_non_convergence_reported_not_raised(self):
         prob = line_problem(h=1 / 32, s=0.5, p=2.0, datum="sin")
