@@ -14,7 +14,8 @@ families:
 * ``power``      -- g(t) = t**(p-1); closed forms throughout, p == q.
 * ``power_log``  -- g(t) = t**(p-1)*log(1+t); indices (p, p+1); G is
                     evaluated by adaptive dyadic quadrature behind a
-                    certified piecewise-Chebyshev accelerator.
+                    certified piecewise-Chebyshev accelerator, and by
+                    its two-term series below the accelerator's range.
 * ``table``      -- strictly increasing samples of g, monotone
                     piecewise-linear interpolation; G integrates the
                     interpolant exactly; indices estimated from the data
@@ -39,6 +40,9 @@ from .reports import EstimateReport, ratio_array
 REPRESENTABLE_MAX = 1e30
 # accelerator tables are certified to half of min(quadrature_tol, this)
 CERTIFY_TOL = 1e-11
+# power_log G and H below this take their two-term series (relative
+# error about t^2); the accelerator starts here
+SERIES_MAX = 1e-14
 
 _FAMILIES = ("power", "power_log", "table")
 
@@ -363,26 +367,38 @@ class NFunction:
         return out
 
     def _quad_G(self, t):
-        return self._accelerated(t, self._accel, self._quad_exact)
+        return self._accelerated(t, self._accel, self._quad_exact,
+                                 self._series_G)
 
     def _quad_H(self, t):
         accel = self._accel
         fast = accel.H if accel is not None and accel.hcoef is not None \
             else None
-        return self._accelerated(t, fast, self._quad_H_exact)
+        return self._accelerated(t, fast, self._quad_H_exact, self._series_H)
 
-    def _accelerated(self, t, fast_fn, exact_fn):
-        """``fast_fn`` on the accelerator's range, ``exact_fn`` on the
-        rest of t > 0, and 0 at t = 0."""
+    def _series_G(self, t):
+        # log1p(u) = u - u^2/2 + O(u^3) under int_0^t u^(p-1) log1p(u) du
+        p = self.growth.exponent
+        return t ** (p + 1) / (p + 1) - t ** (p + 2) / (2 * (p + 2))
+
+    def _series_H(self, t):
+        # int_0^t G(tau)/tau dtau of the two terms of ``_series_G``
+        p = self.growth.exponent
+        return t ** (p + 1) / (p + 1) ** 2 - t ** (p + 2) / (2 * (p + 2) ** 2)
+
+    def _accelerated(self, t, fast_fn, exact_fn, series_fn):
+        """``series_fn`` on 0 < t < SERIES_MAX, ``fast_fn`` on the rest of
+        the accelerator's range, ``exact_fn`` past it, and 0 at t = 0."""
         out = np.zeros_like(t)
-        pos = t > 0
+        small = (t > 0) & (t < SERIES_MAX)
+        if small.any():
+            out[small] = series_fn(t[small])
+        rest = t >= SERIES_MAX
         if fast_fn is not None:
-            fast = pos & (t >= self._accel.lo) & (t <= self._accel.hi)
+            fast = rest & (t <= self._accel.hi)
             if fast.any():
                 out[fast] = fast_fn(t[fast])
-            rest = pos & ~fast
-        else:
-            rest = pos
+            rest &= ~fast
         if rest.any():
             out[rest] = exact_fn(t[rest])
         return out
@@ -391,7 +407,7 @@ class NFunction:
         target = min(self.quadrature_tol, CERTIFY_TOL) / 2
         for intervals, degree in ((64, 24), (160, 32)):
             try:
-                self._accel = _ChebLogG(self._quad_exact, 1e-14, 1e14,
+                self._accel = _ChebLogG(self._quad_exact, SERIES_MAX, 1e14,
                                         intervals, degree, target,
                                         self._quad_H_exact)
                 return

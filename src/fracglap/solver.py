@@ -28,6 +28,11 @@ gradient then gathers over them.
 Strict convexity of the energy (g strictly increasing) makes the
 minimizer unique; descent with Armijo backtracking therefore converges
 to the same function from any admissible start, whatever the number of
+domain nodes.  The descent measures steps in the metric of the p = 2
+operator on the same pairs (the quadratic surrogate A of
+``_assemble_surrogate``, a Sobolev gradient): A is factored once by
+Cholesky and each direction is A^(-1) grad E, so the iteration count
+does not grow as h shrinks.  The dense factor costs N^2 floats for N
 domain nodes.
 """
 
@@ -50,6 +55,8 @@ FAR_PANELS = 40
 FAR_POINTS = 8
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
+# width of the diagonal blocks of the substitution in ``_cholesky_solve``
+SUBST_BLOCK = 128
 
 
 class InadmissibleError(ValueError):
@@ -163,18 +170,6 @@ class NonlocalProblem:
         lat = self.lattice
         return 2.0 * lat.h ** lat.dim * self.kernel.far_coefficient \
             * sphere_measure(lat.dim)
-
-    @cached_property
-    def _precond(self):
-        ia, ja, dist, w = self._pairs
-        contrib = w * dist ** (-2.0 * self.s)
-        diag = np.zeros(self.lattice.n_nodes)
-        np.add.at(diag, ia, contrib)
-        both = self.omega_mask[ja]
-        np.add.at(diag, ja[both], contrib[both])
-        r = self.truncation_radius
-        diag[self.omega_mask] += self._far_coef * r ** (-2 * self.s) / (2 * self.s)
-        return diag[self.omega_mask]
 
     @cached_property
     def _gradient_scale(self):
@@ -499,16 +494,45 @@ def _assemble_surrogate(prob):
 
 # -- minimization ----------------------------------------------------------
 
+def _cholesky_solve(L, g):
+    """A^(-1) g for A = L L' with L lower triangular.
+
+    numpy has no triangular solve, so forward and back substitution run
+    over diagonal blocks of width ``SUBST_BLOCK``: ``np.linalg.solve`` on
+    the block, one matvec for the part of the row already solved.
+    O(N^2) per call.
+    """
+    n = g.size
+    starts = range(0, n, SUBST_BLOCK)
+    y = np.empty(n)
+    for i0 in starts:
+        i1 = min(i0 + SUBST_BLOCK, n)
+        y[i0:i1] = np.linalg.solve(L[i0:i1, i0:i1],
+                                   g[i0:i1] - L[i0:i1, :i0] @ y[:i0])
+    x = np.empty(n)
+    for i0 in reversed(starts):
+        i1 = min(i0 + SUBST_BLOCK, n)
+        x[i0:i1] = np.linalg.solve(L[i0:i1, i0:i1].T,
+                                   y[i0:i1] - L[i1:, i0:i1].T @ x[i1:])
+    return x
+
+
 def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
     """Minimize the energy over admissible candidates.
 
-    Preconditioned descent with Barzilai-Borwein trial steps and Armijo
-    backtracking (c1 = 1e-4, factor 0.5); the preconditioner is the
-    diagonal sum of K d^(-2s) h^(2n) over interacting pairs.  Stops when
-    the gradient sup-norm drops below tol * (1 + scale) with the
-    g(osc(f))-based scale, making the tolerance dimensionless.  A domain
-    of one node takes the same route: with one unknown the
-    Barzilai-Borwein step is a secant step on the scalar derivative.
+    Descent in the metric of the quadratic surrogate A (the p = 2
+    operator on the same pairs, ``_assemble_surrogate``): A is factored
+    once, each step is d = A^(-1) grad E, its length comes from the
+    Barzilai-Borwein ratio (s'As)/(s'y), and Armijo backtracking
+    (c1 = 1e-4, factor 0.5) accepts it.  The metric is the Sobolev
+    gradient of the p = 2 problem, so the iteration count does not grow
+    as h shrinks, and for p = 2 the first full step lands on the
+    minimizer.  ``initial="harmonic"`` starts from A^(-1) b through the
+    same factor.  Stops when the gradient sup-norm drops below
+    tol * (1 + scale) with the g(osc(f))-based scale, making the
+    tolerance dimensionless.  A domain of one node takes the same route:
+    with one unknown the Barzilai-Borwein step is a secant step on the
+    scalar derivative.
     """
     omega = prob.omega_mask
     vals = prob.exterior_datum.values.copy()
@@ -525,20 +549,25 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
                            details={"stop_scale": 0.0, "initial": initial})
 
     if initial in ("zero", "zero-extension"):
-        vals[omega] = 0.0
+        harmonic = False
     elif initial in ("harmonic", "halo-harmonic-guess"):
-        A, b, _, _ = _assemble_surrogate(prob)
-        vals[omega] = np.linalg.solve(A, b)
+        harmonic = True
     else:
         raise ValueError("initial must be 'zero' or 'harmonic'")
+    A, b, _, _ = _assemble_surrogate(prob)
+    # A is SPD (positive weights, strictly diagonally dominant); only its
+    # factor is kept
+    L = np.linalg.cholesky(A)
+    del A
+    vals[omega] = _cholesky_solve(L, b) if harmonic else 0.0
 
     threshold = tol * (1.0 + prob._gradient_scale)
-    P = prob._precond
     v_om = vals[omega].copy()
     g_now = _gradient_omega(prob, vals)
     e_now = _energy_values(prob, vals)
     history = [e_now]
     alpha = 1.0
+    step = 0.0
     failures = 0
     iterations = 0
     v_prev = None
@@ -546,14 +575,16 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
     converged = float(np.abs(g_now).max()) <= threshold
 
     while not converged and iterations < max_iter:
-        d = g_now / P
+        d = _cholesky_solve(L, g_now)
         slope = float(np.dot(g_now, d))
         if v_prev is not None:
             sv = v_om - v_prev
             yv = g_now - g_prev
             denom = float(np.dot(sv, yv))
             if denom > 0:
-                alpha = float(np.dot(sv * P, sv)) / denom
+                # the last step was sv = -step A^(-1) g_prev, so
+                # s'As = -step s'g_prev needs no A
+                alpha = -step * float(np.dot(sv, g_prev)) / denom
                 alpha = min(max(alpha, 1e-12), 1e12)
             else:
                 alpha = 1.0
@@ -576,6 +607,7 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
             break
         v_prev, g_prev = v_om, g_now
         v_om = trial
+        step = t * alpha
         e_now = e_trial
         history.append(e_now)
         g_now = _gradient_omega(prob, vals)

@@ -113,7 +113,10 @@ class TestRun:
         assert rep["details"]["sup_error"] <= 1e-8
 
     def test_solver_non_convergence_exit(self, tmp_path):
+        # p = 3: at p = 2 the surrogate metric is the Hessian and one
+        # step converges
         cfg = base_config(solver={"max_iter": 1, "tol": 1e-14})
+        cfg["problem"]["nfunction"]["p"] = 3.0
         cfg["tolerances"] = {}
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_SOLVER
@@ -316,14 +319,20 @@ class TestArtifacts:
 
 
 def test_cli_import_pulls_no_test_dependencies():
-    # the library depends on numpy and jsonschema only
-    code = ("import sys, fracglap.cli; "
+    # the library depends on numpy and jsonschema only; a harmonic-start
+    # solve runs first, so a lazy import on the solver's path shows too
+    cfg = base_config()
+    cfg["problem"]["nfunction"]["p"] = 3.0
+    code = ("import json, sys, fracglap.cli as cli; "
+            "cli.sl.solve(cli.build_problem(json.loads(sys.argv[1])), "
+            "initial='harmonic'); "
             "print(sorted(m for m in ('scipy', 'pytest', 'hypothesis') "
             "if m in sys.modules))")
     src = str(Path(fracglap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(cfg)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
     assert out.strip() == "[]"
 
 

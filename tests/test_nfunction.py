@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import fracglap.nfunction as nfm
 from fracglap import (check_doubling, check_growth_sandwich, check_scaling,
                       check_young, make_power, make_power_log, make_table)
 from fracglap.nfunction import GrowthFunction, NFunction
@@ -95,6 +96,18 @@ class TestEvalH:
         t = np.array([0.0, 1e-16, 2e-3, 1.0, 1e16])
         np.testing.assert_array_equal(nf_plog.H(t),
                                       [nf_plog.H(x) for x in t])
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_power_log_below_accelerator_takes_series(self, p, monkeypatch):
+        nf = make_power_log(p)
+        t = np.array([1e-300, 1e-20, 9.9e-15])
+        want_G, want_H = nf._quad_exact(t), nf._quad_H_exact(t)
+        calls = []
+        monkeypatch.setattr(nfm, "integrate_zero_to",
+                            lambda *a, **k: calls.append(a))
+        np.testing.assert_allclose(nf.G(t), want_G, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(nf.H(t), want_H, rtol=1e-12, atol=0)
+        assert calls == []
 
 
 class TestInverses:

@@ -12,7 +12,7 @@ from fracglap import (ExteriorModel, GridFunction, InadmissibleError, Kernel,
                       convexity_probe, energy, gradient, make_power,
                       make_power_log, make_table, solve, sphere_measure,
                       weak_residual)
-from fracglap.cli import run
+from fracglap.cli import build_problem, run
 from fracglap.quadrature import integrate_graded, integrate_radial
 from fracglap.solver import _energy_values, _gradient_omega
 
@@ -239,7 +239,8 @@ class TestSolve:
         assert rep.minimizer.values[1] == pytest.approx(root, abs=1e-10)
 
     def test_non_convergence_reported_not_raised(self):
-        prob = line_problem(h=1 / 32, s=0.5, p=2.0, datum="sin")
+        # p = 3: at p = 2 one step converges
+        prob = line_problem(h=1 / 32, s=0.5, p=3.0, datum="sin")
         rep = solve(prob, tol=1e-13, max_iter=2)
         assert not rep.converged
         assert rep.iterations == 2
@@ -252,6 +253,52 @@ class TestSolve:
         rep = solve(prob, tol=1e-9)
         assert rep.converged
         assert weak_residual(prob, rep.minimizer) <= rep.details["threshold"]
+
+
+def _sin_problem(h, p, exterior=None):
+    """1-D, s = 0.5, r = 2: the CLI's sin datum with a constant exterior
+    0.3 unless another model is given."""
+    return build_problem({"problem": {
+        "dim": 1, "h": h, "omega": {"lo": [-0.5], "hi": [0.5]}, "s": 0.5,
+        "nfunction": {"family": "power", "p": p},
+        "datum": {"family": "sin"},
+        "exterior": exterior or {"kind": "constant", "value": 0.3},
+        "truncation_radius": 2.0}})
+
+
+class TestSurrogateMetric:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_iterations_do_not_grow_with_refinement(self, p):
+        reps = [solve(_sin_problem(1 / k, p), tol=1e-11) for k in (32, 256)]
+        assert all(rep.converged for rep in reps)
+        assert reps[1].iterations <= 1.5 * reps[0].iterations
+
+    @pytest.mark.parametrize("exterior", [
+        {"kind": "constant", "value": 0.3},
+        {"kind": "power", "value": 0.3, "exponent": 0.25}])
+    def test_one_step_at_p2(self, exterior):
+        # for p = 2 the metric is the Hessian, so the first full step
+        # lands on the minimizer
+        rep = solve(_sin_problem(1 / 32, 2.0, exterior), tol=1e-11)
+        assert rep.converged and rep.iterations == 1
+
+    def test_p2_step_is_the_direct_solve(self):
+        prob = _sin_problem(1 / 32, 2.0)
+        rep = solve(prob, tol=1e-11)
+        A, b, _, _ = assemble_quadratic(prob)
+        np.testing.assert_allclose(rep.minimizer.values[prob.omega_mask],
+                                   np.linalg.solve(A, b), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_blocked_substitution_matches_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        A = m @ m.T + n * np.eye(n)
+        g = rng.standard_normal(n)
+        want = np.linalg.solve(A, g)
+        got = sl._cholesky_solve(np.linalg.cholesky(A), g)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 class TestWeakResidual:
