@@ -21,9 +21,9 @@ from .nfunction import (ConjugateFunction, GrowthFunction, NFunction,
                         check_doubling, check_growth_sandwich, check_scaling,
                         check_young, make_power, make_power_log, make_table)
 from .regularity import (Cutoff, DecaySchedule, boundedness_check,
-                         boundedness_sweep, caccioppoli_check,
-                         de_giorgi_iterate, holder_decay_fit,
-                         log_estimate_check, sobolev_poincare_check)
+                         caccioppoli_check, de_giorgi_iterate,
+                         holder_decay_fit, log_estimate_check,
+                         sobolev_poincare_check)
 from .reports import EstimateReport
 from .solver import (InadmissibleError, NonlocalProblem, SolveReport,
                      assemble_quadratic, convexity_probe, energy, gradient,
@@ -33,8 +33,8 @@ __all__ = [
     "Ball", "ConjugateFunction", "Cutoff", "DecaySchedule", "EstimateReport",
     "ExteriorModel", "GridFunction", "GrowthFunction", "InadmissibleError",
     "Kernel", "Lattice", "NFunction", "NonlocalProblem", "SolveReport",
-    "assemble_quadratic", "boundedness_check", "boundedness_sweep",
-    "caccioppoli_check", "check_doubling", "check_growth_sandwich",
+    "assemble_quadratic", "boundedness_check", "caccioppoli_check",
+    "check_doubling", "check_growth_sandwich",
     "check_scaling", "check_young", "convexity_probe", "de_giorgi_iterate",
     "energy", "gagliardo_modular", "gagliardo_seminorm", "gradient",
     "holder_decay_fit",

@@ -4,12 +4,14 @@ out.
 A config describes one discrete Dirichlet instance plus a pipeline of
 stages: ``solve``, ``verify:<estimate>`` and ``sweep:<estimate>``.
 Artifacts land in the output directory as SolveReport.json,
-minimizer.csv, estimate_<name>.json and sweep_<name>.csv; every JSON
-report carries a ``timestamp`` field and is otherwise byte-identical
-across reruns with the same seed.
+minimizer.csv, estimate_<name>.json per verify stage, and
+sweep_<name>.csv plus its summary sweep_<name>.json per sweep; every
+JSON report carries a ``timestamp`` field and is otherwise
+byte-identical across reruns with the same seed.
 
 Exit codes: 0 all declared criteria hold, 2 config/schema violation,
-3 solver non-convergence, 4 estimate failure, 5 I/O failure.
+3 solver non-convergence, 4 estimate failure, 5 I/O failure.  The
+``FAILURES`` table maps each exception class to its code.
 """
 
 from __future__ import annotations
@@ -317,12 +319,12 @@ def _write_sweep_csv(out_dir, name, reports):
                  newline="")
 
 
-def _default_ball(ctx, shrink=1.0):
+def _default_ball(ctx):
     p = ctx.config["problem"]
     lo = np.asarray(p["omega"]["lo"], float)
     hi = np.asarray(p["omega"]["hi"], float)
     center = 0.5 * (lo + hi)
-    radius = 0.5 * float((hi - lo).min()) * 0.9 * shrink
+    radius = 0.5 * float((hi - lo).min()) * 0.9
     return Ball(tuple(center), radius)
 
 
@@ -334,15 +336,71 @@ def _sample_grid(nf, rng, count):
     return 10.0 ** rng.uniform(lo, hi, size=count)
 
 
+# -- shared checks -----------------------------------------------------------
+# A sweep and its verify stage share these; sweeps call them directly, not
+# through VERIFY_STAGES, so that no stage runs inside another.
+
+def _corpus(ctx, rng, count):
+    """``count`` random-smooth functions on the problem lattice."""
+    lat = ctx.problem.lattice
+    spec = {"family": "random-smooth",
+            "lattice": {"lo": lat.lo, "hi": lat.hi, "h": lat.h},
+            "count": count}
+    return generate_corpus(spec, int(rng.integers(2 ** 31)))
+
+
+def _ball_levels(ctx):
+    """|u| of the minimizer at the nodes of the default ball."""
+    u = ctx.ensure_solved().minimizer
+    return np.abs(u.values[u.lattice.select(_default_ball(ctx))])
+
+
+def _boundedness(ctx, ball):
+    """Local boundedness of the minimizer on ``ball``, which must lie in
+    the domain."""
+    prob = ctx.problem
+    return rg.boundedness_check(ctx.ensure_solved().minimizer, ball, prob.s,
+                                prob.nf, kernel=prob.kernel,
+                                bound=ctx.tol("boundedness", math.inf),
+                                omega_mask=prob.omega_mask)
+
+
+def _caccioppoli(ctx, k, sign):
+    ball = _default_ball(ctx)
+    cut = rg.Cutoff(plateau=0.5 * ball.radius, support=0.85 * ball.radius)
+    return rg.caccioppoli_check(ctx.ensure_solved().minimizer, ball, k, cut,
+                                sign, ctx.problem.s, ctx.problem.nf,
+                                bound=ctx.tol("caccioppoli", math.inf))
+
+
+def _sobolev_poincare(ctx, f, bound):
+    n, s = ctx.problem.lattice.dim, ctx.problem.s
+    theta = 0.5 * (1.0 + n / (n - s / 2.0))
+    return rg.sobolev_poincare_check(f, _default_ball(ctx), s,
+                                     ctx.problem.nf, theta, bound=bound)
+
+
+def _decay_sigma(ctx, r0):
+    """Largest ratio the lattice can resolve over four nested levels."""
+    h = ctx.problem.lattice.h
+    return min(0.85, max(0.35, (4.0 * h / r0) ** (1.0 / 3.0)))
+
+
+def _holder_decay(ctx, sigma):
+    """Oscillation decay fit over ten levels from half the default
+    ball's radius."""
+    ball = _default_ball(ctx)
+    return rg.holder_decay_fit(ctx.ensure_solved().minimizer, ball.center,
+                               0.5 * ball.radius, sigma, 10, ctx.problem.s,
+                               ctx.problem.nf)
+
+
 # -- verify stages -----------------------------------------------------------
 
-def _stage_linear_oracle(ctx):
+def _stage_linear_oracle(ctx, rng):
     prob = ctx.problem
     rep = ctx.ensure_solved()
-    try:
-        A, b, _, _ = sl.assemble_quadratic(prob)
-    except ValueError as exc:
-        raise ConfigError(f"linear_oracle stage: {exc}") from exc
+    A, b, _, _ = sl.assemble_quadratic(prob)
     direct = np.linalg.solve(A, b)
     err = float(np.abs(rep.minimizer.values[prob.omega_mask] - direct).max())
     tol = ctx.tol("linear_oracle", 1e-8)
@@ -357,16 +415,13 @@ def _stage_linear_oracle(ctx):
 FD_ROUNDING = 2.0
 
 
-def _stage_gradient_fd(ctx):
+def _stage_gradient_fd(ctx, rng):
     """Gradient against central differences of the energy at probed
     nodes of a random admissible candidate.  A probe passes when
     |g - fd| <= tol |fd| + FD_ROUNDING eps_mach (|E+| + |E-|) / (2 h):
     a small component next to a large energy would otherwise be judged
     on the rounding of the energy sums alone."""
     prob = ctx.problem
-    rng = ctx.stage_rng()
-    if rng is None:
-        raise ConfigError("gradient_fd stage requires a seed")
     n_om = int(prob.omega_mask.sum())
     v = prob.datum_extension(rng.normal(size=n_om))
     g = sl._gradient_omega(prob, v.values)
@@ -399,12 +454,9 @@ def _stage_gradient_fd(ctx):
                  "tolerance": tol, "probes": int(probe.size)})
 
 
-def _stage_minimality(ctx):
+def _stage_minimality(ctx, rng):
     prob = ctx.problem
     rep = ctx.ensure_solved()
-    rng = ctx.stage_rng()
-    if rng is None:
-        raise ConfigError("minimality stage requires a seed")
     base = rep.minimizer.values
     e0 = sl._energy_values(prob, base)
     scale = 0.01 * (1.0 + prob.data_oscillation())
@@ -426,10 +478,7 @@ def _stage_minimality(ctx):
                  "energy": e0, "probes": 100})
 
 
-def _stage_nfunction(ctx):
-    rng = ctx.stage_rng()
-    if rng is None:
-        raise ConfigError("nfunction stage requires a seed")
+def _stage_nfunction(ctx, rng):
     nf = ctx.problem.nf
     tol = ctx.tol("nfunction",
                   1e-8 if nf.growth.family != "power_log" else 1e-6)
@@ -453,21 +502,13 @@ def _stage_nfunction(ctx):
                           "passed": r.passed} for r in reports})
 
 
-def _stage_luxemburg(ctx):
-    rng = ctx.stage_rng()
-    if rng is None:
-        raise ConfigError("luxemburg stage requires a seed")
-    prob = ctx.problem
-    lat = prob.lattice
-    spec = {"family": "random-smooth",
-            "lattice": {"lo": lat.lo, "hi": lat.hi, "h": lat.h},
-            "count": 8}
-    corpus = generate_corpus(spec, int(rng.integers(2 ** 31)))
-    nf = prob.nf
+def _stage_luxemburg(ctx, rng):
+    lat = ctx.problem.lattice
+    nf = ctx.problem.nf
     hn = lat.h ** lat.dim
     worst = 0.0
     bound_ok = True
-    for f in corpus:
+    for f in _corpus(ctx, rng, 8):
         norm = luxemburg_norm(f, None, nf)
         if norm == 0.0:
             continue
@@ -484,7 +525,7 @@ def _stage_luxemburg(ctx):
                  "norm_modular_bound_ok": bound_ok})
 
 
-def _stage_tail_closed_form(ctx):
+def _stage_tail_closed_form(ctx, rng):
     prob = ctx.problem
     nf = prob.nf
     if nf.growth.family != "power":
@@ -504,7 +545,7 @@ def _stage_tail_closed_form(ctx):
         details={"computed": got, "closed_form": want})
 
 
-def _stage_membership(ctx):
+def _stage_membership(ctx, rng):
     prob = ctx.problem
     rep = membership_check(prob.exterior_datum, prob.s, prob.nf)
     return EstimateReport(
@@ -516,10 +557,7 @@ def _stage_membership(ctx):
                  "weighted_integral": rep.weighted_integral})
 
 
-def _stage_de_giorgi(ctx):
-    rng = ctx.stage_rng()
-    if rng is None:
-        raise ConfigError("de_giorgi stage requires a seed")
+def _stage_de_giorgi(ctx, rng):
     exact = rg.de_giorgi_iterate(1.0, 2.0, 1.0, 0.5, steps=40)
     ok = exact.bound_holds and all(
         exact.sequence[i] == 2.0 ** (-i - 1) for i in range(41))
@@ -541,35 +579,16 @@ def _stage_de_giorgi(ctx):
                  "violations": violations})
 
 
-def _boundedness(ctx, ball):
-    """Local boundedness of the minimizer on ``ball``, which must lie in
-    the domain."""
-    prob = ctx.problem
-    return rg.boundedness_check(ctx.ensure_solved().minimizer, ball, prob.s,
-                                prob.nf, kernel=prob.kernel,
-                                bound=ctx.tol("boundedness", math.inf),
-                                omega_mask=prob.omega_mask)
-
-
-def _stage_boundedness(ctx):
+def _stage_boundedness(ctx, rng):
     return _boundedness(ctx, _default_ball(ctx))
 
 
-def _stage_caccioppoli(ctx):
-    rep = ctx.ensure_solved()
-    ball = _default_ball(ctx)
-    u = rep.minimizer
-    idx = np.flatnonzero(u.lattice.select(ball))
-    k = float(np.median(np.abs(u.values[idx])))
-    cut = rg.Cutoff(plateau=0.5 * ball.radius, support=0.85 * ball.radius)
-    return rg.caccioppoli_check(u, ball, k, cut, "plus", ctx.problem.s,
-                                ctx.problem.nf,
-                                bound=ctx.tol("caccioppoli", math.inf))
+def _stage_caccioppoli(ctx, rng):
+    return _caccioppoli(ctx, float(np.median(_ball_levels(ctx))), "plus")
 
 
-def _stage_logarithmic(ctx):
-    rep = ctx.ensure_solved()
-    u = rep.minimizer
+def _stage_logarithmic(ctx, rng):
+    u = ctx.ensure_solved().minimizer
     ball = _default_ball(ctx)
     model = u.exterior
     if model.kind not in ("zero", "constant"):
@@ -589,30 +608,15 @@ def _stage_logarithmic(ctx):
                                  bound=ctx.tol("logarithmic", math.inf))
 
 
-def _stage_sobolev_poincare(ctx):
-    rep = ctx.ensure_solved()
-    n = ctx.problem.lattice.dim
-    s = ctx.problem.s
-    theta = 0.5 * (1.0 + n / (n - s / 2.0))
-    return rg.sobolev_poincare_check(rep.minimizer, _default_ball(ctx), s,
-                                     ctx.problem.nf, theta,
-                                     bound=ctx.tol("sobolev_poincare",
-                                                   math.inf))
+def _stage_sobolev_poincare(ctx, rng):
+    return _sobolev_poincare(ctx, ctx.ensure_solved().minimizer,
+                             ctx.tol("sobolev_poincare", math.inf))
 
 
-def _decay_sigma(ctx, r0):
-    """Largest ratio the lattice can resolve over four nested levels."""
-    h = ctx.problem.lattice.h
-    return min(0.85, max(0.35, (4.0 * h / r0) ** (1.0 / 3.0)))
-
-
-def _stage_holder_decay(ctx):
-    rep = ctx.ensure_solved()
-    ball = _default_ball(ctx)
-    r0 = 0.5 * ball.radius
+def _stage_holder_decay(ctx, rng):
+    r0 = 0.5 * _default_ball(ctx).radius
     sigma = _decay_sigma(ctx, r0)
-    res = rg.holder_decay_fit(rep.minimizer, ball.center, r0,
-                              sigma, 10, ctx.problem.s, ctx.problem.nf)
+    res = _holder_decay(ctx, sigma)
     passed = res.osc_monotone and res.alpha_hat >= 0.0 and res.schedule_ok
     return EstimateReport(
         name="holder_decay", lhs=res.alpha_hat, rhs_terms={"unit": 1.0},
@@ -623,6 +627,56 @@ def _stage_holder_decay(ctx):
                  "c_holder": res.c_holder,
                  "constraints": res.schedule.constraints})
 
+
+# -- sweep stages ------------------------------------------------------------
+
+def _sweep_boundedness(ctx, rng, params):
+    ctx.ensure_solved()  # before the threads of _parallel_map
+    base = _default_ball(ctx)
+    fractions = params.get("fractions", [1.0, 0.8, 0.6, 0.45])
+    balls = [Ball(base.center, base.radius * f) for f in fractions]
+    return _parallel_map(ctx, functools.partial(_boundedness, ctx), balls)
+
+
+def _sweep_caccioppoli(ctx, rng, params):
+    levels = np.quantile(_ball_levels(ctx), [0.25, 0.5, 0.75])
+    jobs = [(float(k), sign) for k in levels
+            for sign in params.get("signs", ["plus", "minus"])]
+    return _parallel_map(ctx, lambda job: _caccioppoli(ctx, *job), jobs)
+
+
+def _sweep_sobolev_poincare(ctx, rng, params):
+    corpus = _corpus(ctx, rng, int(params.get("count", 6)))
+    return _parallel_map(
+        ctx, lambda f: _sobolev_poincare(ctx, f, math.inf), corpus)
+
+
+def _sweep_holder_decay(ctx, rng, params):
+    ctx.ensure_solved()  # an empty sigma list still solves
+    base = _decay_sigma(ctx, 0.5 * _default_ball(ctx).radius)
+    reports = []
+    for sg in params.get("sigmas", [base, min(0.9, base * 1.1)]):
+        res = _holder_decay(ctx, sg)
+        reports.append(EstimateReport(
+            name="holder_decay", lhs=res.alpha_hat, rhs_terms={"unit": 1.0},
+            empirical_constant=res.alpha_hat, tolerance=math.inf,
+            passed=res.osc_monotone and res.schedule_ok,
+            witnesses={"sigma": sg, "levels": res.resolved_levels},
+            details={"c_holder": res.c_holder}))
+    return reports
+
+
+def _parallel_map(ctx, fn, items):
+    if ctx.jobs == 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=ctx.jobs) as pool:
+        return list(pool.map(fn, items))  # submission order, deterministic
+
+
+# -- stage table -------------------------------------------------------------
+# A verify stage is called as fn(ctx, rng) and a sweep as
+# fn(ctx, rng, params), params = config["sweeps"][name] (default {});
+# rng is None unless the stage is in SEEDED_STAGES.
 
 VERIFY_STAGES = {
     "linear_oracle": _stage_linear_oracle,
@@ -640,82 +694,6 @@ VERIFY_STAGES = {
     "holder_decay": _stage_holder_decay,
 }
 
-
-# -- sweep stages ------------------------------------------------------------
-
-def _sweep_boundedness(ctx):
-    ctx.ensure_solved()
-    base = _default_ball(ctx)
-    cfg = ctx.config.get("sweeps", {}).get("boundedness", {})
-    fractions = cfg.get("fractions", [1.0, 0.8, 0.6, 0.45])
-    balls = [Ball(base.center, base.radius * f) for f in fractions]
-    return _parallel_map(ctx, functools.partial(_boundedness, ctx), balls)
-
-
-def _sweep_caccioppoli(ctx):
-    rep = ctx.ensure_solved()
-    base = _default_ball(ctx)
-    u = rep.minimizer
-    idx = np.flatnonzero(u.lattice.select(base))
-    levels = np.quantile(np.abs(u.values[idx]), [0.25, 0.5, 0.75])
-    cfg = ctx.config.get("sweeps", {}).get("caccioppoli", {})
-    signs = cfg.get("signs", ["plus", "minus"])
-    jobs = []
-    for k in levels:
-        for sign in signs:
-            jobs.append((float(k), sign))
-
-    def run_one(job):
-        k, sign = job
-        cut = rg.Cutoff(plateau=0.5 * base.radius, support=0.85 * base.radius)
-        return rg.caccioppoli_check(u, base, k, cut, sign, ctx.problem.s,
-                                    ctx.problem.nf,
-                                    bound=ctx.tol("caccioppoli", math.inf))
-
-    return _parallel_map(ctx, run_one, jobs)
-
-
-def _sweep_sobolev_poincare(ctx):
-    rng = ctx.stage_rng()
-    if rng is None:
-        raise ConfigError("sobolev_poincare sweep requires a seed")
-    prob = ctx.problem
-    lat = prob.lattice
-    spec = {"family": "random-smooth",
-            "lattice": {"lo": lat.lo, "hi": lat.hi, "h": lat.h},
-            "count": int(ctx.config.get("sweeps", {})
-                         .get("sobolev_poincare", {}).get("count", 6))}
-    corpus = generate_corpus(spec, int(rng.integers(2 ** 31)))
-    ball = _default_ball(ctx)
-    n, s = lat.dim, prob.s
-    theta = 0.5 * (1.0 + n / (n - s / 2.0))
-
-    def run_one(f):
-        return rg.sobolev_poincare_check(f, ball, s, prob.nf, theta)
-
-    return _parallel_map(ctx, run_one, corpus)
-
-
-def _sweep_holder_decay(ctx):
-    rep = ctx.ensure_solved()
-    ball = _default_ball(ctx)
-    cfg = ctx.config.get("sweeps", {}).get("holder_decay", {})
-    base = _decay_sigma(ctx, 0.5 * ball.radius)
-    sigmas = cfg.get("sigmas", [base, min(0.9, base * 1.1)])
-    reports = []
-    for sg in sigmas:
-        res = rg.holder_decay_fit(rep.minimizer, ball.center,
-                                  0.5 * ball.radius, sg, 10,
-                                  ctx.problem.s, ctx.problem.nf)
-        reports.append(EstimateReport(
-            name="holder_decay", lhs=res.alpha_hat, rhs_terms={"unit": 1.0},
-            empirical_constant=res.alpha_hat, tolerance=math.inf,
-            passed=res.osc_monotone and res.schedule_ok,
-            witnesses={"sigma": sg, "levels": res.resolved_levels},
-            details={"c_holder": res.c_holder}))
-    return reports
-
-
 SWEEP_STAGES = {
     "boundedness": _sweep_boundedness,
     "caccioppoli": _sweep_caccioppoli,
@@ -723,12 +701,30 @@ SWEEP_STAGES = {
     "holder_decay": _sweep_holder_decay,
 }
 
+# Stages that sample randomly.  Each gets its own stream of the config
+# seed, drawn in pipeline order, so a pipeline with any of them needs a
+# seed.
+SEEDED_STAGES = frozenset({
+    "verify:gradient_fd", "verify:minimality", "verify:nfunction",
+    "verify:luxemburg", "verify:de_giorgi", "sweep:sobolev_poincare",
+})
 
-def _parallel_map(ctx, fn, items):
-    if ctx.jobs == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=ctx.jobs) as pool:
-        return list(pool.map(fn, items))  # submission order, deterministic
+
+def _stage_tables():
+    # looked up at call time: the benchmark tracer wraps the entries of
+    # both dicts in place
+    return {"verify": VERIFY_STAGES, "sweep": SWEEP_STAGES}
+
+
+# Exception class -> exit code and stderr prefix of the one-line message.
+# The first matching row wins, so a subclass comes before its base.
+FAILURES = (
+    (SolverFailure, EXIT_SOLVER, ""),
+    (RuntimeError, EXIT_SOLVER, "numerical failure: "),
+    (ValueError, EXIT_CONFIG, "config error: "),   # ConfigError, bad JSON
+    (OverflowError, EXIT_CONFIG, "config error: "),
+    (OSError, EXIT_IO, "i/o failure: "),
+)
 
 
 # -- pipeline ----------------------------------------------------------------
@@ -748,116 +744,79 @@ def validate_config(config):
         _schema_validator().iter_errors(config))
     if err is not None:
         raise ConfigError(f"config schema violation: {err.message}")
-    needs_seed = False
+    tables = _stage_tables()
     for stage in config["pipeline"]:
         if stage == "solve":
             continue
         kind, _, name = stage.partition(":")
-        if kind == "verify":
-            if name not in VERIFY_STAGES:
-                raise ConfigError(f"unknown estimate {name!r}")
-            needs_seed |= name in ("gradient_fd", "minimality", "nfunction",
-                                   "luxemburg", "de_giorgi")
-        elif kind == "sweep":
-            if name not in SWEEP_STAGES:
-                raise ConfigError(f"unknown sweep {name!r}")
-            needs_seed |= name == "sobolev_poincare"
-        else:
+        if kind not in tables:
             raise ConfigError(f"unknown pipeline stage {stage!r}")
-    if config["problem"].get("datum", {}).get("family") == "random_smooth":
-        needs_seed = True
+        if name not in tables[kind]:
+            raise ConfigError(f"unknown {kind} stage {name!r}")
+    needs_seed = (
+        config["problem"].get("datum", {}).get("family") == "random_smooth"
+        or any(stage in SEEDED_STAGES for stage in config["pipeline"]))
     if needs_seed and "seed" not in config:
         raise ConfigError("pipeline samples randomly: a seed is mandatory")
 
 
-def _numerical_failure(exc):
-    """A quadrature or bisection that could not meet its tolerance
-    (``RuntimeError``) ends the run like a solver failure."""
-    print(f"numerical failure: {exc}", file=sys.stderr)
-    return EXIT_SOLVER
-
-
 def run(config_path, out_override=None, seed_override=None,
         tol_override=None, jobs=1, stage_filter=None):
-    """Execute the config's pipeline; returns the process exit code."""
+    """Execute the config's pipeline; returns the process exit code.  A
+    failure listed in ``FAILURES`` ends the run with its exit code and
+    a one-line message on stderr."""
     try:
-        with open(config_path) as fh:
-            config = json.load(fh)
-    except OSError:
-        print(f"cannot read config {config_path}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _run(config_path, out_override, seed_override, tol_override,
+                    jobs, stage_filter)
+    except tuple(row[0] for row in FAILURES) as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in FAILURES
+                            if isinstance(exc, cls))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
+
+def _run(config_path, out_override, seed_override, tol_override, jobs,
+         stage_filter):
+    with open(config_path) as fh:
+        config = json.load(fh)
     if seed_override is not None:
         config["seed"] = seed_override
     if tol_override is not None:
         config.setdefault("tolerances", {})["solve"] = tol_override
     out_dir = (out_override or config.get("output_dir")
                or os.environ.get(OUTPUT_DIR_ENV) or ".")
-
-    try:
-        validate_config(config)
-        ctx = RunContext(config, out_dir, config.get("seed"), jobs=jobs)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RuntimeError as exc:
-        return _numerical_failure(exc)
-
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output dir: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    stages = config["pipeline"]
-    if stage_filter is not None:
-        stages = [st for st in stages if stage_filter(st)]
+    validate_config(config)
+    ctx = RunContext(config, out_dir, config.get("seed"), jobs=jobs)
+    os.makedirs(out_dir, exist_ok=True)
 
     all_passed = True
-    try:
-        for stage in stages:
-            if stage == "solve":
-                ctx.ensure_solved()
-                continue
-            kind, _, name = stage.partition(":")
-            if kind == "verify":
-                report = VERIFY_STAGES[name](ctx)
-                _write_json(ctx.out_dir, f"estimate_{name}.json",
-                            report.to_dict())
-                all_passed &= report.passed
-                print(f"{name}: {'pass' if report.passed else 'FAIL'} "
-                      f"(constant {report.empirical_constant:.6g})")
-            else:
-                reports = SWEEP_STAGES[name](ctx)
-                _write_sweep_csv(ctx.out_dir, name, reports)
-                consts = [r.empirical_constant for r in reports]
-                payload = {"name": f"sweep_{name}",
-                           "max_constant": max(consts, default=0.0),
-                           "count": len(reports),
-                           "passed": all(r.passed for r in reports)}
-                _write_json(ctx.out_dir, f"sweep_{name}.json", payload)
-                all_passed &= payload["passed"]
-                print(f"sweep {name}: max constant "
-                      f"{payload['max_constant']:.6g} over {len(reports)}")
-    except SolverFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SOLVER
-    except RuntimeError as exc:
-        return _numerical_failure(exc)
-    except OverflowError as exc:
-        print(f"config error: the datum lies outside the representable "
-              f"range ({exc})", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    for stage in config["pipeline"]:
+        if stage_filter is not None and not stage_filter(stage):
+            continue
+        if stage == "solve":
+            ctx.ensure_solved()
+            continue
+        kind, _, name = stage.partition(":")
+        rng = ctx.stage_rng() if stage in SEEDED_STAGES else None
+        fn = _stage_tables()[kind][name]
+        if kind == "verify":
+            report = fn(ctx, rng)
+            _write_json(out_dir, f"estimate_{name}.json", report.to_dict())
+            all_passed &= report.passed
+            print(f"{name}: {'pass' if report.passed else 'FAIL'} "
+                  f"(constant {report.empirical_constant:.6g})")
+        else:
+            reports = fn(ctx, rng, config.get("sweeps", {}).get(name, {}))
+            _write_sweep_csv(out_dir, name, reports)
+            consts = [r.empirical_constant for r in reports]
+            payload = {"name": f"sweep_{name}",
+                       "max_constant": max(consts, default=0.0),
+                       "count": len(reports),
+                       "passed": all(r.passed for r in reports)}
+            _write_json(out_dir, f"sweep_{name}.json", payload)
+            all_passed &= payload["passed"]
+            print(f"sweep {name}: max constant "
+                  f"{payload['max_constant']:.6g} over {len(reports)}")
     return EXIT_OK if all_passed else EXIT_ESTIMATE
 
 
@@ -891,15 +850,14 @@ def main(argv=None):
         print(json.dumps(SCHEMA, sort_keys=True, indent=2))
         return EXIT_OK
 
-    filters = {
-        "run": None,
-        "solve": lambda st: st == "solve",
-        "verify": lambda st: st == "solve" or st.startswith("verify:"),
-        "sweep": lambda st: st == "solve" or st.startswith("sweep:"),
-    }
+    stage_filter = None
+    if args.command != "run":
+        # the solve, plus the stages of the subcommand's kind
+        def stage_filter(stage):
+            return stage.partition(":")[0] in ("solve", args.command)
     return run(args.config, out_override=args.out, seed_override=args.seed,
                tol_override=args.tol, jobs=args.jobs,
-               stage_filter=filters[args.command])
+               stage_filter=stage_filter)
 
 
 if __name__ == "__main__":

@@ -156,15 +156,6 @@ def boundedness_check(u, ball, s, nf, kernel=None, bound=math.inf,
                  else (kernel.lam, kernel.Lam)})
 
 
-def boundedness_sweep(u, balls, s, nf, **kw):
-    """Run the sup bound over a family of balls; the reported maximum
-    empirical constant is the numerical stand-in for the theorem's
-    constant."""
-    reports = [boundedness_check(u, b, s, nf, **kw) for b in balls]
-    max_const = max((r.empirical_constant for r in reports), default=0.0)
-    return reports, max_const
-
-
 # -- Caccioppoli-type truncation estimate ---------------------------------
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ import pytest
 
 import fracglap
 from fracglap import GridFunction, Lattice
+from fracglap import cli
 from fracglap import solver as sl
-from fracglap.cli import (EXIT_CONFIG, EXIT_ESTIMATE, EXIT_OK, EXIT_SOLVER,
-                          SCHEMA, build_problem, generate_corpus, main, run,
-                          validate_config)
+from fracglap.cli import (EXIT_CONFIG, EXIT_ESTIMATE, EXIT_IO, EXIT_OK,
+                          EXIT_SOLVER, SCHEMA, build_problem, generate_corpus,
+                          main, run, validate_config)
 
 
 def base_config(**overrides):
@@ -34,6 +35,14 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# the stages that sample randomly, so that a pipeline with any of them
+# needs a seed
+SEEDED = ["verify:gradient_fd", "verify:minimality", "verify:nfunction",
+          "verify:luxemburg", "verify:de_giorgi", "sweep:sobolev_poincare"]
+FULL_PIPELINE = (["solve"] + [f"verify:{n}" for n in cli.VERIFY_STAGES]
+                 + [f"sweep:{n}" for n in cli.SWEEP_STAGES])
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -73,11 +82,24 @@ class TestConfigValidation:
         with pytest.raises(Exception):
             validate_config(base_config(pipeline=["frobnicate:x"]))
 
-    def test_missing_seed_for_random_stage(self, tmp_path):
-        cfg = base_config(pipeline=["solve", "verify:gradient_fd"])
+    @pytest.mark.parametrize("stage", SEEDED)
+    def test_missing_seed_for_random_stage(self, tmp_path, stage):
+        cfg = base_config(pipeline=["solve", stage])
         del cfg["seed"]
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "stage", [st for st in FULL_PIPELINE[1:] if st not in SEEDED])
+    def test_unseeded_stage_runs_without_seed(self, tmp_path, stage):
+        cfg = base_config(pipeline=["solve", stage])
+        del cfg["seed"]
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) != EXIT_CONFIG
+        kind, _, name = stage.partition(":")
+        prefix = "estimate" if kind == "verify" else "sweep"
+        assert (out / f"{prefix}_{name}.json").exists()
 
     def test_schema_violation_exit_code(self, tmp_path):
         cfg = base_config()
@@ -86,7 +108,6 @@ class TestConfigValidation:
                    out_override=str(tmp_path / "out")) == EXIT_CONFIG
 
     def test_unreadable_config_is_io_error(self, tmp_path):
-        from fracglap.cli import EXIT_IO
         assert run(str(tmp_path / "missing.json")) == EXIT_IO
 
 
@@ -279,6 +300,19 @@ class TestGradientFD:
         assert not rep["passed"]
 
 
+# CSV header of each sweep artifact, part of the artifact contract
+SWEEP_HEADERS = {
+    "boundedness": "center,radius,lhs,rhs_local,rhs_tail,"
+                   "empirical_constant,passed",
+    "caccioppoli": "center,level,plateau,radius,sign,support,lhs,"
+                   "rhs_cutoff_term,rhs_mass_tail_term,empirical_constant,"
+                   "passed",
+    "sobolev_poincare": "center,nodes,radius,theta,lhs,"
+                        "rhs_pair_modular_avg,empirical_constant,passed",
+    "holder_decay": "levels,sigma,lhs,rhs_unit,empirical_constant,passed",
+}
+
+
 class TestDeterminism:
     def test_byte_identical_reports_modulo_timestamp(self, tmp_path):
         cfg = base_config(pipeline=["solve", "verify:gradient_fd",
@@ -292,6 +326,23 @@ class TestDeterminism:
         assert r1.keys() == r2.keys()
         assert r1 == r2
 
+    def test_full_pipeline_reruns_byte_identical(self, tmp_path):
+        cfg = base_config(pipeline=FULL_PIPELINE,
+                          tolerances={"solve": 1e-10})
+        path = write_config(tmp_path, cfg)
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert run(path, out_override=str(out1)) == EXIT_OK
+        assert run(path, out_override=str(out2)) == EXIT_OK
+        r1 = read_reports(out1)
+        assert r1 == read_reports(out2)
+        names = {f"sweep_{n}.{ext}" for n in cli.SWEEP_STAGES
+                 for ext in ("csv", "json")}
+        names |= {f"estimate_{n}.json" for n in cli.VERIFY_STAGES}
+        assert set(r1) == names | {"SolveReport.json", "minimizer.csv"}
+        headers = {name: r1[f"sweep_{name}.csv"].decode().splitlines()[0]
+                   for name in cli.SWEEP_STAGES}
+        assert headers == SWEEP_HEADERS
+
     def test_seed_override_changes_samples(self, tmp_path):
         cfg = base_config(pipeline=["solve", "verify:gradient_fd"])
         path = write_config(tmp_path, cfg)
@@ -301,6 +352,55 @@ class TestDeterminism:
         d1 = json.loads((out1 / "estimate_gradient_fd.json").read_text())
         d2 = json.loads((out2 / "estimate_gradient_fd.json").read_text())
         assert d1["details"]["max_rel_error"] != d2["details"]["max_rel_error"]
+
+
+def one_line(err):
+    """The failure message is exactly one line, with no traceback."""
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestFailureTable:
+    def test_subclasses_precede_their_bases(self):
+        classes = [row[0] for row in cli.FAILURES]
+        for i, later in enumerate(classes):
+            assert not any(issubclass(later, earlier)
+                           for earlier in classes[:i])
+
+    def test_output_dir_under_regular_file_is_io_error(self, tmp_path,
+                                                       capsys):
+        (tmp_path / "plain").write_text("x")
+        path = write_config(tmp_path, base_config())
+        assert main(["run", path, "--out",
+                     str(tmp_path / "plain" / "out")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure:") and one_line(err)
+
+    def test_failed_artifact_write_is_io_error(self, tmp_path, monkeypatch,
+                                               capsys):
+        real = cli.write_atomic
+
+        def failing(path, write, **kw):
+            if os.path.basename(path).startswith("estimate_"):
+                raise OSError(28, "No space left on device")
+            return real(path, write, **kw)
+
+        monkeypatch.setattr(cli, "write_atomic", failing)
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path, base_config(pipeline=["solve", "verify:boundedness"]))
+        assert main(["run", path, "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure:") and one_line(err)
+        assert (out / "SolveReport.json").exists()
+        assert not (out / "estimate_boundedness.json").exists()
+
+    def test_invalid_json_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"problem": ')
+        assert main(["run", str(path), "--out",
+                     str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and one_line(err)
 
 
 class TestArtifacts:

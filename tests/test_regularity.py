@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Lattice,
-                      boundedness_check, boundedness_sweep, caccioppoli_check,
+                      boundedness_check, caccioppoli_check,
                       de_giorgi_iterate, holder_decay_fit, log_estimate_check,
                       make_power, sobolev_poincare_check, solve)
 from fracglap.regularity import DecaySchedule, select_schedule_parameters
@@ -129,14 +129,6 @@ class TestBoundedness:
                                         value=c * u.exterior.value))
         r2 = boundedness_check(u2, ball, 0.5, nf2)
         assert abs(r2.empirical_constant - r1.empirical_constant) <= 1e-10
-
-    def test_sweep_reports_max_constant(self, nf2):
-        prob = line_problem(h=1 / 32, s=0.5, p=2.0, datum="sin")
-        u = solve(prob, tol=1e-10).minimizer
-        balls = [Ball([0.0], r) for r in (0.45, 0.35, 0.25)]
-        reports, cmax = boundedness_sweep(u, balls, 0.5, nf2)
-        assert len(reports) == 3
-        assert cmax == max(r.empirical_constant for r in reports)
 
     def test_ball_outside_box_rejected(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.25)
