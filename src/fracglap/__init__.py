@@ -17,9 +17,9 @@ Main entry points:
 from .funcspace import (Ball, ExteriorModel, GridFunction, Kernel, Lattice,
                         gagliardo_modular, gagliardo_seminorm, luxemburg_norm,
                         membership_check, sphere_measure, tail)
-from .nfunction import (ConjugateFunction, GrowthFunction, NFunction,
-                        check_doubling, check_growth_sandwich, check_scaling,
-                        check_young, make_power, make_power_log, make_table)
+from .nfunction import (GrowthFunction, NFunction, check_doubling,
+                        check_growth_sandwich, check_scaling, check_young,
+                        make_power, make_power_log, make_table)
 from .regularity import (Cutoff, DecaySchedule, boundedness_check,
                          caccioppoli_check, de_giorgi_iterate,
                          holder_decay_fit, log_estimate_check,
@@ -30,7 +30,7 @@ from .solver import (InadmissibleError, NonlocalProblem, SolveReport,
                      solve, weak_residual)
 
 __all__ = [
-    "Ball", "ConjugateFunction", "Cutoff", "DecaySchedule", "EstimateReport",
+    "Ball", "Cutoff", "DecaySchedule", "EstimateReport",
     "ExteriorModel", "GridFunction", "GrowthFunction", "InadmissibleError",
     "Kernel", "Lattice", "NFunction", "NonlocalProblem", "SolveReport",
     "assemble_quadratic", "boundedness_check", "caccioppoli_check",

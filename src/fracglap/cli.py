@@ -468,7 +468,7 @@ def _stage_minimality(ctx, rng):
         if sl._energy_values(prob, pert) <= e0:
             violations += 1
     wres = sl.weak_residual(prob, rep.minimizer)
-    thr = rep.details.get("threshold", ctx.tol("solve", 1e-9))
+    thr = rep.details["threshold"]
     passed = violations == 0 and wres <= thr
     return EstimateReport(
         name="minimality", lhs=float(violations), rhs_terms={"allowed": 0.0},
@@ -482,7 +482,7 @@ def _stage_nfunction(ctx, rng):
     nf = ctx.problem.nf
     tol = ctx.tol("nfunction",
                   1e-8 if nf.growth.family != "power_log" else 1e-6)
-    count = int(ctx.tolerances.get("nfunction_samples", 2000))
+    count = 2000
     grid = _sample_grid(nf, rng, count)
     pairs = np.column_stack([_sample_grid(nf, rng, count),
                              _sample_grid(nf, rng, count)])
@@ -561,7 +561,7 @@ def _stage_de_giorgi(ctx, rng):
     exact = rg.de_giorgi_iterate(1.0, 2.0, 1.0, 0.5, steps=40)
     ok = exact.bound_holds and all(
         exact.sequence[i] == 2.0 ** (-i - 1) for i in range(41))
-    cases = int(ctx.tolerances.get("de_giorgi_cases", 200))
+    cases = 200
     violations = 0
     for _ in range(cases):
         C = float(10.0 ** rng.uniform(-2, 2))
@@ -753,6 +753,11 @@ def validate_config(config):
             raise ConfigError(f"unknown pipeline stage {stage!r}")
         if name not in tables[kind]:
             raise ConfigError(f"unknown {kind} stage {name!r}")
+    for key, value in config.get("tolerances", {}).items():
+        if key != "solve" and key not in VERIFY_STAGES:
+            raise ConfigError(f"unknown tolerance {key!r}")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"tolerance {key!r} must be a number")
     needs_seed = (
         config["problem"].get("datum", {}).get("family") == "random_smooth"
         or any(stage in SEEDED_STAGES for stage in config["pipeline"]))

@@ -22,9 +22,12 @@ from itertools import product
 
 import numpy as np
 
-from .pairs import distance_blocks
+from .pairs import BALL_ROWS, distance_blocks
 from .quadrature import bisect_increasing, integrate_radial
-from .reports import EstimateReport, write_atomic
+from .reports import write_atomic
+
+# relative tolerance of the radial far part of the tails the checks take
+TAIL_TOL = 1e-9
 
 
 def sphere_measure(n):
@@ -196,10 +199,6 @@ class Kernel:
         if self.coefficient is None and not self.lam <= 1.0 <= self.Lam:
             raise ValueError("pure kernel requires lambda <= 1 <= Lambda")
 
-    @property
-    def form(self):
-        return "pure" if self.coefficient is None else "weighted"
-
     def coefficient_values(self, xa, xb):
         if self.coefficient is None:
             return np.ones(len(xa))
@@ -209,11 +208,11 @@ class Kernel:
         n = xa.shape[1]
         return self.coefficient_values(xa, xb) * dist ** (-float(n))
 
-    def validate_on(self, coords, samples=64):
-        """Spot-check symmetry and the ellipticity sandwich on a
-        deterministic subset of node pairs."""
+    def validate_on(self, coords):
+        """Spot-check symmetry and the ellipticity sandwich on the
+        consecutive pairs of up to 64 evenly spaced nodes."""
         m = len(coords)
-        idx = np.unique(np.linspace(0, m - 1, min(samples, m)).astype(int))
+        idx = np.unique(np.linspace(0, m - 1, min(64, m)).astype(int))
         xa = coords[idx[:-1]]
         xb = coords[idx[1:]]
         keep = np.any(xa != xb, axis=1)
@@ -267,25 +266,6 @@ class GridFunction:
     def with_values(self, values):
         return GridFunction(self.lattice, values, self.exterior)
 
-    def collar_gap(self, width=None):
-        """Largest mismatch between values on the outermost node collar
-        and the exterior model's profile at those radii; callers that
-        need continuous data check this against their own tolerance."""
-        if self.exterior is None:
-            raise ValueError("no exterior model attached")
-        lat = self.lattice
-        width = lat.h if width is None else width
-        lo = np.asarray(lat.lo)
-        hi = np.asarray(lat.hi)
-        c = lat.coords
-        collar = np.zeros(lat.n_nodes, dtype=bool)
-        for d in range(lat.dim):
-            collar |= (c[:, d] <= lo[d] + width + 1e-12) \
-                | (c[:, d] >= hi[d] - width - 1e-12)
-        rho = _dist(c[collar], self.exterior.center)
-        want = self.exterior.signed_profile(rho)
-        return float(np.abs(self.values[collar] - want).max())
-
     def to_csv(self, path):
         multi = self.lattice.multi_indices()
 
@@ -321,7 +301,7 @@ class MembershipReport:
 
 # -- modulars, norms, tail ----------------------------------------------
 
-def gagliardo_modular(f, region, s, nf, chunk=512):
+def gagliardo_modular(f, region, s, nf):
     """Double Riemann sum of G(|f(x)-f(y)| / |x-y|^s) |x-y|^(-n) over
     ordered node pairs of the region, diagonal excluded, with pair
     measure h^(2n)."""
@@ -336,7 +316,7 @@ def gagliardo_modular(f, region, s, nf, chunk=512):
     n = lat.dim
     w_pair = lat.h ** (2 * n)
     total = 0.0
-    for sl, d in distance_blocks(c, c, chunk):
+    for sl, d in distance_blocks(c, c, BALL_ROWS):
         off = d > 0
         dv = np.abs(v[sl, None] - v[None, :])[off]
         dd = d[off]
@@ -378,7 +358,7 @@ def luxemburg_norm(f, region, nf):
     return vmax * _unit_scale(lambda t: float(np.sum(nf.G(u * t))) * hn)
 
 
-def tail(f, x0, R, s, nf, tol=1e-9):
+def tail(f, x0, R, s, nf, tol=TAIL_TOL):
     """Nonlocal tail of ``f`` outside the ball B_R(x0):
 
         int_{|x-x0|>R} g(|f(x)| / |x-x0|^s) |x-x0|^(-n-s) dx,
@@ -419,19 +399,7 @@ def tail(f, x0, R, s, nf, tol=1e-9):
     return part_a + sphere_measure(lat.dim) * val
 
 
-def norm_modular_bound(f, region, nf):
-    """Report for the norm-vs-modular bound ||f|| <= modular + 1."""
-    lat = f.lattice
-    idx = np.flatnonzero(lat.select(region))
-    hn = lat.h ** lat.dim
-    modular = float(np.sum(nf.G(np.abs(f.values[idx])))) * hn
-    norm = luxemburg_norm(f, region, nf)
-    return EstimateReport.from_sides(
-        "norm_modular_bound", norm, {"modular": modular, "one": 1.0},
-        tolerance=1.0 + 1e-8)
-
-
-def membership_check(f, s, nf, tol=1e-9):
+def membership_check(f, s, nf):
     """Tail finiteness at two centers/radii plus the globally weighted
     integral with weight (1+|x|)^(-n-s); the three verdicts must agree
     for a consistent membership classification."""
@@ -442,8 +410,8 @@ def membership_check(f, s, nf, tol=1e-9):
     c2 = c1 + 0.25 * (hi - lo)
     r1 = 0.25 * float(np.min(hi - lo))
     r2 = 0.5 * r1
-    t1 = tail(f, c1, r1, s, nf, tol=tol)
-    t2 = tail(f, c2, r2, s, nf, tol=tol)
+    t1 = tail(f, c1, r1, s, nf)
+    t2 = tail(f, c2, r2, s, nf)
 
     n = lat.dim
     absx = np.linalg.norm(lat.coords, axis=1)
@@ -463,7 +431,8 @@ def membership_check(f, s, nf, tol=1e-9):
             base = 1.0 + np.maximum(rho - c_norm, 0.0)
             return nf.g(prof / base ** s) * base ** (-(n + s)) * rho ** (n - 1.0)
 
-        val, diverged = integrate_radial(integrand, model.start_radius, tol=tol)
+        val, diverged = integrate_radial(integrand, model.start_radius,
+                                         tol=TAIL_TOL)
         far = math.inf if diverged else sphere_measure(n) * val
     weighted = body + far
 

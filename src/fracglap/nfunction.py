@@ -38,7 +38,8 @@ from .quadrature import bisect_increasing, integrate_zero_to
 from .reports import EstimateReport, ratio_array
 
 REPRESENTABLE_MAX = 1e30
-# accelerator tables are certified to half of min(quadrature_tol, this)
+# accelerator tables are certified to half of this, finer than the
+# quadrature they replace (``quadrature.ZERO_TO_TOL``)
 CERTIFY_TOL = 1e-11
 # power_log G and H below this take their two-term series (relative
 # error about t^2); the accelerator starts here
@@ -221,15 +222,13 @@ class NFunction:
     doubling constant ``ell`` (G(t) <= G(ell*t)/(2*ell)).
 
     Construction validates the structural inequalities on a sampled
-    grid and derives any undeclared constants: kappa = 2**q and
+    grid and derives both constants: kappa = 2**q and
     ell = 2**(1/(p-1)) always satisfy their defining inequalities under
     the index sandwich.
     """
 
-    def __init__(self, growth, p=None, q=None, quadrature_tol=1e-10,
-                 kappa=None, ell=None):
+    def __init__(self, growth, p=None, q=None):
         self.growth = growth
-        self.quadrature_tol = float(quadrature_tol)
         self._accel = None
 
         if growth.family == "power":
@@ -262,10 +261,8 @@ class NFunction:
         # estimated table indices are grid suprema; give the derived
         # doubling constants headroom for off-grid interpolant peaks
         pad = 1.001 if growth.family == "table" else 1.0
-        self.kappa = float(kappa) if kappa is not None \
-            else 2.0 ** self.q * pad
-        self.ell = float(ell) if ell is not None \
-            else 2.0 ** (1.0 / (self.p - 1.0)) * pad
+        self.kappa = 2.0 ** self.q * pad
+        self.ell = 2.0 ** (1.0 / (self.p - 1.0)) * pad
 
         if growth.family == "power_log":
             self._build_accelerator()
@@ -282,7 +279,7 @@ class NFunction:
 
         Closed form for the power family, exact integration of the
         interpolant for tables, adaptive quadrature (relative accuracy
-        ``quadrature_tol``) for everything else.
+        ``quadrature.ZERO_TO_TOL``) for everything else.
         """
         t, scalar = _as_float_array(t)
         _check_domain(t)
@@ -302,7 +299,7 @@ class NFunction:
 
         t**p/p**2 for the power family, the exact piecewise closed form
         for tables, and for everything else a certified table in log t
-        (relative accuracy ``quadrature_tol``) with direct quadrature of
+        (relative accuracy ``CERTIFY_TOL``) with direct quadrature of
         int_0^t g(u) log(t/u) du outside it.
         """
         t, scalar = _as_float_array(t)
@@ -340,9 +337,6 @@ class NFunction:
         val = np.maximum(val, 0.0)
         return float(val) if scalar else val
 
-    def conjugate_function(self):
-        return ConjugateFunction(self)
-
     @property
     def p_conj(self):
         return self.p / (self.p - 1.0)
@@ -354,7 +348,7 @@ class NFunction:
     # -- internals -----------------------------------------------------
 
     def _quad_exact(self, t):
-        return integrate_zero_to(self.growth, t, tol=self.quadrature_tol / 2)
+        return integrate_zero_to(self.growth, t)
 
     def _quad_H_exact(self, t):
         # swapping the two integrals of H gives int_0^t g(u) log(t/u) du,
@@ -362,8 +356,7 @@ class NFunction:
         out = np.empty_like(t)
         for i, ti in enumerate(t):
             out[i] = integrate_zero_to(
-                lambda u, ti=ti: self.growth(u) * np.log(ti / u), ti,
-                tol=self.quadrature_tol / 2)
+                lambda u, ti=ti: self.growth(u) * np.log(ti / u), ti)
         return out
 
     def _quad_G(self, t):
@@ -404,7 +397,7 @@ class NFunction:
         return out
 
     def _build_accelerator(self):
-        target = min(self.quadrature_tol, CERTIFY_TOL) / 2
+        target = CERTIFY_TOL / 2
         for intervals, degree in ((64, 24), (160, 32)):
             try:
                 self._accel = _ChebLogG(self._quad_exact, SERIES_MAX, 1e14,
@@ -500,41 +493,22 @@ class NFunction:
         return f"NFunction({fam}, p={self.p:g}, q={self.q:g})"
 
 
-@dataclass(frozen=True)
-class ConjugateFunction:
-    """The conjugate profile G* with its own growth indices, the Holder
-    conjugates of the base pair."""
-
-    base: NFunction
-
-    @property
-    def p_conj(self):
-        return self.base.p_conj
-
-    @property
-    def q_conj(self):
-        return self.base.q_conj
-
-    def __call__(self, t):
-        return self.base.conjugate(t)
-
-
 # -- factory helpers ----------------------------------------------------
 
-def make_power(p, **kw):
+def make_power(p):
     """g(t) = t**(p-1), G(t) = t**p / p."""
-    return NFunction(GrowthFunction("power", exponent=float(p)), **kw)
+    return NFunction(GrowthFunction("power", exponent=float(p)))
 
 
-def make_power_log(p, **kw):
+def make_power_log(p):
     """g(t) = t**(p-1) * log(1+t), indices (p, p+1)."""
-    return NFunction(GrowthFunction("power_log", exponent=float(p)), **kw)
+    return NFunction(GrowthFunction("power_log", exponent=float(p)))
 
 
-def make_table(points, p=None, q=None, **kw):
+def make_table(points, p=None, q=None):
     """Tabulated g from (t_i, g_i) samples."""
     return NFunction(GrowthFunction("table", table=np.asarray(points, float)),
-                     p=p, q=q, **kw)
+                     p=p, q=q)
 
 
 def from_config(cfg):

@@ -22,6 +22,8 @@ import math
 import numpy as np
 
 CHUNK_ELEMENTS = 2**18
+# row-block height of the ball sums whose blocks are summation units
+BALL_ROWS = 512
 
 
 def offset_stencil(lattice, radius):

@@ -12,6 +12,15 @@ import numpy as np
 
 # bracket width, relative to its upper end, at which bisection stops
 BISECT_REL_TOL = 1e-12
+# ``integrate_zero_to``: relative tolerance, dyadic panels per integral,
+# and integrals evaluated together
+ZERO_TO_TOL = 5e-11
+ZERO_TO_PANELS = 48
+ZERO_TO_CHUNK = 2048
+# ``integrate_radial``: the log-space body ends at RADIAL_CUTOFF * r0,
+# after at most RADIAL_LEVELS halvings of the Simpson step
+RADIAL_CUTOFF = 1e6
+RADIAL_LEVELS = 16
 
 
 @functools.lru_cache(maxsize=32)
@@ -31,14 +40,15 @@ def _gl_panels(fn, lo, hi, npts):
     return half * (vals @ w)
 
 
-def integrate_zero_to(fn, t, tol=1e-10, panels=48, chunk=2048):
+def integrate_zero_to(fn, t):
     """Integrate ``fn`` from 0 to ``t`` (scalar or array, entries >= 0).
 
-    [0, t] is split into dyadic panels accumulated from the outside in,
-    so an integrable power-type corner of ``fn`` at zero is isolated in
-    panels of negligible relative weight.  Each panel is evaluated with
-    nested Gauss-Legendre rules, halving the effective spacing until the
-    observed discrepancy is below ``tol`` relative to the running total.
+    [0, t] is split into ``ZERO_TO_PANELS`` dyadic panels accumulated
+    from the outside in, so an integrable power-type corner of ``fn`` at
+    zero is isolated in panels of negligible relative weight.  Each panel
+    is evaluated with nested Gauss-Legendre rules, halving the effective
+    spacing until the observed discrepancy is below ``ZERO_TO_TOL``
+    relative to the running total.
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
@@ -47,17 +57,17 @@ def integrate_zero_to(fn, t, tol=1e-10, panels=48, chunk=2048):
         raise ValueError("upper integration limit must be >= 0")
     out = np.zeros_like(tv)
     pos = np.flatnonzero(tv > 0)
-    for start in range(0, pos.size, chunk):
-        sel = pos[start:start + chunk]
-        out[sel] = _integrate_chunk(fn, tv[sel], tol, panels)
+    for start in range(0, pos.size, ZERO_TO_CHUNK):
+        sel = pos[start:start + ZERO_TO_CHUNK]
+        out[sel] = _integrate_chunk(fn, tv[sel])
     if scalar:
         return float(out[0])
     return out.reshape(t.shape)
 
 
-def _integrate_chunk(fn, tv, tol, panels):
+def _integrate_chunk(fn, tv):
     # panel edges t*2^-k, k = 0..panels-1; last panel closes down to 0
-    k = np.arange(panels, dtype=float)
+    k = np.arange(ZERO_TO_PANELS, dtype=float)
     hi = tv[:, None] * np.exp2(-k)
     lo = np.empty_like(hi)
     lo[:, :-1] = hi[:, 1:]
@@ -67,11 +77,11 @@ def _integrate_chunk(fn, tv, tol, panels):
         fine = _gl_panels(fn, lo, hi, 2 * npts)
         total = fine.sum(axis=1)
         err = np.abs(fine - coarse).sum(axis=1)
-        if np.all(err <= tol * np.maximum(np.abs(total), 1e-300)):
+        if np.all(err <= ZERO_TO_TOL * np.maximum(np.abs(total), 1e-300)):
             return total
     raise RuntimeError(
         "dyadic Gauss-Legendre quadrature did not reach the requested "
-        f"tolerance {tol:g} at order 256"
+        f"tolerance {ZERO_TO_TOL:g} at order 256"
     )
 
 
@@ -108,7 +118,7 @@ def integrate_graded(fn, lo, hi, panels, npts):
     return span * (fn(lo[:, None] + span[:, None] * x) @ w)
 
 
-def integrate_radial(fn, r0, tol=1e-10, cutoff_factor=1e6, max_levels=16):
+def integrate_radial(fn, r0, tol=1e-10):
     """Integral of ``fn`` over [r0, inf) for integrands that settle into
     a power law at large radius.
 
@@ -117,7 +127,7 @@ def integrate_radial(fn, r0, tol=1e-10, cutoff_factor=1e6, max_levels=16):
     sharing the radii (a family of integrands); ``value``/``diverged``
     then follow that shape.
 
-    [r0, cutoff_factor*r0] is integrated by composite Simpson in log
+    [r0, RADIAL_CUTOFF*r0] is integrated by composite Simpson in log
     space with interval halving until the relative change drops below
     ``tol``.  Past the cutoff the local log-log slope m of fn is
     measured and the remainder closed analytically as
@@ -126,7 +136,7 @@ def integrate_radial(fn, r0, tol=1e-10, cutoff_factor=1e6, max_levels=16):
     if r0 <= 0:
         raise ValueError("radial integrals start at a positive radius")
     a = math.log(r0)
-    b = math.log(r0 * cutoff_factor)
+    b = math.log(r0 * RADIAL_CUTOFF)
 
     def h(u):
         rho = np.exp(u)
@@ -134,7 +144,7 @@ def integrate_radial(fn, r0, tol=1e-10, cutoff_factor=1e6, max_levels=16):
 
     n = 64
     prev = _simpson(h, a, b, n)
-    for _ in range(max_levels):
+    for _ in range(RADIAL_LEVELS):
         n *= 2
         cur = _simpson(h, a, b, n)
         if np.all(np.abs(cur - prev) <= tol * np.maximum(np.abs(cur), 1e-300)):
@@ -143,7 +153,7 @@ def integrate_radial(fn, r0, tol=1e-10, cutoff_factor=1e6, max_levels=16):
         prev = cur
     body = prev
 
-    rc = r0 * cutoff_factor
+    rc = r0 * RADIAL_CUTOFF
     step = 1.05
     f_lo = np.asarray(fn(np.array([rc / step])))[..., 0]
     f_hi = np.asarray(fn(np.array([rc * step])))[..., 0]

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import funcspace as fsp
-from .funcspace import Ball, ExteriorModel, GridFunction
-from .pairs import distance_blocks
+from .funcspace import TAIL_TOL, Ball, ExteriorModel, GridFunction
+from .pairs import BALL_ROWS, distance_blocks
 from .quadrature import integrate_radial
 from .reports import EstimateReport
 
@@ -86,10 +86,16 @@ def de_giorgi_iterate(C, B, beta, A0, steps=60):
 
 # -- Sobolev-Poincare ------------------------------------------------------
 
-def sobolev_poincare_check(f, ball, s, nf, theta, bound=math.inf, chunk=512):
+def sobolev_poincare_check(f, ball, s, nf, theta, bound=math.inf):
     """Improved integrability of G(|f - mean| / r^s) on a ball against
     the average pair modular: lhs is the theta-mean of G(...)^theta,
-    rhs the node-averaged sum of G(|f(x)-f(y)| / |x-y|^s) h^n."""
+    rhs the node average of the pair sum
+
+        sum_y G(|f(x)-f(y)| / |x-y|^s) |x-y|^(-n) h^n,
+
+    that is ``gagliardo_modular`` over the ball divided by m h^n for m
+    nodes.  Both sides are invariant under x -> x/r with h scaled
+    alike."""
     n = f.lattice.dim
     if not 1.0 < theta < n / (n - s / 2.0):
         raise ValueError("theta must lie in (1, n / (n - s/2))")
@@ -97,7 +103,6 @@ def sobolev_poincare_check(f, ball, s, nf, theta, bound=math.inf, chunk=512):
     if idx.size < 2:
         raise ValueError("ball must contain at least two lattice nodes")
     v = f.values[idx]
-    c = f.lattice.coords[idx]
     r = ball.radius
     mean = float(v.mean())
     dev = np.abs(v - mean)
@@ -106,12 +111,7 @@ def sobolev_poincare_check(f, ball, s, nf, theta, bound=math.inf, chunk=512):
     lhs = float(np.mean(nf.G(dev / r ** s) ** theta)) ** (1.0 / theta)
 
     hn = f.lattice.h ** n
-    total = 0.0
-    for sl, d in distance_blocks(c, c, chunk):
-        off = d > 0
-        total += float(np.sum(nf.G(np.abs(v[sl, None] - v[None, :])[off]
-                                   / d[off] ** s)))
-    rhs = total * hn / idx.size
+    rhs = fsp.gagliardo_modular(f, ball, s, nf) / (idx.size * hn)
     return EstimateReport.from_sides(
         "sobolev_poincare", lhs, {"pair_modular_avg": rhs}, bound,
         witnesses={"center": tuple(ball.center), "radius": r,
@@ -121,7 +121,7 @@ def sobolev_poincare_check(f, ball, s, nf, theta, bound=math.inf, chunk=512):
 # -- local boundedness -----------------------------------------------------
 
 def boundedness_check(u, ball, s, nf, kernel=None, bound=math.inf,
-                      omega_mask=None, tail_tol=1e-9):
+                      omega_mask=None):
     """Sup bound on the half ball against the G-mean term and the
     nonlocal tail at radius r/2:
 
@@ -146,7 +146,7 @@ def boundedness_check(u, ball, s, nf, kernel=None, bound=math.inf,
     lhs = float(np.abs(u.values[inner]).max())
     avg_G = float(np.mean(nf.G(np.abs(u.values[idx]) / r ** s)))
     term_local = r ** s * nf.inv_G(avg_G)
-    tl = fsp.tail(u, x0, r / 2.0, s, nf, tol=tail_tol)
+    tl = fsp.tail(u, x0, r / 2.0, s, nf)
     term_tail = r ** s * nf.inv_g(r ** s * tl) if math.isfinite(tl) else math.inf
     return EstimateReport.from_sides(
         "boundedness", lhs, {"local": term_local, "tail": term_tail}, bound,
@@ -161,26 +161,22 @@ def boundedness_check(u, ball, s, nf, kernel=None, bound=math.inf,
 @dataclass(frozen=True)
 class Cutoff:
     """Radial ramp cutoff: 1 inside ``plateau``, 0 outside ``support``,
-    polynomial ramp of the given degree in between.  The discrete
-    Lipschitz constant actually realized on the lattice is recorded by
-    the check that uses it."""
+    linear in between.  The discrete Lipschitz constant actually
+    realized on the lattice is recorded by the check that uses it."""
 
     plateau: float
     support: float
-    degree: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.plateau < self.support:
             raise ValueError("need 0 < plateau < support")
 
     def __call__(self, dist):
-        ramp = np.clip((self.support - dist) / (self.support - self.plateau),
+        return np.clip((self.support - dist) / (self.support - self.plateau),
                        0.0, 1.0)
-        return ramp ** self.degree
 
 
-def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf,
-                      tail_tol=1e-9, chunk=512):
+def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf):
     """Truncation-energy estimate at level k on a ball.
 
     lhs: pair sum of G(|w(x)-w(y)| / d^s) min(phi^q(x), phi^q(y)) d^-n,
@@ -214,7 +210,7 @@ def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf,
     lhs = 0.0
     rhs_cut = 0.0
     lip = 0.0
-    for sl, dm in distance_blocks(c, c, chunk):
+    for sl, dm in distance_blocks(c, c, BALL_ROWS):
         off = dm > 0
         dd = dm[off]
         dw = np.abs(w[sl, None] - w[None, :])[off]
@@ -243,7 +239,7 @@ def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf,
         for sl, dm in distance_blocks(cy, coords[out_idx]):
             svals[sl] = np.sum(nf.g(wo[None, :] / dm ** s)
                                * dm ** (-(n + s)), axis=1) * hn
-        far = _truncation_far_tail(u, x0, r, k, sign, s, nf, tail_tol)
+        far = _truncation_far_tail(u, x0, r, k, sign, s, nf)
         sup_tail = float(svals.max(initial=0.0)) + far
     rhs_mass = mass * sup_tail
 
@@ -257,7 +253,7 @@ def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf,
                  "sup_tail": sup_tail})
 
 
-def _truncation_far_tail(u, x0, r, k, sign, s, nf, tol):
+def _truncation_far_tail(u, x0, r, k, sign, s, nf):
     """Far-field part of the tail-type integral of (u-k)_+/- beyond the
     box, from the exterior model (query point folded to the ball
     center, a bounded-distortion convention)."""
@@ -275,7 +271,7 @@ def _truncation_far_tail(u, x0, r, k, sign, s, nf, tol):
         wf = np.maximum(f - k, 0.0) if sign == "plus" else np.maximum(k - f, 0.0)
         return nf.g(wf / rho ** s) * rho ** (-1.0 - s)
 
-    val, diverged = integrate_radial(integrand, r_far, tol=tol)
+    val, diverged = integrate_radial(integrand, r_far, tol=TAIL_TOL)
     if diverged:
         return math.inf
     return fsp.sphere_measure(u.lattice.dim) * val
@@ -283,8 +279,7 @@ def _truncation_far_tail(u, x0, r, k, sign, s, nf, tol):
 
 # -- logarithmic estimate --------------------------------------------------
 
-def log_estimate_check(u, x0, r, R, d, nf, s, a=None, b=None, bound=math.inf,
-                       tail_tol=1e-9, chunk=512):
+def log_estimate_check(u, x0, r, R, d, nf, s, a=None, b=None, bound=math.inf):
     """Log-difference mass on B_r for a function nonnegative on B_R:
 
         sum |log(u(x)+d) - log(u(y)+d)| / |x-y|^n  over B_r pairs
@@ -311,7 +306,7 @@ def log_estimate_check(u, x0, r, R, d, nf, s, a=None, b=None, bound=math.inf,
     c = lat.coords[idx]
     logs = np.log(np.maximum(u.values[idx], 0.0) + d)
     lhs = 0.0
-    for sl, dm in distance_blocks(c, c, chunk):
+    for sl, dm in distance_blocks(c, c, BALL_ROWS):
         off = dm > 0
         dl = np.abs(logs[sl, None] - logs[None, :])[off]
         lhs += float(np.sum(dl / dm[off] ** n))
@@ -319,7 +314,7 @@ def log_estimate_check(u, x0, r, R, d, nf, s, a=None, b=None, bound=math.inf,
 
     u_minus = GridFunction(lat, np.maximum(-u.values, 0.0),
                            _negative_part_model(u.exterior))
-    tail_minus = fsp.tail(u_minus, x0, R, s, nf, tol=tail_tol)
+    tail_minus = fsp.tail(u_minus, x0, R, s, nf)
     gd = nf.g(d / r ** s)
     rhs_vol = r ** n
     rhs_tail = r ** (n + s) * tail_minus / gd if math.isfinite(tail_minus) \
@@ -422,8 +417,7 @@ class HolderDecayResult:
     boundedness: EstimateReport
 
 
-def holder_decay_fit(u, x0, r0, sigma, levels, s, nf, omega_mask=None,
-                     tail_tol=1e-9):
+def holder_decay_fit(u, x0, r0, sigma, levels, s, nf, omega_mask=None):
     """Measure oscillations over the nested balls B(sigma^i r0), fit the
     decay exponent by least squares in log-log, and compare against the
     schedule built from the empirical boundedness constant.
@@ -464,7 +458,7 @@ def holder_decay_fit(u, x0, r0, sigma, levels, s, nf, omega_mask=None,
 
     r = 2.0 * r0
     brep = boundedness_check(u, Ball(tuple(x0), r), s, nf,
-                             omega_mask=omega_mask, tail_tol=tail_tol)
+                             omega_mask=omega_mask)
     # base oscillation: the sup estimate with its empirical constant on
     # the local term and unit constant on the tail term
     omega0 = 2.0 * (brep.empirical_constant * brep.rhs_terms["local"]
@@ -486,7 +480,7 @@ def holder_decay_fit(u, x0, r0, sigma, levels, s, nf, omega_mask=None,
         if alpha_hat > 0:
             quot = quot / dm[off] ** alpha_hat
         seminorm = max(seminorm, float(quot.max(initial=0.0)))
-    tl = fsp.tail(u, x0, r, s, nf, tol=tail_tol)
+    tl = fsp.tail(u, x0, r, s, nf)
     bracket = brep.rhs_terms["local"] + (
         r ** s * nf.inv_g(r ** s * tl) if math.isfinite(tl) else math.inf)
     c_holder = seminorm * r ** alpha_hat / bracket if bracket > 0 else 0.0
@@ -497,14 +491,3 @@ def holder_decay_fit(u, x0, r0, sigma, levels, s, nf, omega_mask=None,
         schedule_ok=schedule_ok, holder_seminorm=seminorm, c_holder=c_holder,
         boundedness=brep)
 
-
-def select_schedule_parameters(s, p, q, sigma_floor=1e-3):
-    """Smallness-driven choice of (alpha, sigma) honoring the recorded
-    constraints where the lattice can still resolve them."""
-    sig = min(0.2, 0.5 ** (2.0 / (s * p)), (1.0 / 6.0) ** (4.0 * (q - 1.0) / (s * p)))
-    sig = max(sig, sigma_floor)
-    alpha_cap = s * p / (2.0 * (p - 1.0))
-    closure = 1.0 - sig ** (s * p / (q - 1.0))
-    alpha_closure = math.log(closure) / math.log(sig) if 0 < closure < 1 \
-        else alpha_cap
-    return min(alpha_cap, 0.9 * alpha_closure), sig

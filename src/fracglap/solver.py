@@ -199,9 +199,6 @@ class NonlocalProblem:
 
     # -- far (beyond truncation radius) terms ---------------------------
 
-    def _far_profile(self):
-        return self.exterior_datum.exterior
-
     def _check_far_energy(self):
         try:
             val = self._far_energy(np.array([1.0]))
@@ -218,7 +215,7 @@ class NonlocalProblem:
         """Level c of an exterior model that is constant in rho (``zero``,
         ``constant``, a ``power`` model with zero value or exponent), or
         None for a genuine power model."""
-        model = self._far_profile()
+        model = self.exterior_datum.exterior
         if model.kind == "zero":
             return 0.0
         if model.kind == "constant" or model.exponent == 0.0:
@@ -271,7 +268,7 @@ class NonlocalProblem:
         the difference (when A B > 0), T0 and, for tables, the taus where
         the difference crosses a knot.
         """
-        model = self._far_profile()
+        model = self.exterior_datum.exterior
         s, a = self.s, model.exponent
         m = s - max(a, 0.0)
         if m <= 0.0:
@@ -416,20 +413,18 @@ def weak_residual(prob, v):
     return float(np.abs(_gradient_omega(prob, v.values)).max())
 
 
-def convexity_probe(prob, v1, v2, thetas=None):
-    """Energy along the segment between two admissible candidates
-    against the chord; the defect must be nonnegative, strictly positive
-    off the endpoints when the candidates differ on the domain."""
+def convexity_probe(prob, v1, v2):
+    """Energy along the segment between two admissible candidates, at
+    theta = 0.1, 0.2, ..., 0.9, against the chord; the defect must be
+    nonnegative, strictly positive off the endpoints when the candidates
+    differ on the domain."""
     prob.require_admissible(v1)
     prob.require_admissible(v2)
-    if thetas is None:
-        thetas = np.linspace(0.1, 0.9, 9)
-    thetas = np.asarray(thetas, dtype=float)
     e1 = _energy_values(prob, v1.values)
     e2 = _energy_values(prob, v2.values)
     rows = []
     differ = float(np.abs((v1.values - v2.values)[prob.omega_mask]).max()) > 0
-    for th in thetas:
+    for th in np.linspace(0.1, 0.9, 9):
         mix = th * v1.values + (1.0 - th) * v2.values
         lhs = _energy_values(prob, mix)
         rhs = th * e1 + (1.0 - th) * e2
@@ -453,7 +448,7 @@ def assemble_quadratic(prob):
     nf = prob.nf
     if not (nf.growth.family == "power" and nf.p == 2.0 and nf.q == 2.0):
         raise ValueError("quadratic assembly needs the power profile with p = 2")
-    model = prob._far_profile()
+    model = prob.exterior_datum.exterior
     if model.kind not in ("zero", "constant"):
         raise ValueError("quadratic assembly needs a zero or constant model")
     return _assemble_surrogate(prob)
@@ -482,7 +477,7 @@ def _assemble_surrogate(prob):
     np.add.at(b, pa[halo], cw[halo] * fvals[ja[halo]])
     const += float(np.sum(0.5 * cw[halo] * fvals[ja[halo]] ** 2))
     # far tail of the quadratic profile, radial closed form
-    model = prob._far_profile()
+    model = prob.exterior_datum.exterior
     lvl = model.value if model.kind == "constant" else 0.0
     r, s = prob.truncation_radius, prob.s
     cfar = prob._far_coef * r ** (-2.0 * s) / (2.0 * s)
@@ -541,12 +536,13 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
     if osc == 0.0:
         # constant data: the constant extension is the exact minimizer
         level = float(vals[prob.halo_mask][0]) if prob.halo_mask.any() \
-            else prob._far_profile().value
+            else prob.exterior_datum.exterior.value
         vals[omega] = level
         u = GridFunction(prob.lattice, vals, prob.exterior_datum.exterior)
         res = float(np.abs(_gradient_omega(prob, vals)).max())
         return SolveReport(u, _energy_values(prob, vals), res, 0, 0, True,
-                           details={"stop_scale": 0.0, "initial": initial})
+                           details={"stop_scale": 0.0, "threshold": tol,
+                                    "initial": initial})
 
     if initial in ("zero", "zero-extension"):
         harmonic = False

@@ -72,6 +72,8 @@ class TestConfigValidation:
 
     def test_valid_config_passes(self):
         validate_config(base_config())
+        validate_config(base_config(
+            tolerances={"solve": 1e-9, **{n: 1 for n in cli.VERIFY_STAGES}}))
 
     def test_unknown_estimate_rejected(self, tmp_path):
         cfg = base_config(pipeline=["solve", "verify:does_not_exist"])
@@ -110,6 +112,21 @@ class TestConfigValidation:
     def test_unreadable_config_is_io_error(self, tmp_path):
         assert run(str(tmp_path / "missing.json")) == EXIT_IO
 
+    @pytest.mark.parametrize("key", ["sovle", "nfunction_samples",
+                                     "de_giorgi_cases"])
+    def test_unknown_tolerance_rejected(self, tmp_path, capsys, key):
+        cfg = base_config(tolerances={"solve": 1e-9, key: 1e-12})
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(tmp_path / "out")) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: unknown tolerance {key!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["1e-9", True, None])
+    def test_non_numeric_tolerance_rejected(self, value):
+        with pytest.raises(cli.ConfigError, match="must be a number"):
+            validate_config(base_config(tolerances={"solve": value}))
+
 
 class TestRun:
     def test_constant_data_solve(self, tmp_path):
@@ -123,6 +140,19 @@ class TestRun:
         prob = build_problem(cfg)
         mini = GridFunction.from_csv(out / "minimizer.csv", prob.lattice)
         np.testing.assert_allclose(mini.values, 0.3)
+
+    def test_constant_data_minimality_reads_solver_tol(self, tmp_path):
+        cfg = base_config(pipeline=["solve", "verify:minimality"],
+                          solver={"tol": 1e-12})
+        cfg["problem"]["datum"] = {"family": "constant", "value": 0.3}
+        del cfg["tolerances"]
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) == EXIT_OK
+        solved = json.loads((out / "SolveReport.json").read_text())
+        assert solved["details"]["threshold"] == 1e-12
+        rep = json.loads((out / "estimate_minimality.json").read_text())
+        assert rep["details"]["threshold"] == 1e-12
 
     def test_linear_oracle_stage(self, tmp_path):
         cfg = base_config(pipeline=["solve", "verify:linear_oracle"])

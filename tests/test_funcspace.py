@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from fracglap import (Ball, ExteriorModel, GridFunction, Kernel, Lattice,
                       gagliardo_modular, luxemburg_norm, make_power,
                       membership_check, sphere_measure, tail)
-from fracglap.funcspace import norm_modular_bound
 from fracglap.nfunction import make_table
 
 
@@ -188,14 +187,6 @@ class TestLuxemburgNorm:
         lam3 = luxemburg_norm(f.with_values(-3.0 * f.values), None, nf2)
         assert lam3 == pytest.approx(3.0 * lam, rel=1e-9)
 
-    def test_norm_modular_bound(self, nf2):
-        lat = Lattice.from_box([0.0], [2.0], 0.125)
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            f = GridFunction(lat, 3.0 * rng.normal(size=lat.n_nodes))
-            rep = norm_modular_bound(f, None, nf2)
-            assert rep.passed
-
 
 class TestTail:
     def test_zero_outside_ball(self, nf2):
@@ -319,13 +310,3 @@ class TestSerialization:
         lat = Lattice.from_box([0.0], [1.0], 0.5)
         with pytest.raises(ValueError):
             GridFunction(lat, [0.0, np.nan, 1.0])
-
-    def test_collar_gap(self):
-        lat = Lattice.from_box([-1.0], [1.0], 0.25)
-        M = 0.7
-        f = GridFunction(lat, np.full(lat.n_nodes, M),
-                         ExteriorModel(kind="constant", value=M))
-        assert f.collar_gap() == 0.0
-        g = GridFunction(lat, np.full(lat.n_nodes, M + 0.2),
-                         ExteriorModel(kind="constant", value=M))
-        assert g.collar_gap() == pytest.approx(0.2)

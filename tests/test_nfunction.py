@@ -177,9 +177,7 @@ class TestConjugate:
     def test_conjugate_exponents(self):
         nf = make_power(3.0)
         assert nf.p_conj == pytest.approx(1.5)
-        cf = nf.conjugate_function()
-        assert cf.q_conj == pytest.approx(1.5)
-        assert cf(1.0) == nf.conjugate(1.0)
+        assert nf.q_conj == pytest.approx(1.5)
 
 
 class TestGrowthSandwich:

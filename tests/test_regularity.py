@@ -7,7 +7,7 @@ from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Lattice,
                       boundedness_check, caccioppoli_check,
                       de_giorgi_iterate, holder_decay_fit, log_estimate_check,
                       make_power, sobolev_poincare_check, solve)
-from fracglap.regularity import DecaySchedule, select_schedule_parameters
+from fracglap.regularity import DecaySchedule
 
 from helpers import line_problem
 
@@ -82,6 +82,37 @@ class TestSobolevPoincare:
                                     Ball([0.0], 0.9), 0.5, nf2, 1.2)
         assert r1.lhs == pytest.approx(r2.lhs, rel=1e-12)
         assert r1.rhs_terms == pytest.approx(r2.rhs_terms)
+
+    @pytest.mark.parametrize("dim,k", [(1, 8), (2, 4)])
+    def test_constant_invariant_under_scaling(self, nf2, dim, k):
+        # phi(x/r) on B_r with h = r/k: both sides carry the pair kernel
+        # |x-y|^(-n), so the constant does not depend on r
+        consts = []
+        for r in (0.25, 0.5, 1.0):
+            lat = Lattice.from_box([-r] * dim, [r] * dim, r / k)
+            y = lat.coords / r
+            f = GridFunction(lat, np.sin(2.0 * y.sum(axis=1)) + y[:, 0] ** 2)
+            theta = 0.5 * (1.0 + dim / (dim - 0.25))
+            rep = sobolev_poincare_check(f, Ball([0.0] * dim, r), 0.5, nf2,
+                                         theta)
+            consts.append(rep.empirical_constant)
+        assert consts[0] > 0
+        np.testing.assert_allclose(consts, consts[0], rtol=1e-12)
+
+    def test_rhs_is_node_averaged_kernel_pair_sum(self, nf2):
+        lat = Lattice.from_box([-1.0], [1.0], 0.125)
+        rng = np.random.default_rng(19)
+        f = GridFunction(lat, rng.normal(size=lat.n_nodes))
+        ball = Ball([0.0], 0.9)
+        rep = sobolev_poincare_check(f, ball, 0.5, nf2, 1.2)
+        idx = np.flatnonzero(lat.select(ball))
+        x, v = lat.coords[idx, 0], f.values[idx]
+        d = np.abs(x[:, None] - x[None, :])
+        off = d > 0
+        dv = np.abs(v[:, None] - v[None, :])[off]
+        want = np.sum(nf2.G(dv / d[off] ** 0.5) / d[off]) * lat.h / idx.size
+        assert rep.rhs_terms["pair_modular_avg"] == pytest.approx(want,
+                                                                  rel=1e-12)
 
     def test_theta_range_enforced(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.25)
@@ -280,12 +311,6 @@ class TestHolderDecay:
         assert c["alpha_cap"]["satisfied"] is True
         assert c["sigma_quarter"]["satisfied"] is True
         assert c["iteration_smallness"]["satisfied"] is None
-
-    def test_parameter_selection_satisfies_smallness(self):
-        alpha, sigma = select_schedule_parameters(0.5, 2.0, 2.0)
-        sched = DecaySchedule.evaluate(alpha, sigma, 1.0, 1.0, 0.5, 2.0, 2.0)
-        for name in ("alpha_cap", "sigma_quarter", "tail_geometric"):
-            assert sched.constraints[name]["satisfied"], name
 
 
 class TestTwoDimensionalChecks:
