@@ -8,8 +8,9 @@ The Luxemburg norm and the pair seminorm solve modular(t f) = 1 for
 t = 1/lam with ``quadrature.bisect_increasing``: the modular increases
 in t.
 The nonlocal tail splits into a lattice Riemann sum over box nodes plus
-a 1-D radial integral of the far-field profile with power-law
-extrapolation.
+a 1-D radial integral of the far-field profile, taken after the
+solver's substitution tau = rho^(-m) (``quadrature.integrate_radial``,
+with m from ``far_exponent``).
 """
 
 from __future__ import annotations
@@ -26,13 +27,20 @@ from .pairs import BALL_ROWS, distance_blocks
 from .quadrature import bisect_increasing, integrate_radial
 from .reports import write_atomic
 
-# relative tolerance of the radial far part of the tails the checks take
-TAIL_TOL = 1e-9
-
 
 def sphere_measure(n):
     """Surface measure of the unit sphere in R^n (2 for n = 1)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def far_exponent(a, s, p):
+    """m of tau = rho^(-m) for int g(|f| / rho^s) rho^(-1-s) drho with
+    |f| ~ rho^a and g ~ t^(p-1): the solver's s - max(a, 0) below a = s;
+    from there the integrand decays like rho^(-1-mu),
+    mu = s - (a - s)(p - 1), and diverges iff mu <= 0."""
+    if a < s:
+        return s - max(a, 0.0)
+    return s - (a - s) * (p - 1.0)
 
 
 def _dist(coords, center):
@@ -152,6 +160,11 @@ class ExteriorModel:
             start = lattice.circumradius(center)
         return replace(self, center=tuple(float(x) for x in center),
                        start_radius=float(start))
+
+    @property
+    def growth_exponent(self):
+        """a with |f(rho)| ~ rho^a; 0 unless a nonzero power model."""
+        return self.exponent if self.kind == "power" and self.value else 0.0
 
     def signed_profile(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -358,7 +371,7 @@ def luxemburg_norm(f, region, nf):
     return vmax * _unit_scale(lambda t: float(np.sum(nf.G(u * t))) * hn)
 
 
-def tail(f, x0, R, s, nf, tol=TAIL_TOL):
+def tail(f, x0, R, s, nf):
     """Nonlocal tail of ``f`` outside the ball B_R(x0):
 
         int_{|x-x0|>R} g(|f(x)| / |x-x0|^s) |x-x0|^(-n-s) dx,
@@ -393,10 +406,9 @@ def tail(f, x0, R, s, nf, tol=TAIL_TOL):
         prof = model.shifted_abs_profile(rho, shift)
         return nf.g(prof / rho ** s) * rho ** (-1.0 - s)
 
-    val, diverged = integrate_radial(integrand, r_far, tol=tol)
-    if diverged:
-        return math.inf
-    return part_a + sphere_measure(lat.dim) * val
+    m = far_exponent(model.growth_exponent, s, nf.p)
+    return part_a + sphere_measure(lat.dim) * integrate_radial(integrand,
+                                                               r_far, m)
 
 
 def membership_check(f, s, nf):
@@ -429,11 +441,13 @@ def membership_check(f, s, nf):
         def integrand(rho):
             prof = model.shifted_abs_profile(rho, 0.0)
             base = 1.0 + np.maximum(rho - c_norm, 0.0)
-            return nf.g(prof / base ** s) * base ** (-(n + s)) * rho ** (n - 1.0)
+            return nf.g(prof / base ** s) * (rho / base) ** (n - 1.0) \
+                * base ** (-1.0 - s)
 
-        val, diverged = integrate_radial(integrand, model.start_radius,
-                                         tol=TAIL_TOL)
-        far = math.inf if diverged else sphere_measure(n) * val
+        # the weight's kink at rho = |center| is a breakpoint
+        m = far_exponent(model.growth_exponent, s, nf.p)
+        far = sphere_measure(n) * integrate_radial(
+            integrand, model.start_radius, m, breaks=(c_norm,))
     weighted = body + far
 
     finite = [math.isfinite(t1), math.isfinite(t2), math.isfinite(weighted)]

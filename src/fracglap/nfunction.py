@@ -552,10 +552,12 @@ def check_growth_sandwich(nf, sample_grid, tol=1e-8):
 def check_young(nf, pairs, eps=0.5, tol=1e-8):
     """Product inequality t*s <= G(t) + G*(s), its eps-weighted form
     t*s <= eps^(1-q) G(t) + eps G*(s), the conjugate identity
-    G*(g(t)) = t g(t) - G(t), and the bound G*(g(t)) <= (q-1) G(t)."""
+    G*(g(t)) = t g(t) - G(t), and the bound G*(g(t)) <= (q-1) G(t), at
+    the pairs with s in the range of g."""
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    pairs = pairs[pairs[:, 1] <= nf.g(nf.growth.t_max)]
     t, s = pairs[:, 0], pairs[:, 1]
     Gt = nf.G(t)
     Gs_conj = nf.conjugate(s)
@@ -598,18 +600,21 @@ def check_scaling(nf, samples, tol=1e-8):
         a^q G(t) <= G(at) <= a^p G(t)        (0 < a < 1)
         a^p G(t) <= G(at) <= a^q G(t)        (a > 1)
 
-    and the conjugate version with the Holder-conjugate exponents.
+    and the conjugate version with the Holder-conjugate exponents, each
+    at the samples with t and a t in its domain (G* ends at g(t_max)).
     """
     samples = np.asarray(samples, dtype=float).reshape(-1, 2)
-    a, t = samples[:, 0], samples[:, 1]
-    if np.any(a <= 0):
+    if np.any(samples[:, 0] <= 0):
         raise ValueError("scaling factors must be positive")
+    t_max = nf.growth.t_max
     worst = 0.0
     witness = {}
-    for label, F, lo_ex, hi_ex in (
-        ("G", nf.G, nf.q, nf.p),
-        ("G*", nf.conjugate, nf.p_conj, nf.q_conj),
+    for label, F, cap, lo_ex, hi_ex in (
+        ("G", nf.G, t_max, nf.q, nf.p),
+        ("G*", nf.conjugate, nf.g(t_max), nf.p_conj, nf.q_conj),
     ):
+        a, t = samples[np.maximum(samples[:, 0], 1.0) * samples[:, 1]
+                       <= cap].T
         Ft = F(t)
         Fat = F(a * t)
         low = np.where(a < 1.0, a ** lo_ex, a ** hi_ex) * Ft

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import funcspace as fsp
-from .funcspace import TAIL_TOL, Ball, ExteriorModel, GridFunction
+from .funcspace import Ball, ExteriorModel, GridFunction
 from .pairs import BALL_ROWS, distance_blocks
 from .quadrature import integrate_radial
 from .reports import EstimateReport
@@ -271,10 +271,13 @@ def _truncation_far_tail(u, x0, r, k, sign, s, nf):
         wf = np.maximum(f - k, 0.0) if sign == "plus" else np.maximum(k - f, 0.0)
         return nf.g(wf / rho ** s) * rho ** (-1.0 - s)
 
-    val, diverged = integrate_radial(integrand, r_far, tol=TAIL_TOL)
-    if diverged:
-        return math.inf
-    return fsp.sphere_measure(u.lattice.dim) * val
+    # (f - k)_+ grows only if f -> +inf, (k - f)_+ only if f -> -inf;
+    # the radius where f crosses k is a breakpoint
+    a, c = model.growth_exponent, model.value
+    m = fsp.far_exponent(a if (c > 0) == (sign == "plus") else 0.0, s, nf.p)
+    crossing = (k / c) ** (1.0 / a) if a and k / c > 0 else 0.0
+    return fsp.sphere_measure(u.lattice.dim) * integrate_radial(
+        integrand, r_far, m, breaks=(crossing,))
 
 
 # -- logarithmic estimate --------------------------------------------------

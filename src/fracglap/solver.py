@@ -46,13 +46,10 @@ import numpy as np
 
 from .funcspace import GridFunction, sphere_measure
 from .pairs import truncated_pairs
-from .quadrature import bisect_increasing, integrate_graded
+from .quadrature import (FAR_PANELS, FAR_POINTS, bisect_increasing,
+                         integrate_graded)
 
 ARMIJO_C1 = 1e-4
-# graded rule of the power-exterior far tail: panels per half segment
-# and Gauss-Legendre points per panel
-FAR_PANELS = 40
-FAR_POINTS = 8
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 # width of the diagonal blocks of the substitution in ``_cholesky_solve``

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from fracglap import (ExteriorModel, GridFunction, Kernel, Lattice,
                       NonlocalProblem, make_power, make_power_log)
@@ -109,3 +110,22 @@ def quadratic_oracle(prob):
 
 def oracle_energy(A, b, c0, v_omega):
     return 0.5 * v_omega @ A @ v_omega - b @ v_omega + c0
+
+
+def scipy_radial(fn, r0, breaks=(), span=200.0):
+    """int_r0^inf fn(rho) drho by ``scipy.integrate.quad`` in
+    u = log(rho) over [log r0, log r0 + span], split at the logs of
+    ``breaks`` past r0 and at log r0 + 2^k; ``fn`` maps an array of
+    radii to the integrand.  The span must leave a negligible remainder
+    while keeping the tail arguments in range."""
+    u0 = math.log(r0)
+    cuts = {u0 + 2.0 ** k for k in range(-8, 10) if 2.0 ** k < span}
+    cuts |= {math.log(b) for b in breaks if b > r0}
+    edges = [u0, *sorted(cuts), u0 + span]
+
+    def density(u):
+        rho = math.exp(u)
+        return float(np.asarray(fn(np.array([rho])))[0]) * rho
+
+    return sum(quad(density, lo, hi, epsabs=0, epsrel=1e-13, limit=400)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,7 +74,12 @@ class TestConfigValidation:
     def test_valid_config_passes(self):
         validate_config(base_config())
         validate_config(base_config(
-            tolerances={"solve": 1e-9, **{n: 1 for n in cli.VERIFY_STAGES}}))
+            tolerances={n: 1 for n in cli.TOLERANCE_KEYS}))
+
+    def test_tolerance_keys_are_the_names_read(self):
+        source = open(cli.__file__).read()
+        read = set(re.findall(r'\btol\("(\w+)"', source))
+        assert read == cli.TOLERANCE_KEYS
 
     def test_unknown_estimate_rejected(self, tmp_path):
         cfg = base_config(pipeline=["solve", "verify:does_not_exist"])
@@ -112,8 +118,11 @@ class TestConfigValidation:
     def test_unreadable_config_is_io_error(self, tmp_path):
         assert run(str(tmp_path / "missing.json")) == EXIT_IO
 
+    # the last four are verify stages without a tolerance
     @pytest.mark.parametrize("key", ["sovle", "nfunction_samples",
-                                     "de_giorgi_cases"])
+                                     "de_giorgi_cases", "minimality",
+                                     "membership", "de_giorgi",
+                                     "holder_decay"])
     def test_unknown_tolerance_rejected(self, tmp_path, capsys, key):
         cfg = base_config(tolerances={"solve": 1e-9, key: 1e-12})
         assert run(write_config(tmp_path, cfg),
@@ -153,6 +162,23 @@ class TestRun:
         assert solved["details"]["threshold"] == 1e-12
         rep = json.loads((out / "estimate_minimality.json").read_text())
         assert rep["details"]["threshold"] == 1e-12
+
+    @pytest.mark.parametrize("points", [
+        [[0.5, 0.4], [1.0, 1.1], [2.0, 2.5], [4.0, 6.0], [8.0, 13.0]],
+        [[6.8, 10.3], [15.9, 14.5], [34.3, 30.7], [45.6, 39.9],
+         [79.8, 45.4]],
+    ], ids=["g_max_above_t_max", "g_max_below_t_max"])
+    def test_nfunction_stage_on_table(self, tmp_path, capsys, points):
+        # G(a t) and G*(s) are sampled inside the tabulated ranges only,
+        # so the stage reports instead of exiting 2.  Its verdict is not
+        # asserted: a table's indices p and q are estimated on a grid.
+        cfg = base_config(pipeline=["verify:nfunction"])
+        cfg["problem"]["nfunction"] = {"family": "table", "points": points}
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) in (EXIT_OK, EXIT_ESTIMATE)
+        assert capsys.readouterr().err == ""
+        assert (out / "estimate_nfunction.json").exists()
 
     def test_linear_oracle_stage(self, tmp_path):
         cfg = base_config(pipeline=["solve", "verify:linear_oracle"])

@@ -7,7 +7,9 @@ from scipy.integrate import quad
 from fracglap import (Ball, ExteriorModel, GridFunction, Kernel, Lattice,
                       gagliardo_modular, luxemburg_norm, make_power,
                       membership_check, sphere_measure, tail)
-from fracglap.nfunction import make_table
+from fracglap.nfunction import make_power_log, make_table
+
+from helpers import scipy_radial
 
 
 @pytest.fixture
@@ -203,7 +205,7 @@ class TestTail:
         model = ExteriorModel(kind="constant", value=M,
                               start_radius=lat.circumradius(lat.center()))
         f = GridFunction(lat, np.zeros(lat.n_nodes), model)
-        got = tail(f, [0.0] * dim, R, s, nf, tol=1e-10)
+        got = tail(f, [0.0] * dim, R, s, nf)
         want = sphere_measure(dim) * M ** (p - 1.0) * R ** (-s * p) / (s * p)
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -217,7 +219,7 @@ class TestTail:
         model = ExteriorModel(kind="constant", value=M,
                               start_radius=lat.circumradius(lat.center()))
         f = GridFunction(lat, np.zeros(5), model)
-        tl = tail(f, [0.0], R, s, nf, tol=1e-10)
+        tl = tail(f, [0.0], R, s, nf)
         lhs = R ** s * nf.inv_g(R ** s * tl)
         T = sphere_measure(1) * M ** (p - 1.0) * R ** (-s * p) / (s * p)
         rhs = (R ** (s * p) * T) ** (1.0 / (p - 1.0))
@@ -250,17 +252,56 @@ class TestTail:
 
     def test_far_quadrature_vs_scipy(self):
         # independent oracle for a non-power integrand
-        from fracglap import make_power_log
         nf = make_power_log(2.0)
         M, s, R = 0.9, 0.55, 1.7
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
         model = ExteriorModel(kind="constant", value=M,
                               start_radius=lat.circumradius(lat.center()))
         f = GridFunction(lat, np.zeros(5), model)
-        got = tail(f, [0.0], R, s, nf, tol=1e-10)
+        got = tail(f, [0.0], R, s, nf)
         want, _ = quad(lambda r: (M / r ** s) * np.log1p(M / r ** s)
                        * r ** (-1 - s), R, np.inf, epsabs=0, epsrel=1e-11)
-        assert got == pytest.approx(2.0 * want, rel=1e-8)
+        assert got == pytest.approx(2.0 * want, rel=1e-12)
+
+    @pytest.mark.parametrize("nf, c, a, s", [
+        (make_power_log(2.0), 1.0, 0.45, 0.5),
+        (make_power_log(2.0), 1.0, 0.9, 0.6),
+        (make_power(1.5), -0.3, -0.3, 0.5),
+        (make_power(2.0), 0.3, 0.25, 0.5),
+        (make_power(3.0), 0.3, 0.45, 0.5),
+    ], ids=["power_log", "power_log-growing", "p1.5-decaying", "p2", "p3"])
+    def test_off_center_power_model_vs_scipy(self, nf, c, a, s):
+        # the query point sits 0.3 from the model center, so the far part
+        # takes the worst-case shifted profile; no box node lies past R
+        # with a nonzero value
+        lat = Lattice.from_box([-0.5], [0.5], 0.25)
+        f = GridFunction(lat, np.zeros(lat.n_nodes),
+                         ExteriorModel(kind="power", value=c, exponent=a))
+        x0, R = 0.3, 0.2
+        got = tail(f, [x0], R, s, nf)
+        model = f.exterior
+        shift = abs(x0 - model.center[0])
+
+        def fn(rho):
+            prof = model.shifted_abs_profile(rho, shift)
+            return nf.g(prof / rho ** s) * rho ** (-1.0 - s)
+
+        want = 2.0 * scipy_radial(fn, model.start_radius + shift)
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_divergence_is_decided_by_the_growth_exponent(self):
+        # mu = s - (a - s)(p - 1): 0.6 - 0.6 * 1 = 0 diverges, and a zero
+        # value has no growth at all
+        nf = make_power(2.0)
+        lat = Lattice.from_box([-0.5], [0.5], 0.25)
+        grow = GridFunction(lat, np.zeros(5),
+                            ExteriorModel(kind="power", value=1.0,
+                                          exponent=1.2))
+        assert math.isinf(tail(grow, [0.0], 0.4, 0.6, nf))
+        flat = GridFunction(lat, np.zeros(5),
+                            ExteriorModel(kind="power", value=0.0,
+                                          exponent=1.2))
+        assert tail(flat, [0.0], 0.4, 0.6, nf) == 0.0
 
 
 class TestMembership:
@@ -283,7 +324,8 @@ class TestMembership:
         assert rep.member and rep.consistent
 
     def test_fast_growth_detected_divergent(self):
-        # |f| ~ |x|^{2s} with p >= 2 diverges via the slope test
+        # |f| ~ |x|^{2s} with p >= 2 diverges: the weighted integrand
+        # decays like rho^(-1-mu), mu = s - (a - s)(p - 1) = -0.3 <= 0
         nf = make_power(2.5)
         s = 0.6
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
@@ -294,6 +336,29 @@ class TestMembership:
         assert not rep.member
         assert rep.consistent
         assert math.isinf(rep.weighted_integral)
+
+
+    @pytest.mark.parametrize("a", [0.4, 0.65])
+    def test_weighted_integral_vs_scipy(self, a):
+        # finite below and above a = s: power 2.5 with s = 0.6 gives
+        # mu = 0.525 at a = 0.65; the center sits off the origin, so the
+        # weight has its kink at rho = |center| past the start radius
+        nf = make_power(2.5)
+        s = 0.6
+        lat = Lattice.from_box([-0.5], [0.5], 0.25)
+        model = ExteriorModel(kind="power", value=1.0, exponent=a,
+                              center=(1.2,), start_radius=0.8)
+        f = GridFunction(lat, np.zeros(5), model)
+        rep = membership_check(f, s, nf)
+        assert rep.member and rep.consistent
+
+        def fn(rho):
+            base = 1.0 + np.maximum(rho - 1.2, 0.0)
+            return nf.g(model.shifted_abs_profile(rho, 0.0) / base ** s) \
+                * base ** (-1.0 - s)
+
+        want = 2.0 * scipy_radial(fn, 0.8, (1.2,))
+        assert rep.weighted_integral == pytest.approx(want, rel=1e-10, abs=0)
 
 
 class TestSerialization:

@@ -6,10 +6,11 @@ import pytest
 from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Lattice,
                       boundedness_check, caccioppoli_check,
                       de_giorgi_iterate, holder_decay_fit, log_estimate_check,
-                      make_power, sobolev_poincare_check, solve)
-from fracglap.regularity import DecaySchedule
+                      make_power, make_power_log, sobolev_poincare_check,
+                      solve)
+from fracglap.regularity import DecaySchedule, _truncation_far_tail
 
-from helpers import line_problem
+from helpers import line_problem, scipy_radial
 
 
 @pytest.fixture
@@ -221,6 +222,48 @@ class TestCaccioppoli:
             rep = caccioppoli_check(u, ball, 0.1, cut, "plus", 0.5, nf2)
             consts.append(rep.empirical_constant)
         assert abs(consts[1] - consts[0]) / consts[0] < 0.2
+
+
+class TestTruncationFarTail:
+    # (f - k)_+/- of the exterior model f = c rho^a past the box
+    @pytest.mark.parametrize("nf, c, a, k, sign", [
+        (make_power(2.0), 0.3, 0.25, 0.5, "plus"),
+        (make_power(2.0), 0.3, 0.25, 0.5, "minus"),
+        (make_power(1.5), 0.3, 0.25, 0.5, "plus"),
+        (make_power(1.5), -0.3, 0.25, -0.5, "minus"),
+        (make_power_log(2.0), 1.0, 0.45, 0.1, "plus"),
+        (make_power_log(2.0), 1.0, 0.45, 2.0, "minus"),
+        (make_power(3.0), 0.3, -0.3, 0.1, "plus"),
+    ], ids=["p2-plus", "p2-minus", "p1.5-plus", "p1.5-negative-minus",
+            "power_log-plus", "power_log-minus", "p3-decaying-plus"])
+    def test_matches_scipy_oracle(self, nf, c, a, k, sign):
+        s, r = 0.5, 0.25
+        lat = Lattice.from_box([-0.5], [0.5], 0.25)
+        u = GridFunction(lat, np.zeros(lat.n_nodes),
+                         ExteriorModel(kind="power", value=c, exponent=a))
+        got = _truncation_far_tail(u, [0.0], r, k, sign, s, nf)
+
+        def fn(rho):
+            f = c * rho ** a
+            wf = np.maximum(f - k, 0.0) if sign == "plus" \
+                else np.maximum(k - f, 0.0)
+            return nf.g(wf / rho ** s) * rho ** (-1.0 - s)
+
+        crossing = (k / c) ** (1.0 / a) if k / c > 0 else 0.0
+        want = 2.0 * scipy_radial(fn, u.exterior.start_radius, (crossing,))
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_zero_model_below_a_positive_level(self, nf2):
+        # (k - 0)_+ = k everywhere: 2 int_R^inf (k / rho^s) rho^(-1-s)
+        # drho = k R^(-2s) / s
+        lat = Lattice.from_box([-0.5], [0.5], 0.25)
+        u = GridFunction(lat, np.zeros(lat.n_nodes), ExteriorModel())
+        R = u.exterior.start_radius
+        got = _truncation_far_tail(u, [0.0], 0.25, 0.7, "minus", 0.5, nf2)
+        assert got == pytest.approx(0.7 / R / 0.5, rel=1e-13)
+        assert _truncation_far_tail(u, [0.0], 0.25, 0.7, "plus", 0.5,
+                                    nf2) == 0.0
 
 
 class TestLogEstimate:

@@ -431,6 +431,23 @@ class TestGradedRule:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+class TestRadialRule:
+    def test_breakpoint_at_a_kink(self):
+        # int_1^inf |rho - 2| rho^-3 drho = 1/4 + 1/4
+        got = integrate_radial(lambda rho: np.abs(rho - 2.0) * rho ** -3.0,
+                               1.0, 1.0, breaks=(2.0, 0.5))
+        assert got == pytest.approx(0.5, rel=1e-14)
+
+    def test_slow_decay_past_the_double_range(self):
+        # m = 0.04 sends the nodes nearest tau = 0 past 1.8e308; the
+        # share they leave out is (1 / 1.8e308)^m = 5e-13
+        got = integrate_radial(lambda rho: rho ** -1.04, 1.0, 0.04)
+        assert got == pytest.approx(25.0, rel=1e-12)
+
+    def test_no_decay_diverges(self):
+        assert math.isinf(integrate_radial(lambda rho: 1.0 / rho, 1.0, 0.0))
+
+
 def _far_problem(nf, model, h=1 / 8, r=1.0):
     lat = Lattice.from_box([-0.5 - r - h], [0.5 + r + h], h)
     x = lat.coords[:, 0]
@@ -440,34 +457,17 @@ def _far_problem(nf, model, h=1 / 8, r=1.0):
                            truncation_radius=r)
 
 
-def _radial_far_terms(prob, w):
-    """The far energy and gradient as radial integrals over [r, inf)."""
-    model = prob.exterior_datum.exterior
-    r, s, nf = prob.truncation_radius, prob.s, prob.nf
-
-    def energy_density(rho):
-        dw = w[:, None] - model.signed_profile(rho)[None, :]
-        return nf.G(np.abs(dw) / rho[None, :] ** s) / rho[None, :]
-
-    def gradient_density(rho):
-        dw = w[:, None] - model.signed_profile(rho)[None, :]
-        rs = rho[None, :] ** s
-        return nf.g(np.abs(dw) / rs) * np.sign(dw) / rs / rho[None, :]
-
-    e, _ = integrate_radial(energy_density, r, tol=1e-10)
-    g, _ = integrate_radial(gradient_density, r, tol=1e-10)
-    return prob._far_coef * e, prob._far_coef * g
-
-
 def _scipy_far_terms(prob, w):
-    """The far energy and gradient of a power exterior model by
+    """The far energy and gradient of an exterior model f = c rho^a (a
+    level model has a = 0, and c = 0 when it is ``zero``) by
     ``scipy.integrate.quad`` in u = log(rho), split at the zero of
     w - f(rho) (geometrically graded when that zero lies just before
     log r) and, for tables, where the tail argument crosses a knot
     (located on a fine u grid and refined by ``brentq``)."""
     model = prob.exterior_datum.exterior
     r, s, nf = prob.truncation_radius, prob.s, prob.nf
-    c, a = model.value, model.exponent
+    c = 0.0 if model.kind == "zero" else model.value
+    a = model.exponent if model.kind == "power" else 0.0
     u0 = math.log(r)
     # past u0 + 700 both integrands are below 1e-16 of their peak here
     u_end = u0 + 700.0
@@ -488,7 +488,7 @@ def _scipy_far_terms(prob, w):
                 1.0, dw) * (dw != 0) * rho ** (-s)
 
         points = []
-        if wi / c > 0:
+        if a and wi * c > 0:
             zero = math.log(wi / c) / a
             if zero > u0:
                 points.append(zero)
@@ -546,7 +546,7 @@ class TestFarTail:
     @pytest.mark.parametrize("profile", sorted(FAR_PROFILES))
     def test_substitution_matches_radial_quadrature(self, profile, model):
         prob = _far_problem(FAR_PROFILES[profile](), LEVEL_MODELS[model])
-        want_e, want_g = _radial_far_terms(prob, self.w)
+        want_e, want_g = _scipy_far_terms(prob, self.w)
         np.testing.assert_allclose(prob._far_energy(self.w), want_e,
                                    rtol=1e-10, atol=0)
         np.testing.assert_allclose(prob._far_gradient(self.w), want_g,
@@ -564,7 +564,7 @@ class TestFarTail:
         assert nf._accel is None
         prob = _far_problem(nf, LEVEL_MODELS["constant"])
         w = self.w[[1, 3, 5]]
-        want_e, want_g = _radial_far_terms(prob, w)
+        want_e, want_g = _scipy_far_terms(prob, w)
         np.testing.assert_allclose(prob._far_energy(w), want_e,
                                    rtol=1e-10, atol=0)
         np.testing.assert_allclose(prob._far_gradient(w), want_g,
