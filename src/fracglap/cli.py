@@ -177,7 +177,7 @@ def generate_corpus(spec, seed):
     lattice = Lattice.from_box(lat_cfg["lo"], lat_cfg["hi"], lat_cfg["h"])
     family = spec["family"]
     rng = np.random.default_rng(seed)
-    model = ExteriorModel(kind="zero")
+    model = ExteriorModel()
     if family == "power-cusp":
         vals = _datum_values({**spec, "family": "power_cusp"}, lattice, rng)
         return [GridFunction(lattice, vals, model)]
@@ -532,7 +532,7 @@ def _stage_tail_closed_form(ctx, rng):
         raise ConfigError("tail_closed_form stage needs the power family")
     lat = prob.lattice
     M = 0.75
-    model = ExteriorModel(kind="constant", value=M).resolved(lat)
+    model = ExteriorModel(value=M).resolved(lat)
     f = GridFunction(lat, np.zeros(lat.n_nodes), model)
     R = max(lat.circumradius(lat.center()), model.start_radius) * 1.25
     got = tail(f, lat.center(), R, prob.s, nf)
@@ -591,13 +591,14 @@ def _stage_logarithmic(ctx, rng):
     u = ctx.ensure_solved().minimizer
     ball = _default_ball(ctx)
     model = u.exterior
-    if model.kind not in ("zero", "constant"):
-        raise ConfigError("logarithmic stage needs a zero or constant "
-                          "exterior model (the shift must extend globally)")
-    # shift into the nonnegative range required on the larger ball
+    if model.level is None:
+        raise ConfigError("logarithmic stage needs a level exterior model "
+                          "(the shift must extend globally)")
+    # shift into the nonnegative range required on the larger ball; the
+    # shifted model is built from the level, not by ``replace``, because
+    # a value-0 model may carry an exponent
     shift = float(np.abs(u.values).max()) + 1.0
-    shifted = ExteriorModel(kind="constant", value=model.value + shift,
-                            center=model.center,
+    shifted = ExteriorModel(value=model.level + shift, center=model.center,
                             start_radius=model.start_radius)
     upos = GridFunction(u.lattice, u.values + shift, shifted)
     R = ball.radius

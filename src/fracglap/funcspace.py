@@ -1,7 +1,8 @@
 """Discrete fractional Orlicz-Sobolev quantities on a lattice.
 
 A function lives on a finite lattice covering a computational box and
-carries an exterior model describing its radial far field; modulars and
+carries an exterior model, its radial far field f(rho) = c rho^a
+(``ExteriorModel``; a level f = c when a = 0 or c = 0); modulars and
 norms discretize integrals with node measure h^n, ball membership by
 node-center inclusion, and the double-sum modulars drop the diagonal.
 The Luxemburg norm and the pair seminorm solve modular(t f) = 1 for
@@ -134,24 +135,19 @@ class Ball:
 
 @dataclass(frozen=True)
 class ExteriorModel:
-    """Radial description of a function outside the computational box.
+    """Radial description of a function outside the computational box:
+    the signed far field f(rho) = ``value * rho**exponent`` at radius rho
+    from ``center``.  A zero model is value 0, a constant one exponent 0.
 
-    ``kind`` is one of ``zero``, ``constant`` (signed level ``value``) or
-    ``power`` (signed ``value * rho**exponent`` at radius rho from
-    ``center``).  The model takes over beyond ``start_radius``; both
-    ``center`` and ``start_radius`` default to the box midpoint and its
-    circumradius when the model is attached to a lattice.
+    The model takes over beyond ``start_radius``; both ``center`` and
+    ``start_radius`` default to the box midpoint and its circumradius
+    when the model is attached to a lattice.
     """
 
-    kind: str = "zero"
     value: float = 0.0
     exponent: float = 0.0
     center: tuple | None = None
     start_radius: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "constant", "power"):
-            raise ValueError(f"unknown exterior model kind {self.kind!r}")
 
     def resolved(self, lattice):
         center = self.center if self.center is not None else lattice.center()
@@ -162,35 +158,45 @@ class ExteriorModel:
                        start_radius=float(start))
 
     @property
+    def level(self):
+        """c when f = c is constant in rho (a = 0 or c = 0), else None."""
+        if self.value == 0.0:
+            return 0.0
+        return self.value if self.exponent == 0.0 else None
+
+    @property
     def growth_exponent(self):
-        """a with |f(rho)| ~ rho^a; 0 unless a nonzero power model."""
-        return self.exponent if self.kind == "power" and self.value else 0.0
+        """a with |f(rho)| ~ rho^a; 0 for a level model."""
+        return 0.0 if self.level is not None else self.exponent
 
     def signed_profile(self, rho):
         rho = np.asarray(rho, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(rho)
-        if self.kind == "constant":
-            return np.full_like(rho, self.value)
+        if self.level is not None:
+            return np.full_like(rho, self.level)
         return self.value * rho ** self.exponent
 
     def shifted_abs_profile(self, rho, shift):
         """Worst-case |f| on the sphere of radius ``rho`` about a point
         at distance ``shift`` from the model center."""
         rho = np.asarray(rho, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(rho)
-        if self.kind == "constant":
-            return np.full_like(rho, abs(self.value))
+        if self.level is not None:
+            return np.full_like(rho, abs(self.level))
         eff = rho + shift if self.exponent >= 0 else np.maximum(rho - shift, 1e-300)
         return abs(self.value) * eff ** self.exponent
 
     @classmethod
     def from_config(cls, cfg):
+        """The config's ``kind`` as (value, exponent): ``zero`` is (0, 0),
+        ``constant`` (value, 0) and ``power`` (value, exponent); numbers
+        the kind does not use are ignored."""
         if cfg is None:
-            return cls(kind="zero")
-        return cls(kind=cfg["kind"], value=float(cfg.get("value", 0.0)),
-                   exponent=float(cfg.get("exponent", 0.0)),
+            return cls()
+        kind = cfg["kind"]
+        if kind not in ("zero", "constant", "power"):
+            raise ValueError(f"unknown exterior model kind {kind!r}")
+        value = float(cfg.get("value", 0.0)) if kind != "zero" else 0.0
+        exponent = float(cfg.get("exponent", 0.0)) if kind == "power" else 0.0
+        return cls(value=value, exponent=exponent,
                    center=tuple(cfg["center"]) if "center" in cfg else None,
                    start_radius=cfg.get("start_radius"))
 
@@ -397,7 +403,7 @@ def tail(f, x0, R, s, nf):
             * lat.h ** lat.dim
 
     model = f.exterior
-    if model.kind == "zero":
+    if model.level == 0.0:
         return part_a
     shift = float(_dist(x0[None, :], model.center)[0])
     r_far = max(R, model.start_radius + shift)
@@ -435,7 +441,7 @@ def membership_check(f, s, nf):
     if model is None:
         raise ValueError("membership check needs an exterior model")
     far = 0.0
-    if model.kind != "zero":
+    if model.level != 0.0:
         c_norm = float(np.linalg.norm(model.center))
 
         def integrand(rho):

@@ -18,8 +18,8 @@ families:
                     its two-term series below the accelerator's range.
 * ``table``      -- strictly increasing samples of g, monotone
                     piecewise-linear interpolation; G integrates the
-                    interpolant exactly; indices estimated from the data
-                    unless declared.
+                    interpolant exactly; indices derived exactly from
+                    the data unless declared.
 
 All evaluation methods accept scalars or numpy arrays and are pure;
 instances are immutable after construction and safe to share across
@@ -221,10 +221,12 @@ class NFunction:
     doubling constant ``kappa`` (G(2t) <= kappa*G(t)) and reverse
     doubling constant ``ell`` (G(t) <= G(ell*t)/(2*ell)).
 
-    Construction validates the structural inequalities on a sampled
-    grid and derives both constants: kappa = 2**q and
-    ell = 2**(1/(p-1)) always satisfy their defining inequalities under
-    the index sandwich.
+    The indices of a table are exact: the extremes of t g(t)/G(t) over
+    its knots and the stationary points inside its segments
+    (``_table_indices``).  Construction validates the structural
+    inequalities on a sampled grid and derives both constants:
+    kappa = 2**q and ell = 2**(1/(p-1)) always satisfy their defining
+    inequalities under the index sandwich.
     """
 
     def __init__(self, growth, p=None, q=None):
@@ -237,7 +239,7 @@ class NFunction:
             p0 = float(growth.exponent)
             q0 = p0 + 1.0
         else:
-            p0, q0 = self._estimate_indices()
+            p0, q0 = self._table_indices()
 
         tol = 1e-6 * max(1.0, q0)
         if p is None:
@@ -258,11 +260,8 @@ class NFunction:
             raise ValueError("indices must satisfy 1 < p <= q")
         self.p = float(p)
         self.q = float(q)
-        # estimated table indices are grid suprema; give the derived
-        # doubling constants headroom for off-grid interpolant peaks
-        pad = 1.001 if growth.family == "table" else 1.0
-        self.kappa = 2.0 ** self.q * pad
-        self.ell = 2.0 ** (1.0 / (self.p - 1.0)) * pad
+        self.kappa = 2.0 ** self.q
+        self.ell = 2.0 ** (1.0 / (self.p - 1.0))
 
         if growth.family == "power_log":
             self._build_accelerator()
@@ -437,20 +436,37 @@ class NFunction:
         tk, gk, Gk, Hk, slope = self._table_knots
         return Hk[idx] + _segment_H(tk[idx], gk[idx], Gk[idx], slope[idx], dt)
 
-    def _estimate_indices(self):
-        # log-spaced sweep of t g(t)/G(t); the segment anchored at the
-        # origin is linear, where the ratio is exactly 2, so 2 always
-        # belongs to the index band of a tabulated profile
-        r = self._table_ratio_samples()
+    def _table_indices(self):
+        """inf and sup of t g(t)/G(t) for the piecewise-linear g.
+
+        On the segment anchored at the origin g is linear and the ratio
+        is exactly 2, so 2 always belongs to the index band.  On a later
+        segment, with u = t - t_k and slope sig, (t g/G)' = 0 reduces
+        (the cubic terms cancel) to c0 + c1 u + c2 u^2 = 0 with
+        c0 = (g_k + sig t_k) G_k - t_k g_k^2, c1 = sig (2 G_k - t_k g_k)
+        and c2 = (sig/2)(g_k - sig t_k), so the extremes lie at the
+        knots or at the roots inside the segments.
+        """
+        tk, gk, Gk, _, slope = self._table_knots
+        t0, g0, G0, sig = tk[1:-1], gk[1:-1], Gk[1:-1], slope[1:]
+        c0 = (g0 + sig * t0) * G0 - t0 * g0 * g0
+        c1 = sig * (2.0 * G0 - t0 * g0)
+        c2 = 0.5 * sig * (g0 - sig * t0)
+        # stable roots qq/c2 and c0/qq; c2 = 0 leaves the linear root c0/qq,
+        # and a complex pair gives its vertex, a harmless extra sample
+        disc = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0))
+        qq = -0.5 * (c1 + np.copysign(disc, c1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.concatenate([qq / c2, c0 / qq])
+            inside = (u > 0.0) & (u < np.tile(np.diff(tk)[1:], 2))
+        start = np.tile(t0, 2)
+        t = np.concatenate([tk[1:], start[inside] + u[inside]])
+        r = t * self.growth(t) / self._table_G(t)
         p0 = min(2.0, float(r.min()))
         q0 = max(2.0, float(r.max()))
         if p0 <= 1.0 + 1e-9:
             raise ValueError("tabulated g has lower growth index <= 1")
         return p0, q0
-
-    def _table_ratio_samples(self):
-        grid = self._sample_grid()
-        return grid * self.growth(grid) / self._table_G(grid)
 
     def _sample_grid(self):
         if self.growth.family == "table":

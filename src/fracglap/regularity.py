@@ -13,12 +13,12 @@ inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import funcspace as fsp
-from .funcspace import Ball, ExteriorModel, GridFunction
+from .funcspace import Ball, GridFunction
 from .pairs import BALL_ROWS, distance_blocks
 from .quadrature import integrate_radial
 from .reports import EstimateReport
@@ -260,7 +260,7 @@ def _truncation_far_tail(u, x0, r, k, sign, s, nf):
     model = u.exterior
     if model is None:
         return 0.0
-    if model.kind == "zero" and (sign == "plus" or k == 0.0):
+    if model.level == 0.0 and (sign == "plus" or k == 0.0):
         return 0.0  # a zero far field truncates to zero above any level
     shift = float(np.linalg.norm(np.asarray(x0, float)
                                  - np.asarray(model.center, float)))
@@ -315,8 +315,10 @@ def log_estimate_check(u, x0, r, R, d, nf, s, a=None, b=None, bound=math.inf):
         lhs += float(np.sum(dl / dm[off] ** n))
     lhs *= hn * hn
 
-    u_minus = GridFunction(lat, np.maximum(-u.values, 0.0),
-                           _negative_part_model(u.exterior))
+    model = u.exterior
+    if model is not None:
+        model = replace(model, value=max(-model.value, 0.0))
+    u_minus = GridFunction(lat, np.maximum(-u.values, 0.0), model)
     tail_minus = fsp.tail(u_minus, x0, R, s, nf)
     gd = nf.g(d / r ** s)
     rhs_vol = r ** n
@@ -340,22 +342,6 @@ def log_estimate_check(u, x0, r, R, d, nf, s, a=None, b=None, bound=math.inf):
         "logarithmic", lhs, {"volume": rhs_vol, "tail": rhs_tail}, bound,
         witnesses={"center": tuple(x0), "r": r, "R": R, "d": d},
         details=details)
-
-
-def _negative_part_model(model):
-    if model is None:
-        return None
-    if model.kind == "zero":
-        return model
-    neg = max(-model.value, 0.0)
-    if neg == 0.0:
-        return ExteriorModel(kind="zero", center=model.center,
-                             start_radius=model.start_radius)
-    if model.kind == "constant":
-        return ExteriorModel(kind="constant", value=neg, center=model.center,
-                             start_radius=model.start_radius)
-    return ExteriorModel(kind="power", value=neg, exponent=model.exponent,
-                         center=model.center, start_radius=model.start_radius)
 
 
 # -- oscillation decay / Holder recovery -----------------------------------

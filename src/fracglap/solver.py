@@ -6,15 +6,16 @@
            radius r, c_far int_r^inf G(|v(x) - f(rho)| / rho^s) drho / rho,
 
 over functions that agree with the prescribed datum off the domain.
-No radial quadrature is left in the tail.  For a zero or constant
-exterior model f = c, the substitution tau = |v(x) - c| rho^(-s) turns
-it into c_far H(T)/s with T = |v(x) - c| r^(-s) and
-H(T) = int_0^T G(tau)/tau dtau (``NFunction.H``); its derivative needs
-only G.  For a power model f = c rho^a, tau = rho^(-m) with
-m = s - max(a, 0) maps [r, inf) onto [0, r^(-m)] with an integrand
-that is integrable at 0, and a Gauss-Legendre rule graded toward both
-ends of each segment between the zero of v(x) - f and, for tables,
-the knot crossings gives the tail and its derivative
+No radial quadrature is left in the tail.  The exterior model is
+f(rho) = c rho^a (``ExteriorModel``).  Where it is a level, f = c
+(a = 0 or c = 0; ``ExteriorModel.level``), the substitution
+tau = |v(x) - c| rho^(-s) turns the tail into c_far H(T)/s with
+T = |v(x) - c| r^(-s) and H(T) = int_0^T G(tau)/tau dtau
+(``NFunction.H``); its derivative needs only G.  Otherwise
+tau = rho^(-m) with m = s - max(a, 0) maps [r, inf) onto [0, r^(-m)]
+with an integrand that is integrable at 0, and a Gauss-Legendre rule
+graded toward both ends of each segment between the zero of v(x) - f
+and, for tables, the knot crossings gives the tail and its derivative
 (``NonlocalProblem._far_power``).
 
 Pairs are counted with the symmetric convention (each unordered pair
@@ -184,14 +185,10 @@ class NonlocalProblem:
         return float(acc[self.omega_mask].max())
 
     def data_oscillation(self):
-        vals = [self.exterior_datum.values[self.halo_mask]]
-        model = self.exterior_datum.exterior
-        if model.kind != "zero":
-            r = self.truncation_radius
-            vals.append(model.signed_profile(np.array([r, 10.0 * r])))
-        else:
-            vals.append(np.zeros(1))
-        allv = np.concatenate(vals)
+        datum = self.exterior_datum
+        r = self.truncation_radius
+        far = datum.exterior.signed_profile(np.array([r, 10.0 * r]))
+        allv = np.concatenate([datum.values[self.halo_mask], far])
         return float(allv.max() - allv.min())
 
     # -- far (beyond truncation radius) terms ---------------------------
@@ -208,17 +205,6 @@ class NonlocalProblem:
                 "for this exterior model"
             )
 
-    def _far_level(self):
-        """Level c of an exterior model that is constant in rho (``zero``,
-        ``constant``, a ``power`` model with zero value or exponent), or
-        None for a genuine power model."""
-        model = self.exterior_datum.exterior
-        if model.kind == "zero":
-            return 0.0
-        if model.kind == "constant" or model.exponent == 0.0:
-            return model.value
-        return 0.0 if model.value == 0.0 else None
-
     def _far_level_T(self, w, level):
         """(w - c, T) for the level c: T = |w - c| r^(-s) is the tail
         argument at the truncation radius."""
@@ -230,10 +216,10 @@ class NonlocalProblem:
         c_far int_r^inf G(|w - f(rho)| rho^(-s)) rho^(-1) drho.
 
         For a level model c, tau = |w - c| rho^(-s) turns the integral
-        into H(T)/s (``NFunction.H``); a power model goes through
+        into H(T)/s (``NFunction.H``); any other model goes through
         ``_far_power``.
         """
-        level = self._far_level()
+        level = self.exterior_datum.exterior.level
         if level is None:
             return self._far_power(w, derivative=False)
         _, T = self._far_level_T(w, level)
@@ -242,7 +228,7 @@ class NonlocalProblem:
     def _far_gradient(self, w):
         """Derivative of ``_far_energy``; for a level model H'(T) = G(T)/T
         gives c_far sign(w - c) G(T) r^(-s) / (s T), which is 0 at T = 0."""
-        level = self._far_level()
+        level = self.exterior_datum.exterior.level
         if level is None:
             return self._far_power(w, derivative=True)
         dw, T = self._far_level_T(w, level)
@@ -252,8 +238,9 @@ class NonlocalProblem:
 
     def _far_power(self, w, derivative):
         """Tail energy (or its derivative in w) of the power model
-        f(rho) = c rho^a, a != 0, after the substitution tau = rho^(-m),
-        m = s - max(a, 0); the tail diverges (inf) when m <= 0.
+        f(rho) = c rho^a, a != 0 and c != 0, after the substitution
+        tau = rho^(-m), m = s - max(a, 0); the tail diverges (inf) when
+        m <= 0.
 
         With delta = |a|/m and (A, B) = (c, w) for a > 0, (w, c) for
         a < 0, |w - f(rho)| rho^(-s) = tau |A - B tau^delta| and
@@ -439,15 +426,15 @@ def convexity_probe(prob, v1, v2):
 def assemble_quadratic(prob):
     """Assemble E(v) = 0.5 v'Av - b'v + c over the domain unknowns.
 
-    Exact for the quadratic power profile (p = q = 2) with a zero or
-    constant exterior model; used by the direct-solve oracle stage.
+    Exact for the quadratic power profile (p = q = 2) with a level
+    exterior model (f = c); used by the direct-solve oracle stage.
     """
     nf = prob.nf
     if not (nf.growth.family == "power" and nf.p == 2.0 and nf.q == 2.0):
         raise ValueError("quadratic assembly needs the power profile with p = 2")
-    model = prob.exterior_datum.exterior
-    if model.kind not in ("zero", "constant"):
-        raise ValueError("quadratic assembly needs a zero or constant model")
+    if prob.exterior_datum.exterior.level is None:
+        raise ValueError("quadratic assembly needs a level exterior model "
+                         "(exponent 0 or value 0)")
     return _assemble_surrogate(prob)
 
 
@@ -473,9 +460,9 @@ def _assemble_surrogate(prob):
     np.add.at(A, (pa[halo], pa[halo]), cw[halo])
     np.add.at(b, pa[halo], cw[halo] * fvals[ja[halo]])
     const += float(np.sum(0.5 * cw[halo] * fvals[ja[halo]] ** 2))
-    # far tail of the quadratic profile, radial closed form
-    model = prob.exterior_datum.exterior
-    lvl = model.value if model.kind == "constant" else 0.0
+    # far tail of the quadratic profile, radial closed form; a genuine
+    # power model takes level 0
+    lvl = prob.exterior_datum.exterior.level or 0.0
     r, s = prob.truncation_radius, prob.s
     cfar = prob._far_coef * r ** (-2.0 * s) / (2.0 * s)
     A[np.diag_indices(no)] += cfar
@@ -526,6 +513,12 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
     with one unknown the Barzilai-Borwein step is a secant step on the
     scalar derivative.
     """
+    if initial in ("zero", "zero-extension"):
+        harmonic = False
+    elif initial in ("harmonic", "halo-harmonic-guess"):
+        harmonic = True
+    else:
+        raise ValueError("initial must be 'zero' or 'harmonic'")
     omega = prob.omega_mask
     vals = prob.exterior_datum.values.copy()
 
@@ -541,12 +534,6 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
                            details={"stop_scale": 0.0, "threshold": tol,
                                     "initial": initial})
 
-    if initial in ("zero", "zero-extension"):
-        harmonic = False
-    elif initial in ("harmonic", "halo-harmonic-guess"):
-        harmonic = True
-    else:
-        raise ValueError("initial must be 'zero' or 'harmonic'")
     A, b, _, _ = _assemble_surrogate(prob)
     # A is SPD (positive weights, strictly diagonally dominant); only its
     # factor is kept

@@ -20,7 +20,7 @@ def line_problem(h=1 / 32, s=0.5, p=2.0, family="power", datum="sin",
     omega = (x > om_lo - 1e-12) & (x < om_hi + 1e-12)
     # keep domain nodes strictly inside the box: padding guarantees it
     f = datum_values(datum, lat, seed) * datum_scale
-    model = ExteriorModel(kind="constant", value=float(f[-1]))
+    model = ExteriorModel(value=float(f[-1]))
     nf = make_power(p) if family == "power" else make_power_log(p)
     prob = NonlocalProblem(lat, omega, nf, kernel or Kernel(), s,
                            GridFunction(lat, f, model),
@@ -35,7 +35,7 @@ def square_problem(h=1 / 8, s=0.5, p=2.0, rext=1.0, datum="sin"):
     x = lat.coords
     omega = np.all((x > -0.5 - 1e-12) & (x < 0.5 + 1e-12), axis=1)
     f = datum_values(datum, lat, None)
-    model = ExteriorModel(kind="constant", value=float(f[-1]))
+    model = ExteriorModel(value=float(f[-1]))
     prob = NonlocalProblem(lat, omega, make_power(p), Kernel(), s,
                            GridFunction(lat, f, model),
                            truncation_radius=rext)
@@ -98,7 +98,8 @@ def quadratic_oracle(prob):
                 b[k] += cw * f[j]
                 c0 += 0.5 * cw * f[j] ** 2
     model = prob.exterior_datum.exterior
-    lvl = model.value if model.kind == "constant" else 0.0
+    # the surrogate takes a genuine power model (a != 0) at level 0
+    lvl = model.value if model.exponent == 0.0 else 0.0
     from fracglap import sphere_measure
     cfar = (2.0 * lat.h ** n * prob.kernel.far_coefficient
             * sphere_measure(n) * rext ** (-2.0 * s) / (2.0 * s))

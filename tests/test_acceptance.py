@@ -44,7 +44,7 @@ def _omega32_problem(s, p=2.0, h=1 / 32, family="power", datum_seed=None,
         for k in range(1, 5):
             f += rng.normal() / k * np.sin(
                 2 * np.pi * k * x / span + rng.uniform(0, 2 * np.pi))
-    model = ExteriorModel(kind="constant", value=float(f[-1]))
+    model = ExteriorModel(value=float(f[-1]))
     if nf is None:
         nf = make_power(p) if family == "power" else make_power_log(p)
     return NonlocalProblem(lat, omega, nf, Kernel(), s,
@@ -167,8 +167,7 @@ def test_criterion_05_tail_closed_form():
             M, s, R = 0.8, 0.55, 1.9
             lat = Lattice.from_box([-0.5] * dim, [0.5] * dim, 0.5)
             model = ExteriorModel(
-                kind="constant", value=M,
-                start_radius=lat.circumradius(lat.center()))
+                value=M, start_radius=lat.circumradius(lat.center()))
             f = GridFunction(lat, np.zeros(lat.n_nodes), model)
             got = tail(f, [0.0] * dim, R, s, nf)
             want = (sphere_measure(dim) * M ** (p - 1.0)
@@ -180,7 +179,7 @@ def test_criterion_05_tail_closed_form():
         nf = make_power(p)
         M, s, R = 1.1, 0.45, 1.6
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
-        model = ExteriorModel(kind="constant", value=M,
+        model = ExteriorModel(value=M,
                               start_radius=lat.circumradius(lat.center()))
         f = GridFunction(lat, np.zeros(5), model)
         tl = tail(f, [0.0], R, s, nf)
@@ -248,7 +247,7 @@ def test_criterion_08_holder_recovery():
     x = lat.coords[:, 0]
     for gamma in (0.25, 0.5, 0.75):
         u = GridFunction(lat, np.abs(x) ** gamma,
-                         ExteriorModel(kind="constant", value=0.5 ** gamma))
+                         ExteriorModel(value=0.5 ** gamma))
         res = holder_decay_fit(u, [0.0], 0.25, 0.5, 6, s=0.5, nf=nf)
         rel = abs(res.alpha_hat - gamma) / gamma
         fit_ok &= res.resolved_levels >= 5 and rel <= 0.02
@@ -284,8 +283,7 @@ def test_criterion_09_estimate_constant_stability():
         if scaling_gap is None:
             c = 41.7
             u2 = GridFunction(u.lattice, c * u.values,
-                              ExteriorModel(kind="constant",
-                                            value=c * u.exterior.value))
+                              ExteriorModel(value=c * u.exterior.value))
             b2 = boundedness_check(u2, ball, 0.5, nf)
             scaling_gap = abs(b2.empirical_constant
                               - brep.empirical_constant)

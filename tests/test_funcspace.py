@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -190,10 +191,60 @@ class TestLuxemburgNorm:
         assert lam3 == pytest.approx(3.0 * lam, rel=1e-9)
 
 
+class TestExteriorModel:
+    @pytest.mark.parametrize("cfg, value, exponent", [
+        (None, 0.0, 0.0),
+        ({"kind": "zero"}, 0.0, 0.0),
+        ({"kind": "zero", "value": 0.7, "exponent": 0.4}, 0.0, 0.0),
+        ({"kind": "constant", "value": 0.3}, 0.3, 0.0),
+        ({"kind": "constant", "value": 0.3, "exponent": 0.4}, 0.3, 0.0),
+        ({"kind": "power", "value": -0.4, "exponent": -0.3}, -0.4, -0.3),
+        ({"kind": "power", "value": 0.3}, 0.3, 0.0),
+    ], ids=["none", "zero", "zero-ignores-numbers", "constant",
+            "constant-ignores-exponent", "power", "power-default-exponent"])
+    def test_from_config_maps_kind_to_value_and_exponent(self, cfg, value,
+                                                          exponent):
+        model = ExteriorModel.from_config(cfg)
+        assert (model.value, model.exponent) == (value, exponent)
+        assert model.center is None and model.start_radius is None
+
+    def test_from_config_keeps_center_and_start_radius(self):
+        model = ExteriorModel.from_config({"kind": "constant", "value": 0.3,
+                                           "center": [0.5], "start_radius": 2})
+        assert model == ExteriorModel(value=0.3, center=(0.5,),
+                                      start_radius=2)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown exterior model kind"):
+            ExteriorModel.from_config({"kind": "linear", "value": 0.3})
+
+    def test_kind_is_not_a_field(self):
+        assert [f.name for f in fields(ExteriorModel)] == [
+            "value", "exponent", "center", "start_radius"]
+
+    @pytest.mark.parametrize("value, exponent, level, growth", [
+        (0.0, 0.0, 0.0, 0.0), (0.3, 0.0, 0.3, 0.0), (0.0, 0.25, 0.0, 0.0),
+        (-0.4, -0.3, None, -0.3), (0.3, 0.25, None, 0.25)])
+    def test_level_and_growth_exponent(self, value, exponent, level, growth):
+        model = ExteriorModel(value=value, exponent=exponent)
+        assert model.level == level
+        assert model.growth_exponent == growth
+
+    @pytest.mark.parametrize("value, exponent", [(0.3, 0.0), (0.0, 0.25),
+                                                 (-0.4, -0.3)])
+    def test_profiles_are_c_rho_to_the_a(self, value, exponent):
+        model = ExteriorModel(value=value, exponent=exponent)
+        rho = np.array([0.5, 2.0, 7.0])
+        np.testing.assert_allclose(model.signed_profile(rho),
+                                   value * rho ** exponent, rtol=1e-15)
+        np.testing.assert_allclose(model.shifted_abs_profile(rho, 0.0),
+                                   abs(value) * rho ** exponent, rtol=1e-15)
+
+
 class TestTail:
     def test_zero_outside_ball(self, nf2):
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
-        f = GridFunction(lat, np.zeros(5), ExteriorModel(kind="zero"))
+        f = GridFunction(lat, np.zeros(5), ExteriorModel())
         assert tail(f, [0.0], 0.1, 0.5, nf2) == 0.0
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -202,7 +253,7 @@ class TestTail:
         nf = make_power(p)
         M, s, R = 0.7, 0.6, 2.0
         lat = Lattice.from_box([-0.5] * dim, [0.5] * dim, 0.5)
-        model = ExteriorModel(kind="constant", value=M,
+        model = ExteriorModel(value=M,
                               start_radius=lat.circumradius(lat.center()))
         f = GridFunction(lat, np.zeros(lat.n_nodes), model)
         got = tail(f, [0.0] * dim, R, s, nf)
@@ -216,7 +267,7 @@ class TestTail:
         nf = make_power(p)
         M, s, R = 1.3, 0.45, 1.5
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
-        model = ExteriorModel(kind="constant", value=M,
+        model = ExteriorModel(value=M,
                               start_radius=lat.circumradius(lat.center()))
         f = GridFunction(lat, np.zeros(5), model)
         tl = tail(f, [0.0], R, s, nf)
@@ -229,7 +280,7 @@ class TestTail:
         # nodes outside the ball contribute g(|f|/d^s) d^(-1-s) h
         lat = Lattice.from_box([-2.0], [2.0], 0.5)
         vals = np.ones(lat.n_nodes)
-        f = GridFunction(lat, vals, ExteriorModel(kind="zero"))
+        f = GridFunction(lat, vals, ExteriorModel())
         s, R = 0.5, 1.2
         got = tail(f, [0.0], R, s, nf2)
         d = np.abs(lat.coords[:, 0])
@@ -240,7 +291,7 @@ class TestTail:
     def test_monotone_in_radius(self, nf2):
         lat = Lattice.from_box([-2.0], [2.0], 0.25)
         f = GridFunction(lat, np.abs(np.sin(lat.coords[:, 0])),
-                         ExteriorModel(kind="constant", value=0.3))
+                         ExteriorModel(value=0.3))
         tails = [tail(f, [0.0], R, 0.5, nf2) for R in (0.5, 1.0, 2.0, 3.0)]
         assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
 
@@ -255,7 +306,7 @@ class TestTail:
         nf = make_power_log(2.0)
         M, s, R = 0.9, 0.55, 1.7
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
-        model = ExteriorModel(kind="constant", value=M,
+        model = ExteriorModel(value=M,
                               start_radius=lat.circumradius(lat.center()))
         f = GridFunction(lat, np.zeros(5), model)
         got = tail(f, [0.0], R, s, nf)
@@ -276,7 +327,7 @@ class TestTail:
         # with a nonzero value
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
         f = GridFunction(lat, np.zeros(lat.n_nodes),
-                         ExteriorModel(kind="power", value=c, exponent=a))
+                         ExteriorModel(value=c, exponent=a))
         x0, R = 0.3, 0.2
         got = tail(f, [x0], R, s, nf)
         model = f.exterior
@@ -295,11 +346,11 @@ class TestTail:
         nf = make_power(2.0)
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
         grow = GridFunction(lat, np.zeros(5),
-                            ExteriorModel(kind="power", value=1.0,
+                            ExteriorModel(value=1.0,
                                           exponent=1.2))
         assert math.isinf(tail(grow, [0.0], 0.4, 0.6, nf))
         flat = GridFunction(lat, np.zeros(5),
-                            ExteriorModel(kind="power", value=0.0,
+                            ExteriorModel(value=0.0,
                                           exponent=1.2))
         assert tail(flat, [0.0], 0.4, 0.6, nf) == 0.0
 
@@ -307,7 +358,7 @@ class TestTail:
 class TestMembership:
     def test_zero_function_is_member(self, nf2):
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
-        f = GridFunction(lat, np.zeros(5), ExteriorModel(kind="zero"))
+        f = GridFunction(lat, np.zeros(5), ExteriorModel())
         rep = membership_check(f, 0.5, nf2)
         assert rep.member and rep.consistent
         assert rep.tails == (0.0, 0.0)
@@ -317,7 +368,7 @@ class TestMembership:
         nf = make_power(2.5)
         s = 0.6
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
-        model = ExteriorModel(kind="power", value=1.0, exponent=s - 0.2,
+        model = ExteriorModel(value=1.0, exponent=s - 0.2,
                               start_radius=0.8)
         f = GridFunction(lat, np.zeros(5), model)
         rep = membership_check(f, s, nf)
@@ -329,7 +380,7 @@ class TestMembership:
         nf = make_power(2.5)
         s = 0.6
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
-        model = ExteriorModel(kind="power", value=1.0, exponent=2 * s,
+        model = ExteriorModel(value=1.0, exponent=2 * s,
                               start_radius=0.8)
         f = GridFunction(lat, np.zeros(5), model)
         rep = membership_check(f, s, nf)
@@ -346,7 +397,7 @@ class TestMembership:
         nf = make_power(2.5)
         s = 0.6
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
-        model = ExteriorModel(kind="power", value=1.0, exponent=a,
+        model = ExteriorModel(value=1.0, exponent=a,
                               center=(1.2,), start_radius=0.8)
         f = GridFunction(lat, np.zeros(5), model)
         rep = membership_check(f, s, nf)

@@ -50,7 +50,7 @@ def box_problem(dim, h, rext, kernel=None, half=0.5):
     x = lat.coords
     omega = np.all((x > -half - 1e-12) & (x < half + 1e-12), axis=1)
     f = np.sin(2.0 * x.sum(axis=1)) + 0.1 * x[:, 0]
-    model = ExteriorModel(kind="constant", value=float(f[-1]))
+    model = ExteriorModel(value=float(f[-1]))
     kernel = Kernel() if kernel is None else Kernel.from_config(kernel)
     return NonlocalProblem(lat, omega, make_power(2.0), kernel, 0.5,
                            GridFunction(lat, f, model),
@@ -83,7 +83,7 @@ def test_offset_build_matches_dense_irregular_domain():
     omega = np.linalg.norm(lat.coords, axis=1) < 0.4
     f = np.cos(lat.coords[:, 1])
     prob = NonlocalProblem(lat, omega, make_power(2.0), Kernel(), 0.3,
-                           GridFunction(lat, f, ExteriorModel(kind="zero")),
+                           GridFunction(lat, f, ExteriorModel()),
                            truncation_radius=0.55)
     assert_bitwise(prob._pairs, dense_pairs(prob))
 

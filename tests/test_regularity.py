@@ -136,7 +136,7 @@ class TestBoundedness:
         lat = Lattice.from_box([-1.0], [1.0], 0.125)
         M = 2.0
         u = GridFunction(lat, np.full(lat.n_nodes, M),
-                         ExteriorModel(kind="constant", value=M))
+                         ExteriorModel(value=M))
         rep = boundedness_check(u, Ball([0.0], 0.5), 0.5, nf2)
         assert rep.lhs == M
         assert rep.rhs_terms["local"] == pytest.approx(M, rel=1e-9)
@@ -145,7 +145,7 @@ class TestBoundedness:
     def test_zero_function_both_sides_zero(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.125)
         u = GridFunction(lat, np.zeros(lat.n_nodes),
-                         ExteriorModel(kind="zero"))
+                         ExteriorModel())
         rep = boundedness_check(u, Ball([0.0], 0.5), 0.5, nf2)
         assert rep.lhs == 0.0 and rep.empirical_constant == 0.0
 
@@ -157,15 +157,15 @@ class TestBoundedness:
         r1 = boundedness_check(u, ball, 0.5, nf2)
         c = 37.5
         u2 = GridFunction(u.lattice, c * u.values,
-                          ExteriorModel(kind="constant",
-                                        value=c * u.exterior.value))
+                          ExteriorModel(
+                              value=c * u.exterior.value))
         r2 = boundedness_check(u2, ball, 0.5, nf2)
         assert abs(r2.empirical_constant - r1.empirical_constant) <= 1e-10
 
     def test_ball_outside_box_rejected(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.25)
         u = GridFunction(lat, np.zeros(lat.n_nodes),
-                         ExteriorModel(kind="zero"))
+                         ExteriorModel())
         with pytest.raises(ValueError, match="compactly"):
             boundedness_check(u, Ball([0.8], 0.5), 0.5, nf2)
 
@@ -240,7 +240,7 @@ class TestTruncationFarTail:
         s, r = 0.5, 0.25
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
         u = GridFunction(lat, np.zeros(lat.n_nodes),
-                         ExteriorModel(kind="power", value=c, exponent=a))
+                         ExteriorModel(value=c, exponent=a))
         got = _truncation_far_tail(u, [0.0], r, k, sign, s, nf)
 
         def fn(rho):
@@ -270,14 +270,14 @@ class TestLogEstimate:
     def test_constant_zero_lhs(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.125)
         u = GridFunction(lat, np.full(lat.n_nodes, 1.5),
-                         ExteriorModel(kind="constant", value=1.5))
+                         ExteriorModel(value=1.5))
         rep = log_estimate_check(u, [0.0], 0.3, 0.9, d=0.2, nf=nf2, s=0.5)
         assert rep.lhs == 0.0 and rep.passed
 
     def test_nonnegative_function_kills_tail_term(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.125)
         u = GridFunction(lat, np.abs(np.sin(3 * lat.coords[:, 0])),
-                         ExteriorModel(kind="constant", value=0.5))
+                         ExteriorModel(value=0.5))
         rep = log_estimate_check(u, [0.0], 0.3, 0.9, d=0.2, nf=nf2, s=0.5)
         assert rep.rhs_terms["tail"] == 0.0
         assert rep.details["tail_minus"] == 0.0
@@ -286,7 +286,7 @@ class TestLogEstimate:
         lat = Lattice.from_box([-2.0], [2.0], 0.125)
         vals = np.where(np.abs(lat.coords[:, 0]) <= 0.9,
                         0.3 + 0.2 * np.sin(4 * lat.coords[:, 0]), -0.4)
-        u = GridFunction(lat, vals, ExteriorModel(kind="constant", value=-0.4))
+        u = GridFunction(lat, vals, ExteriorModel(value=-0.4))
         rep = log_estimate_check(u, [0.0], 0.3, 0.8, d=0.1, nf=nf2, s=0.5,
                                  a=0.3, b=3.0)
         assert rep.rhs_terms["tail"] > 0.0
@@ -296,14 +296,14 @@ class TestLogEstimate:
     def test_negativity_on_larger_ball_rejected(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.125)
         u = GridFunction(lat, lat.coords[:, 0],
-                         ExteriorModel(kind="constant", value=1.0))
+                         ExteriorModel(value=1.0))
         with pytest.raises(ValueError, match="nonnegative"):
             log_estimate_check(u, [0.0], 0.3, 0.9, d=0.2, nf=nf2, s=0.5)
 
     def test_radius_ordering_enforced(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.125)
         u = GridFunction(lat, np.ones(lat.n_nodes),
-                         ExteriorModel(kind="constant", value=1.0))
+                         ExteriorModel(value=1.0))
         with pytest.raises(ValueError, match="R/2"):
             log_estimate_check(u, [0.0], 0.5, 0.9, d=0.2, nf=nf2, s=0.5)
 
@@ -316,7 +316,7 @@ class TestHolderDecay:
         lat = Lattice.from_box([-0.5], [0.5], h)
         c = lat.coords[:, 0]
         u = GridFunction(lat, np.abs(c) ** gamma,
-                         ExteriorModel(kind="constant", value=0.5 ** gamma))
+                         ExteriorModel(value=0.5 ** gamma))
         res = holder_decay_fit(u, [0.0], 0.25, 0.5, 6, s=0.5, nf=nf2)
         assert res.resolved_levels >= 5
         assert abs(res.alpha_hat - gamma) / gamma < 0.02
@@ -332,7 +332,7 @@ class TestHolderDecay:
     def test_flat_function_trivially_scheduled(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 1 / 64)
         u = GridFunction(lat, np.full(lat.n_nodes, 0.7),
-                         ExteriorModel(kind="constant", value=0.7))
+                         ExteriorModel(value=0.7))
         res = holder_decay_fit(u, [0.0], 0.25, 0.5, 5, s=0.5, nf=nf2)
         assert all(o == 0.0 for o in res.oscillations)
         assert res.schedule_ok
@@ -340,7 +340,7 @@ class TestHolderDecay:
     def test_too_few_levels_rejected(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.125)
         u = GridFunction(lat, lat.coords[:, 0] ** 2,
-                         ExteriorModel(kind="constant", value=1.0))
+                         ExteriorModel(value=1.0))
         with pytest.raises(ValueError, match="levels"):
             holder_decay_fit(u, [0.0], 0.3, 0.5, 8, s=0.5, nf=nf2)
 

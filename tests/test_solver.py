@@ -35,7 +35,7 @@ class TestEnergy:
         # and the radial tail term written out by hand
         lat = Lattice.from_box([0.0], [2.0], 1.0)
         omega = np.array([False, True, False])
-        datum = GridFunction(lat, [0.3, 0.0, -0.2], ExteriorModel(kind="zero"))
+        datum = GridFunction(lat, [0.3, 0.0, -0.2], ExteriorModel())
         prob = NonlocalProblem(lat, omega, make_power(2.0), Kernel(), 0.5,
                                datum, truncation_radius=1.0)
         v = prob.datum_extension(0.7)
@@ -50,7 +50,7 @@ class TestEnergy:
         omega = np.array([False, True, True, False])
         s, h = 0.4, 1.0
         fvals = np.array([0.5, 0.0, 0.0, -0.3])
-        datum = GridFunction(lat, fvals, ExteriorModel(kind="zero"))
+        datum = GridFunction(lat, fvals, ExteriorModel())
         prob = NonlocalProblem(lat, omega, make_power(3.0), Kernel(), s,
                                datum, truncation_radius=1.0)
         a, b = 0.8, -0.1
@@ -76,8 +76,8 @@ class TestEnergy:
         prob = line_problem(h=1 / 16, datum="sin")
         lat = prob.lattice
         f2 = GridFunction(lat, prob.exterior_datum.values + c,
-                          ExteriorModel(kind="constant",
-                                        value=prob.exterior_datum.exterior.value + c))
+                          ExteriorModel(
+                              value=prob.exterior_datum.exterior.value + c))
         prob2 = NonlocalProblem(lat, prob.omega_mask, prob.nf, prob.kernel,
                                 prob.s, f2,
                                 truncation_radius=prob.truncation_radius)
@@ -93,8 +93,8 @@ class TestEnergy:
         prob = line_problem(h=1 / 16, p=p, datum="sin")
         lat = prob.lattice
         f2 = GridFunction(lat, c * prob.exterior_datum.values,
-                          ExteriorModel(kind="constant",
-                                        value=c * prob.exterior_datum.exterior.value))
+                          ExteriorModel(
+                              value=c * prob.exterior_datum.exterior.value))
         prob2 = NonlocalProblem(lat, prob.omega_mask, prob.nf, prob.kernel,
                                 prob.s, f2,
                                 truncation_radius=prob.truncation_radius)
@@ -158,6 +158,12 @@ class TestSolve:
         np.testing.assert_allclose(rep.minimizer.values, 2.0)
         assert rep.final_energy == 0.0
 
+    @pytest.mark.parametrize("datum", [2.0, "sin"], ids=["constant", "sin"])
+    def test_unknown_initial_rejected(self, datum):
+        # constant data returns early; the start is checked before that
+        with pytest.raises(ValueError, match="initial must be"):
+            solve(line_problem(datum=datum), initial="bogus")
+
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_quadratic_matches_direct_solve(self, s):
         prob = line_problem(h=1 / 32, s=s, p=2.0, datum="sin")
@@ -199,8 +205,8 @@ class TestSolve:
         rep = solve(prob, tol=1e-11)
         lat = prob.lattice
         f2 = GridFunction(lat, c * prob.exterior_datum.values,
-                          ExteriorModel(kind="constant",
-                                        value=c * prob.exterior_datum.exterior.value))
+                          ExteriorModel(
+                              value=c * prob.exterior_datum.exterior.value))
         prob2 = NonlocalProblem(lat, prob.omega_mask, prob.nf, prob.kernel,
                                 prob.s, f2,
                                 truncation_radius=prob.truncation_radius)
@@ -221,7 +227,7 @@ class TestSolve:
         lat = Lattice.from_box([0.0], [2.0], 1.0)
         omega = np.array([False, True, False])
         datum = GridFunction(lat, [1.0, 0.0, -0.5],
-                             ExteriorModel(kind="zero"))
+                             ExteriorModel())
         prob = NonlocalProblem(lat, omega, make_power(3.0), Kernel(), 0.5,
                                datum, truncation_radius=1.0)
         rep = solve(prob, tol=1e-10)
@@ -366,7 +372,7 @@ class TestProblemValidation:
     def test_domain_on_boundary_rejected(self):
         lat = Lattice.from_box([0.0], [2.0], 1.0)
         omega = np.array([True, True, False])
-        datum = GridFunction(lat, np.zeros(3), ExteriorModel(kind="zero"))
+        datum = GridFunction(lat, np.zeros(3), ExteriorModel())
         with pytest.raises(ValueError, match="strictly inside"):
             NonlocalProblem(lat, omega, make_power(2.0), Kernel(), 0.5,
                             datum, truncation_radius=1.0)
@@ -374,7 +380,7 @@ class TestProblemValidation:
     def test_truncation_beyond_halo_rejected(self):
         lat = Lattice.from_box([0.0], [2.0], 1.0)
         omega = np.array([False, True, False])
-        datum = GridFunction(lat, np.zeros(3), ExteriorModel(kind="zero"))
+        datum = GridFunction(lat, np.zeros(3), ExteriorModel())
         with pytest.raises(ValueError, match="truncation"):
             NonlocalProblem(lat, omega, make_power(2.0), Kernel(), 0.5,
                             datum, truncation_radius=1.5)
@@ -390,7 +396,7 @@ class TestProblemValidation:
     def test_divergent_exterior_energy_rejected(self):
         lat = Lattice.from_box([-2.0], [2.0], 0.5)
         omega = (np.abs(lat.coords[:, 0]) < 0.6)
-        model = ExteriorModel(kind="power", value=1.0, exponent=1.5)
+        model = ExteriorModel(value=1.0, exponent=1.5)
         datum = GridFunction(lat, np.zeros(lat.n_nodes), model)
         with pytest.raises(ValueError, match="diverges"):
             NonlocalProblem(lat, omega, make_power(2.0), Kernel(), 0.5,
@@ -459,15 +465,14 @@ def _far_problem(nf, model, h=1 / 8, r=1.0):
 
 def _scipy_far_terms(prob, w):
     """The far energy and gradient of an exterior model f = c rho^a (a
-    level model has a = 0, and c = 0 when it is ``zero``) by
+    level model has a = 0 or c = 0), read from its fields, by
     ``scipy.integrate.quad`` in u = log(rho), split at the zero of
     w - f(rho) (geometrically graded when that zero lies just before
     log r) and, for tables, where the tail argument crosses a knot
     (located on a fine u grid and refined by ``brentq``)."""
     model = prob.exterior_datum.exterior
     r, s, nf = prob.truncation_radius, prob.s, prob.nf
-    c = 0.0 if model.kind == "zero" else model.value
-    a = model.exponent if model.kind == "power" else 0.0
+    c, a = model.value, model.exponent
     u0 = math.log(r)
     # past u0 + 700 both integrands are below 1e-16 of their peak here
     u_end = u0 + 700.0
@@ -529,8 +534,8 @@ FAR_PROFILES = {
 POWER_EXTERIOR_PROFILES = {**FAR_PROFILES,
                            "power1.1": lambda: make_power(1.1)}
 POWER_EXPONENTS = [-0.3, 0.25, 0.45]
-LEVEL_MODELS = {"zero": ExteriorModel(kind="zero"),
-                "constant": ExteriorModel(kind="constant", value=0.3)}
+LEVEL_MODELS = {"zero": ExteriorModel(),
+                "constant": ExteriorModel(value=0.3)}
 
 
 class TestFarTail:
@@ -574,7 +579,7 @@ class TestFarTail:
         # p = 2, s = 0.5, r = 1, f = 0.3 rho^0.25: the per-node tail is
         # (1/2) int_1^inf (w - 0.3 rho^0.25)^2 rho^-2 drho
         # = (w^2 - 0.8 w + 0.18)/2
-        model = ExteriorModel(kind="power", value=0.3, exponent=0.25)
+        model = ExteriorModel(value=0.3, exponent=0.25)
         prob = _far_problem(make_power(2.0), model)
         w = np.linspace(-2.0, 2.0, 41)
         cfar = prob._far_coef
@@ -587,7 +592,7 @@ class TestFarTail:
     @pytest.mark.parametrize("exponent", POWER_EXPONENTS)
     @pytest.mark.parametrize("profile", sorted(POWER_EXTERIOR_PROFILES))
     def test_power_exterior_matches_scipy_oracle(self, profile, exponent):
-        model = ExteriorModel(kind="power", value=0.3, exponent=exponent)
+        model = ExteriorModel(value=0.3, exponent=exponent)
         prob = _far_problem(POWER_EXTERIOR_PROFILES[profile](), model)
         want_e, want_g = _scipy_far_terms(prob, self.w_power)
         np.testing.assert_allclose(prob._far_energy(self.w_power), want_e,
@@ -598,7 +603,7 @@ class TestFarTail:
     @pytest.mark.parametrize("profile", sorted(FAR_PROFILES))
     def test_zero_exponent_is_the_constant_model(self, profile):
         power = _far_problem(FAR_PROFILES[profile](),
-                             ExteriorModel(kind="power", value=0.3,
+                             ExteriorModel(value=0.3,
                                            exponent=0.0))
         level = _far_problem(FAR_PROFILES[profile](),
                              LEVEL_MODELS["constant"])
@@ -610,7 +615,7 @@ class TestFarTail:
     @pytest.mark.parametrize("profile", sorted(POWER_EXTERIOR_PROFILES))
     def test_graded_rule_matches_a_refined_rule(self, profile, exponent,
                                                 monkeypatch):
-        model = ExteriorModel(kind="power", value=0.3, exponent=exponent)
+        model = ExteriorModel(value=0.3, exponent=exponent)
         prob = _far_problem(POWER_EXTERIOR_PROFILES[profile](), model)
         e, g = prob._far_energy(self.w_power), prob._far_gradient(self.w_power)
         monkeypatch.setattr(sl, "FAR_PANELS", 2 * sl.FAR_PANELS)
