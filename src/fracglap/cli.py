@@ -526,18 +526,22 @@ def _stage_luxemburg(ctx, rng):
 
 
 def _stage_tail_closed_form(ctx, rng):
+    # the tail of a level M beyond R is |S^(n-1)| G(M R^(-s)) / (s M)
+    # (substitute tau = M rho^(-s)), against the radial rule on g
     prob = ctx.problem
     nf = prob.nf
-    if nf.growth.family != "power":
-        raise ConfigError("tail_closed_form stage needs the power family")
     lat = prob.lattice
     M = 0.75
     model = ExteriorModel(value=M).resolved(lat)
     f = GridFunction(lat, np.zeros(lat.n_nodes), model)
     R = max(lat.circumradius(lat.center()), model.start_radius) * 1.25
     got = tail(f, lat.center(), R, prob.s, nf)
-    sp = prob.s * nf.p
-    want = sphere_measure(lat.dim) * M ** (nf.p - 1.0) * R ** (-sp) / sp
+    if nf.growth.family == "power":
+        sp = prob.s * nf.p
+        want = sphere_measure(lat.dim) * M ** (nf.p - 1.0) * R ** (-sp) / sp
+    else:
+        want = sphere_measure(lat.dim) * nf.G(M * R ** -prob.s) \
+            / (prob.s * M)
     rel = abs(got - want) / want
     tol = ctx.tol("tail_closed_form", 1e-6)
     return EstimateReport.from_sides(

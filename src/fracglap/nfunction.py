@@ -13,9 +13,10 @@ families:
 
 * ``power``      -- g(t) = t**(p-1); closed forms throughout, p == q.
 * ``power_log``  -- g(t) = t**(p-1)*log(1+t); indices (p, p+1); G is
-                    evaluated by adaptive dyadic quadrature behind a
-                    certified piecewise-Chebyshev accelerator, and by
-                    its two-term series below the accelerator's range.
+                    evaluated by a certified piecewise-Chebyshev
+                    accelerator, by its two-term series below the
+                    accelerator's range and by the graded-rule
+                    quadrature ``quadrature.integrate_zero_to`` above.
 * ``table``      -- strictly increasing samples of g, monotone
                     piecewise-linear interpolation; G integrates the
                     interpolant exactly; indices derived exactly from
@@ -38,8 +39,9 @@ from .quadrature import bisect_increasing, integrate_zero_to
 from .reports import EstimateReport, ratio_array
 
 REPRESENTABLE_MAX = 1e30
-# accelerator tables are certified to half of this, finer than the
-# quadrature they replace (``quadrature.ZERO_TO_TOL``)
+# accelerator tables are certified to half of this against the
+# quadrature they replace (``quadrature.integrate_zero_to``, accurate to
+# about 1e-14)
 CERTIFY_TOL = 1e-11
 # power_log G and H below this take their two-term series (relative
 # error about t^2); the accelerator starts here
@@ -133,13 +135,14 @@ class GrowthFunction:
         return float(val) if scalar else val
 
 
-def _clenshaw(c, x):
-    """Chebyshev series with one coefficient column per point: c has
-    shape (degree + 1, n), x shape (n,); numpy's chebval recurrence."""
+def _clenshaw(c, idx, x):
+    """Chebyshev series at x (shape (n,)) with the coefficient column
+    idx[i] of c (shape (degree + 1, intervals)) at x[i]; numpy's chebval
+    recurrence, gathering one coefficient row per step."""
     x2 = 2.0 * x
-    c0, c1 = c[-2], c[-1]
+    c0, c1 = c[-2].take(idx), c[-1].take(idx)
     for k in range(3, len(c) + 1):
-        c0, c1 = c[-k] - c1, c0 + c1 * x2
+        c0, c1 = c[-k].take(idx) - c1, c0 + c1 * x2
     return c0 + c1 * x
 
 
@@ -155,6 +158,7 @@ class _ChebLogG:
         self.lo = lo
         self.hi = hi
         self.edges = np.linspace(math.log(lo), math.log(hi), intervals + 1)
+        self.width = self.edges[1] - self.edges[0]
         k = np.arange(degree + 1)
         ref = np.cos(math.pi * (k + 0.5) / (degree + 1))  # Chebyshev points
         a = self.edges[:-1][:, None]
@@ -175,29 +179,30 @@ class _ChebLogG:
         self.hcoef = None
         gcoef = np.polynomial.chebyshev.chebfit(ref, Gn.T, degree)
         cols = np.repeat(np.arange(intervals), probe.size)
-        fit = _clenshaw(gcoef[:, cols], np.tile(probe, intervals))
+        fit = _clenshaw(gcoef, cols, np.tile(probe, intervals))
         if np.max(np.abs(fit - truth) / truth) <= target:
-            half = 0.5 * (self.edges[1] - self.edges[0])
             self.hcoef = np.polynomial.chebyshev.chebint(gcoef, lbnd=-1,
-                                                         scl=half)
+                                                         scl=0.5 * self.width)
             steps = self.hcoef.sum(axis=0)  # interval integrals (x_i = 1)
             self.H_left = float(exact_H(np.array([lo]))[0]) \
                 + np.concatenate([[0.0], np.cumsum(steps[:-1])])
 
     def _locate(self, t):
+        # equal-width intervals in x = log t; the clip makes truncation
+        # toward zero a floor
         x = np.log(t)
-        idx = np.clip(np.searchsorted(self.edges, x) - 1, 0,
+        idx = np.clip(((x - self.edges[0]) / self.width).astype(np.intp), 0,
                       self.coef.shape[1] - 1)
         a, b = self.edges[idx], self.edges[idx + 1]
         return idx, (2.0 * x - (a + b)) / (b - a)
 
     def __call__(self, t):
         idx, xi = self._locate(t)
-        return np.exp(_clenshaw(self.coef[:, idx], xi))
+        return np.exp(_clenshaw(self.coef, idx, xi))
 
     def H(self, t):
         idx, xi = self._locate(t)
-        return self.H_left[idx] + _clenshaw(self.hcoef[:, idx], xi)
+        return self.H_left[idx] + _clenshaw(self.hcoef, idx, xi)
 
 
 class _CertificationError(Exception):
@@ -277,8 +282,9 @@ class NFunction:
         """Antiderivative G(t) = int_0^t g(s) ds.
 
         Closed form for the power family, exact integration of the
-        interpolant for tables, adaptive quadrature (relative accuracy
-        ``quadrature.ZERO_TO_TOL``) for everything else.
+        interpolant for tables, and for power_log a certified table in
+        log t (relative accuracy ``CERTIFY_TOL``) with the graded-rule
+        quadrature ``quadrature.integrate_zero_to`` above it.
         """
         t, scalar = _as_float_array(t)
         _check_domain(t)
@@ -297,9 +303,9 @@ class NFunction:
         of a level exterior model (see ``NonlocalProblem._far_energy``).
 
         t**p/p**2 for the power family, the exact piecewise closed form
-        for tables, and for everything else a certified table in log t
-        (relative accuracy ``CERTIFY_TOL``) with direct quadrature of
-        int_0^t g(u) log(t/u) du outside it.
+        for tables, and for power_log a certified table in log t
+        (relative accuracy ``CERTIFY_TOL``) with the graded-rule
+        quadrature of int_0^t g(u) log(t/u) du above it.
         """
         t, scalar = _as_float_array(t)
         _check_domain(t)
@@ -347,16 +353,18 @@ class NFunction:
     # -- internals -----------------------------------------------------
 
     def _quad_exact(self, t):
-        return integrate_zero_to(self.growth, t)
+        # power_log: g(tau) = t^(p-1) u^(p-1) log1p(tau) at tau = t u, so
+        # the power of t leaves the integral over the unit nodes u
+        pm1 = self.growth.exponent - 1.0
+        return t ** pm1 * integrate_zero_to(
+            lambda tau, u: u ** pm1 * np.log1p(tau), t)
 
     def _quad_H_exact(self, t):
-        # swapping the two integrals of H gives int_0^t g(u) log(t/u) du,
-        # one quadrature per entry
-        out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            out[i] = integrate_zero_to(
-                lambda u, ti=ti: self.growth(u) * np.log(ti / u), ti)
-        return out
+        # swapping the two integrals of H gives int_0^t g(tau) log(t/tau)
+        # dtau, and log(t/tau) = -log u; the power leaves as in G
+        pm1 = self.growth.exponent - 1.0
+        return t ** pm1 * integrate_zero_to(
+            lambda tau, u: u ** pm1 * -np.log(u) * np.log1p(tau), t)
 
     def _quad_G(self, t):
         return self._accelerated(t, self._accel, self._quad_exact,

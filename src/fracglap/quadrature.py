@@ -1,6 +1,6 @@
-"""1-D quadrature: adaptive dyadic Gauss-Legendre panels for integrals
-from zero, and a fixed Gauss-Legendre rule graded toward both ends of
-each of many segments, which also takes radial integrals over
+"""1-D quadrature on one fixed Gauss-Legendre rule graded toward both
+ends of a segment: integrals over many segments at once, integrals from
+zero after the substitution tau = t u, and radial integrals over
 [r0, inf) after the substitution tau = rho^(-m)."""
 
 from __future__ import annotations
@@ -12,78 +12,15 @@ import numpy as np
 
 # bracket width, relative to its upper end, at which bisection stops
 BISECT_REL_TOL = 1e-12
-# ``integrate_zero_to``: relative tolerance, dyadic panels per integral,
-# and integrals evaluated together
-ZERO_TO_TOL = 5e-11
-ZERO_TO_PANELS = 48
-ZERO_TO_CHUNK = 2048
-# graded rule of the far-field integrals (the solver's power-exterior
-# tail and ``integrate_radial``): panels per half segment and
-# Gauss-Legendre points per panel
+# the graded rule of every integral here (``integrate_zero_to``,
+# ``integrate_radial`` and the solver's power-exterior tail): panels per
+# half segment and Gauss-Legendre points per panel
 FAR_PANELS = 40
 FAR_POINTS = 8
-
-
-@functools.lru_cache(maxsize=32)
-def _gl_rule(npts: int):
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return x, w
-
-
-def _gl_panels(fn, lo, hi, npts):
-    """Gauss-Legendre on each panel [lo_k, hi_k]; lo/hi arrays of equal shape."""
-    x, w = _gl_rule(npts)
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    # nodes shape (*panels, npts)
-    nodes = mid[..., None] + half[..., None] * x
-    vals = fn(nodes)
-    return half * (vals @ w)
-
-
-def integrate_zero_to(fn, t):
-    """Integrate ``fn`` from 0 to ``t`` (scalar or array, entries >= 0).
-
-    [0, t] is split into ``ZERO_TO_PANELS`` dyadic panels accumulated
-    from the outside in, so an integrable power-type corner of ``fn`` at
-    zero is isolated in panels of negligible relative weight.  Each panel
-    is evaluated with nested Gauss-Legendre rules, halving the effective
-    spacing until the observed discrepancy is below ``ZERO_TO_TOL``
-    relative to the running total.
-    """
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    tv = np.atleast_1d(t).ravel().astype(float)
-    if np.any(tv < 0):
-        raise ValueError("upper integration limit must be >= 0")
-    out = np.zeros_like(tv)
-    pos = np.flatnonzero(tv > 0)
-    for start in range(0, pos.size, ZERO_TO_CHUNK):
-        sel = pos[start:start + ZERO_TO_CHUNK]
-        out[sel] = _integrate_chunk(fn, tv[sel])
-    if scalar:
-        return float(out[0])
-    return out.reshape(t.shape)
-
-
-def _integrate_chunk(fn, tv):
-    # panel edges t*2^-k, k = 0..panels-1; last panel closes down to 0
-    k = np.arange(ZERO_TO_PANELS, dtype=float)
-    hi = tv[:, None] * np.exp2(-k)
-    lo = np.empty_like(hi)
-    lo[:, :-1] = hi[:, 1:]
-    lo[:, -1] = 0.0
-    for npts in (16, 32, 64, 128):
-        coarse = _gl_panels(fn, lo, hi, npts)
-        fine = _gl_panels(fn, lo, hi, 2 * npts)
-        total = fine.sum(axis=1)
-        err = np.abs(fine - coarse).sum(axis=1)
-        if np.all(err <= ZERO_TO_TOL * np.maximum(np.abs(total), 1e-300)):
-            return total
-    raise RuntimeError(
-        "dyadic Gauss-Legendre quadrature did not reach the requested "
-        f"tolerance {ZERO_TO_TOL:g} at order 256"
-    )
+# nodes per block of ``integrate_zero_to``: its temporaries stay below
+# 128 KiB, which malloc serves from its heap (larger ones took fresh
+# pages every block and doubled the time of a power_log build)
+BLOCK_NODES = 2**14
 
 
 @functools.lru_cache(maxsize=8)
@@ -93,7 +30,7 @@ def graded_rule(panels, npts):
     edges of the left half are 2^-1, 2^-2, ..., 2^-panels and 0, and the
     right half is its mirror image.  Panels that halve toward an end
     resolve an integrable power-type corner there."""
-    x, w = _gl_rule(npts)
+    x, w = np.polynomial.legendre.leggauss(npts)
     hi = 0.5 * np.exp2(-np.arange(panels, dtype=float))
     lo = np.append(hi[1:], 0.0)
     half = 0.5 * (hi - lo)
@@ -119,6 +56,30 @@ def integrate_graded(fn, lo, hi, panels, npts):
     return span * (fn(lo[:, None] + span[:, None] * x) @ w)
 
 
+def integrate_zero_to(fn, t):
+    """Integral of ``fn`` from 0 to each entry of ``t`` (scalar or array,
+    entries >= 0) as t int_0^1 fn(t u) du on the ``graded_rule``, whose
+    panels halving toward u = 0 resolve a power or log corner at zero.
+    ``fn`` receives the (rows, points) nodes tau = t u and the unit nodes
+    u, so log(t / tau) = -log u needs no t.  Rows go in blocks of at most
+    ``BLOCK_NODES`` nodes.
+    """
+    t = np.asarray(t, dtype=float)
+    tv = np.atleast_1d(t).ravel()
+    if np.any(tv < 0):
+        raise ValueError("upper integration limit must be >= 0")
+    u, w = graded_rule(FAR_PANELS, FAR_POINTS)
+    out = np.zeros_like(tv)
+    pos = np.flatnonzero(tv > 0)
+    rows = max(1, BLOCK_NODES // u.size)
+    for start in range(0, pos.size, rows):
+        sel = pos[start:start + rows]
+        # numpy's row sum, unlike a BLAS product, gives a row the same
+        # bits in any block
+        out[sel] = tv[sel] * (fn(tv[sel, None] * u, u) * w).sum(axis=1)
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+
 def integrate_radial(fn, r0, m, breaks=()):
     """Integral over [r0, inf) of ``fn`` (entrywise in an array of
     radii), of order rho^(-1-m) at most at large rho, up to a log:
@@ -130,7 +91,9 @@ def integrate_radial(fn, r0, m, breaks=()):
     between 0, the images of the radii ``breaks`` past r0, and T0.
     Nodes whose radius overflows contribute 0, which leaves out a share
     of order (r0 / 1.8e308)^m, below 1e-13 for m >= 0.045.  For m <= 0
-    the integral diverges: inf.
+    the integral diverges: inf.  Close to divergence the nodes reach
+    radii about r0 (5.5e13)^(1/m); where ``fn`` raises OverflowError
+    there, a ValueError says so.
     """
     if r0 <= 0:
         raise ValueError("radial integrals start at a positive radius")
@@ -144,7 +107,11 @@ def integrate_radial(fn, r0, m, breaks=()):
             rho = tau ** (-1.0 / m)
         out = np.zeros_like(tau)
         ok = np.isfinite(rho)
-        out[ok] = fn(rho[ok]) * rho[ok] / tau[ok]
+        try:
+            out[ok] = fn(rho[ok]) * rho[ok] / tau[ok]
+        except OverflowError as exc:
+            raise ValueError("the far field is too close to divergence "
+                             f"(decay exponent m = {m:.3g}): {exc}") from exc
         return out
 
     return float(np.sum(integrate_graded(integrand, edges[:-1], edges[1:],

@@ -260,8 +260,8 @@ def _truncation_far_tail(u, x0, r, k, sign, s, nf):
     model = u.exterior
     if model is None:
         return 0.0
-    if model.level == 0.0 and (sign == "plus" or k == 0.0):
-        return 0.0  # a zero far field truncates to zero above any level
+    if model.level == 0.0 and (k >= 0.0 if sign == "plus" else k <= 0.0):
+        return 0.0  # (0 - k)_+ = 0 for k >= 0 and (k - 0)_+ = 0 for k <= 0
     shift = float(np.linalg.norm(np.asarray(x0, float)
                                  - np.asarray(model.center, float)))
     r_far = max(r, model.start_radius + shift)

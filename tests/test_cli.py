@@ -179,6 +179,22 @@ class TestRun:
         assert capsys.readouterr().err == ""
         assert (out / "estimate_nfunction.json").exists()
 
+    @pytest.mark.parametrize("nfunction", [
+        {"family": "power_log", "p": 2.0},
+        {"family": "table", "points": [[0.5, 0.4], [1.0, 1.1], [2.0, 2.5],
+                                       [4.0, 6.0], [8.0, 13.0]]},
+    ], ids=["power_log", "table"])
+    def test_tail_closed_form_stage_beyond_power(self, tmp_path, nfunction):
+        # the radial rule on g against G(M R^(-s)) / (s M)
+        cfg = base_config(pipeline=["verify:tail_closed_form"])
+        cfg["problem"]["nfunction"] = nfunction
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) == EXIT_OK
+        rep = json.loads((out / "estimate_tail_closed_form.json").read_text())
+        assert rep["passed"]
+        assert rep["lhs"] < 1e-12
+
     def test_nfunction_stage_on_random_tables(self, tmp_path):
         # the indices of a table are the exact extremes of t g/G, so the
         # growth sandwich, Young, scaling and doubling checks hold to

@@ -389,6 +389,20 @@ class TestMembership:
         assert math.isinf(rep.weighted_integral)
 
 
+    def test_near_divergence_is_a_value_error(self):
+        # mu = s - (a - s)(p - 1) = 0.075: the graded rule's nodes reach
+        # radii where g's argument rho^(a - s) passes the representable
+        # range, for the tail and the weighted integral alike
+        nf = make_power(2.5)
+        s = 0.6
+        lat = Lattice.from_box([-0.5], [0.5], 0.25)
+        model = ExteriorModel(value=1.0, exponent=0.95, start_radius=0.8)
+        f = GridFunction(lat, np.zeros(5), model)
+        with pytest.raises(ValueError, match="too close to divergence"):
+            tail(f, [0.0], 0.25, s, nf)
+        with pytest.raises(ValueError, match="too close to divergence"):
+            membership_check(f, s, nf)
+
     @pytest.mark.parametrize("a", [0.4, 0.65])
     def test_weighted_integral_vs_scipy(self, a):
         # finite below and above a = s: power 2.5 with s = 0.6 gives

@@ -5,9 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 import fracglap.nfunction as nfm
+import fracglap.quadrature as quadm
 from fracglap import (check_doubling, check_growth_sandwich, check_scaling,
                       check_young, make_power, make_power_log, make_table)
 from fracglap.nfunction import GrowthFunction, NFunction
+from fracglap.quadrature import integrate_zero_to
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +110,71 @@ class TestEvalH:
         np.testing.assert_allclose(nf.G(t), want_G, rtol=1e-12, atol=0)
         np.testing.assert_allclose(nf.H(t), want_H, rtol=1e-12, atol=0)
         assert calls == []
+
+
+def _scipy_power_log(p, t, H=False):
+    # tau = t e^x: G(t) = t^p int_{-inf}^0 e^(px) log1p(t e^x) dx, and H
+    # carries the extra factor log(t / tau) = -x; split at the bend of
+    # log1p at tau = 1
+    def f(x):
+        return math.exp(p * x) * math.log1p(t * math.exp(x)) \
+            * (-x if H else 1.0)
+
+    lo = -(60.0 / p + max(math.log(t), 0.0))
+    pts = [-math.log(t)] if t > 1.0 else None
+    return t ** p * quad(f, lo, 0.0, points=pts, epsabs=0, epsrel=1e-13,
+                         limit=400)[0]
+
+
+class TestPowerLogQuadrature:
+    """G and H of power_log by ``quadrature.integrate_zero_to``, the
+    graded rule after tau = t u, which the accelerator is fitted to."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_vs_scipy_oracle(self, p):
+        nf = make_power_log(p)
+        t = np.geomspace(1e-30, 1e28, 13)
+        want_G = [_scipy_power_log(p, x) for x in t]
+        want_H = [_scipy_power_log(p, x, H=True) for x in t]
+        np.testing.assert_allclose(nf._quad_exact(t), want_G, rtol=1e-13,
+                                   atol=0)
+        np.testing.assert_allclose(nf._quad_H_exact(t), want_H, rtol=1e-13,
+                                   atol=0)
+
+    def test_H_is_one_quadrature_call(self, nf_plog, monkeypatch):
+        calls = []
+
+        def counted(fn, t):
+            calls.append(np.size(t))
+            return integrate_zero_to(fn, t)
+
+        monkeypatch.setattr(nfm, "integrate_zero_to", counted)
+        nf_plog._quad_H_exact(np.geomspace(1e-3, 1e20, 1000))
+        assert calls == [1000]
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        # one graded-rule row per block against the default blocks
+        nf = make_power_log(1.5)
+        t = np.geomspace(1e-14, 1e28, 300)
+        want_G, want_H = nf._quad_exact(t), nf._quad_H_exact(t)
+        monkeypatch.setattr(quadm, "BLOCK_NODES", 1)
+        np.testing.assert_array_equal(nf._quad_exact(t), want_G)
+        np.testing.assert_array_equal(nf._quad_H_exact(t), want_H)
+
+    def test_scalar_zero_and_negative_limits(self):
+        assert integrate_zero_to(lambda tau, u: tau, 2.0) == \
+            pytest.approx(2.0, rel=1e-15)
+        np.testing.assert_array_equal(
+            integrate_zero_to(lambda tau, u: 1.0 / np.sqrt(tau),
+                              np.zeros((2, 3))), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            integrate_zero_to(lambda tau, u: tau, [1.0, -1.0])
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_accelerator_certifies_at_the_first_tier(self, p):
+        accel = make_power_log(p)._accel
+        assert accel.coef.shape == (25, 64)  # (degree + 1, intervals)
+        assert accel.hcoef is not None
 
 
 class TestInverses:

@@ -265,6 +265,24 @@ class TestTruncationFarTail:
         assert _truncation_far_tail(u, [0.0], 0.25, 0.7, "plus", 0.5,
                                     nf2) == 0.0
 
+    @pytest.mark.parametrize("k, sign", [
+        (-0.7, "plus"), (0.7, "minus"), (0.7, "plus"), (-0.7, "minus"),
+        (0.0, "plus"), (0.0, "minus")])
+    def test_zero_model_is_the_limit_of_small_levels(self, nf2, k, sign):
+        # (0 - k)_+ = max(-k, 0) and (k - 0)_+ = max(k, 0) everywhere,
+        # so the tail is max(+-k, 0) R^(-2s) / s, as for the level 1e-12
+        lat = Lattice.from_box([-0.5], [0.5], 0.25)
+        zero = GridFunction(lat, np.zeros(lat.n_nodes), ExteriorModel())
+        tiny = GridFunction(lat, np.zeros(lat.n_nodes),
+                            ExteriorModel(value=1e-12))
+        R = zero.exterior.start_radius
+        got = _truncation_far_tail(zero, [0.0], 0.5, k, sign, 0.5, nf2)
+        part = max(-k if sign == "plus" else k, 0.0)
+        assert got == pytest.approx(part / R / 0.5, rel=1e-13, abs=0)
+        assert got == pytest.approx(
+            _truncation_far_tail(tiny, [0.0], 0.5, k, sign, 0.5, nf2),
+            rel=1e-10, abs=1e-11)
+
 
 class TestLogEstimate:
     def test_constant_zero_lhs(self, nf2):
