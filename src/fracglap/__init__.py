@@ -15,8 +15,8 @@ Main entry points:
 """
 
 from .funcspace import (Ball, ExteriorModel, GridFunction, Kernel, Lattice,
-                        gagliardo_modular, gagliardo_seminorm, luxemburg_norm,
-                        membership_check, sphere_measure, tail)
+                        gagliardo_modular, luxemburg_norm, membership_check,
+                        sphere_measure, tail)
 from .nfunction import (GrowthFunction, NFunction, check_doubling,
                         check_growth_sandwich, check_scaling, check_young,
                         make_power, make_power_log, make_table)
@@ -26,8 +26,8 @@ from .regularity import (Cutoff, DecaySchedule, boundedness_check,
                          sobolev_poincare_check)
 from .reports import EstimateReport
 from .solver import (InadmissibleError, NonlocalProblem, SolveReport,
-                     assemble_quadratic, convexity_probe, energy, gradient,
-                     solve, weak_residual)
+                     assemble_quadratic, energy, gradient, solve,
+                     weak_residual)
 
 __all__ = [
     "Ball", "Cutoff", "DecaySchedule", "EstimateReport",
@@ -35,9 +35,8 @@ __all__ = [
     "Kernel", "Lattice", "NFunction", "NonlocalProblem", "SolveReport",
     "assemble_quadratic", "boundedness_check", "caccioppoli_check",
     "check_doubling", "check_growth_sandwich",
-    "check_scaling", "check_young", "convexity_probe", "de_giorgi_iterate",
-    "energy", "gagliardo_modular", "gagliardo_seminorm", "gradient",
-    "holder_decay_fit",
+    "check_scaling", "check_young", "de_giorgi_iterate", "energy",
+    "gagliardo_modular", "gradient", "holder_decay_fit",
     "log_estimate_check", "luxemburg_norm", "make_power", "make_power_log",
     "make_table", "membership_check", "sobolev_poincare_check", "solve",
     "sphere_measure", "tail", "weak_residual",

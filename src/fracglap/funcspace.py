@@ -5,9 +5,8 @@ carries an exterior model, its radial far field f(rho) = c rho^a
 (``ExteriorModel``; a level f = c when a = 0 or c = 0); modulars and
 norms discretize integrals with node measure h^n, ball membership by
 node-center inclusion, and the double-sum modulars drop the diagonal.
-The Luxemburg norm and the pair seminorm solve modular(t f) = 1 for
-t = 1/lam with ``quadrature.bisect_increasing``: the modular increases
-in t.
+The Luxemburg norm solves modular(t f) = 1 for t = 1/lam with
+``quadrature.bisect_increasing``: the modular increases in t.
 The nonlocal tail splits into a lattice Riemann sum over box nodes plus
 a 1-D radial integral of the far-field profile, taken after the
 solver's substitution tau = rho^(-m) (``quadrature.integrate_radial``,
@@ -24,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .pairs import BALL_ROWS, distance_blocks
+from .pairs import BALL_ROWS, OffsetTable
 from .quadrature import bisect_increasing, integrate_radial
 from .reports import write_atomic
 
@@ -330,40 +329,24 @@ def gagliardo_modular(f, region, s, nf):
     idx = np.flatnonzero(lat.select(region))
     if idx.size == 0:
         raise ValueError("region contains no lattice nodes")
-    c = lat.coords[idx]
     v = f.values[idx]
     n = lat.dim
     w_pair = lat.h ** (2 * n)
+    table = OffsetTable(lat)
+    ds = table.dist ** s
+    dn = table.dist ** n
     total = 0.0
-    for sl, d in distance_blocks(c, c, BALL_ROWS):
-        off = d > 0
-        dv = np.abs(v[sl, None] - v[None, :])[off]
-        dd = d[off]
-        total += float(np.sum(nf.G(dv / dd ** s) / dd ** n)) * w_pair
+    for sl, kc in table.blocks(idx, idx, BALL_ROWS):
+        dv = np.abs(v[sl, None] - v[None, :])
+        total += float(np.sum(nf.G(dv / ds.take(kc)) / dn.take(kc))) * w_pair
     return total
-
-
-def _unit_scale(modular):
-    """lam = 1/t for the root t of modular(t) = 1, where ``modular`` is
-    increasing in t (``bisect_increasing``)."""
-    return 1.0 / bisect_increasing(lambda t: np.array([modular(t[0])]), 1.0)
-
-
-def gagliardo_seminorm(f, region, s, nf):
-    """Luxemburg-type seminorm derived from the pair modular: the
-    infimal lam with gagliardo_modular(f / lam) <= 1.  The modular is
-    the primary quantity; the seminorm is reported alongside it since
-    no canonical normalization ties the two."""
-    if gagliardo_modular(f, region, s, nf) == 0.0:
-        return 0.0
-    return _unit_scale(lambda t: gagliardo_modular(
-        f.with_values(t * f.values), region, s, nf))
 
 
 def luxemburg_norm(f, region, nf):
     """inf of lam > 0 with sum_i G(|f_i| / lam) h^n <= 1; 0 exactly when
     f vanishes on the region.  The modular is taken of f / max|f|, so
-    its arguments stay in [0, t]."""
+    its arguments stay in [0, t], and lam = max|f| / t for the root t of
+    modular(t) = 1."""
     lat = f.lattice
     idx = np.flatnonzero(lat.select(region))
     if idx.size == 0:
@@ -374,7 +357,9 @@ def luxemburg_norm(f, region, nf):
         return 0.0
     u = v / vmax
     hn = lat.h ** lat.dim
-    return vmax * _unit_scale(lambda t: float(np.sum(nf.G(u * t))) * hn)
+    t = bisect_increasing(
+        lambda t: np.array([float(np.sum(nf.G(u * t[0]))) * hn]), 1.0)
+    return vmax * (1.0 / t)
 
 
 def tail(f, x0, R, s, nf):

@@ -6,9 +6,11 @@ Two routines serve every pairwise sum in the package:
   the domain, within the truncation radius) from the integer offset
   stencil |k|_inf <= floor(r / h): each stencil offset is one flat-index
   shift, so the build never forms a distance matrix.
-* ``distance_blocks`` yields row blocks of the dense distance matrix
-  between two node sets, for the O(m^2) ball sums of the estimate
-  checks.
+* ``OffsetTable`` serves the O(m^2) ball sums of the estimate checks:
+  on a lattice |x - y| = h |k| depends only on the integer offset k, so
+  one table holds h |k| for every offset, a caller raises it to the
+  powers it needs once per call, and row blocks of integer table
+  indices gather them for two node sets.
 
 No temporary grows past ``CHUNK_ELEMENTS`` entries, except the row
 blocks whose height a caller fixes (a block is then the summation unit
@@ -74,15 +76,49 @@ def truncated_pairs(lattice, omega_mask, radius):
             np.concatenate(d_list))
 
 
-def distance_blocks(xa, xb, rows=None):
-    """Yield (sl, d) with d = |xa[sl] - xb| over row blocks of ``xa``.
+class OffsetTable:
+    """Distances h |k| of the integer offsets k between two nodes of a
+    lattice, for the O(m^2) ball sums of the estimate checks.
 
-    ``rows`` None bounds each block to ``CHUNK_ELEMENTS`` coordinate
-    differences; use that when the result does not depend on the block
-    height (row sums, maxima).
+    ``dist`` has prod_d (2 counts_d - 1) entries: offset k sits at
+    sum_d (k_d + counts_d - 1) P_d, with P the row-major strides of the
+    padded shape (2 counts_d - 1).  A caller raises ``dist`` to the
+    powers it needs once and gathers them with the index blocks of
+    ``blocks``; no pair distance is formed from coordinates.
+
+    The zero offset holds inf, not 0: a ball-sum term is a function of
+    the node difference that vanishes with it, over nonnegative powers of
+    the distance, so on the diagonal it is exactly 0 and needs no mask
+    (a distance of 0 would make it 0/0).
     """
-    if rows is None:
-        rows = max(1, CHUNK_ELEMENTS // max(1, xb.shape[0] * xb.shape[1]))
-    for start in range(0, xa.shape[0], rows):
-        sl = slice(start, start + rows)
-        yield sl, np.linalg.norm(xa[sl, None, :] - xb[None, :, :], axis=2)
+
+    def __init__(self, lattice):
+        self._counts = lattice.counts
+        self._span = tuple(2 * c - 1 for c in lattice.counts)
+        self._zero = int(np.ravel_multi_index([c - 1 for c in self._counts],
+                                              self._span))
+        axes = np.meshgrid(*[np.arange(1 - c, c) for c in self._counts],
+                           indexing="ij", sparse=True)
+        self.dist = lattice.h * np.sqrt(sum(k * k for k in axes).ravel())
+        self.dist[self._zero] = np.inf
+
+    def _codes(self, idx):
+        """Multi-indices of flat node indices in the padded shape."""
+        return np.ravel_multi_index(np.unravel_index(idx, self._counts),
+                                    self._span)
+
+    def blocks(self, ia, ib, rows=None):
+        """Yield (sl, kc) over row blocks of the node indices ``ia``:
+        kc[i, j] indexes ``dist`` at the offset from ib[j] to ia[sl][i].
+
+        ``rows`` None bounds each block to ``CHUNK_ELEMENTS`` indices;
+        use that when the result does not depend on the block height
+        (row sums, maxima).
+        """
+        ca = self._codes(ia)
+        cb = self._codes(ib) - self._zero
+        if rows is None:
+            rows = max(1, CHUNK_ELEMENTS // max(1, cb.size))
+        for start in range(0, ca.size, rows):
+            sl = slice(start, start + rows)
+            yield sl, ca[sl, None] - cb[None, :]

@@ -49,11 +49,13 @@ def integrate_graded(fn, lo, hi, panels, npts):
 
     ``fn`` receives the (segments, points) array of nodes and returns
     integrand values of that shape; segments with hi_k = lo_k give 0.
+    Each segment is summed by numpy's row sum, so its integral has the
+    same bits whichever segments share the call.
     """
     x, w = graded_rule(panels, npts)
     lo = np.asarray(lo, dtype=float)
     span = np.asarray(hi, dtype=float) - lo
-    return span * (fn(lo[:, None] + span[:, None] * x) @ w)
+    return span * (fn(lo[:, None] + span[:, None] * x) * w).sum(axis=1)
 
 
 def integrate_zero_to(fn, t):
@@ -74,8 +76,7 @@ def integrate_zero_to(fn, t):
     rows = max(1, BLOCK_NODES // u.size)
     for start in range(0, pos.size, rows):
         sel = pos[start:start + rows]
-        # numpy's row sum, unlike a BLAS product, gives a row the same
-        # bits in any block
+        # a row sum, as in ``integrate_graded``: the same bits in any block
         out[sel] = tv[sel] * (fn(tv[sel, None] * u, u) * w).sum(axis=1)
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import funcspace as fsp
 from .funcspace import Ball, GridFunction
-from .pairs import BALL_ROWS, distance_blocks
+from .pairs import BALL_ROWS, OffsetTable
 from .quadrature import integrate_radial
 from .reports import EstimateReport
 
@@ -207,19 +207,23 @@ def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf):
     phi = cutoff(d0)
     phiq = phi ** nf.q
 
+    table = OffsetTable(lat)
+    dist = table.dist
+    ds = dist ** s
+    dn = dist ** n
     lhs = 0.0
     rhs_cut = 0.0
     lip = 0.0
-    for sl, dm in distance_blocks(c, c, BALL_ROWS):
-        off = dm > 0
-        dd = dm[off]
-        dw = np.abs(w[sl, None] - w[None, :])[off]
-        wmax = np.maximum(w[sl, None], w[None, :])[off]
-        pq = np.minimum(phiq[sl, None], phiq[None, :])[off]
-        dphi = np.abs(phi[sl, None] - phi[None, :])[off]
-        lhs += float(np.sum(nf.G(dw / dd ** s) * pq / dd ** n))
-        rhs_cut += float(np.sum(nf.G(dphi / dd ** s * wmax) / dd ** n))
-        lip = max(lip, float((dphi / dd).max(initial=0.0)))
+    for sl, kc in table.blocks(idx, idx, BALL_ROWS):
+        dds = ds.take(kc)
+        ddn = dn.take(kc)
+        dw = np.abs(w[sl, None] - w[None, :])
+        wmax = np.maximum(w[sl, None], w[None, :])
+        pq = np.minimum(phiq[sl, None], phiq[None, :])
+        dphi = np.abs(phi[sl, None] - phi[None, :])
+        lhs += float(np.sum(nf.G(dw / dds) * pq / ddn))
+        rhs_cut += float(np.sum(nf.G(dphi / dds * wmax) / ddn))
+        lip = max(lip, float((dphi / dist.take(kc)).max(initial=0.0)))
     lhs *= hn * hn
     rhs_cut *= hn * hn
 
@@ -233,12 +237,12 @@ def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf):
     wo = np.maximum(uo - k, 0.0) if sign == "plus" else np.maximum(k - uo, 0.0)
     sup_tail = 0.0
     if supp.size:
-        cy = coords[supp]
         svals = np.zeros(supp.size)
+        kern = dist ** (-(n + s))
         # row sums do not depend on the block height
-        for sl, dm in distance_blocks(cy, coords[out_idx]):
-            svals[sl] = np.sum(nf.g(wo[None, :] / dm ** s)
-                               * dm ** (-(n + s)), axis=1) * hn
+        for sl, kc in table.blocks(supp, out_idx):
+            svals[sl] = np.sum(nf.g(wo[None, :] / ds.take(kc))
+                               * kern.take(kc), axis=1) * hn
         far = _truncation_far_tail(u, x0, r, k, sign, s, nf)
         sup_tail = float(svals.max(initial=0.0)) + far
     rhs_mass = mass * sup_tail
@@ -306,13 +310,13 @@ def log_estimate_check(u, x0, r, R, d, nf, s, a=None, b=None, bound=math.inf):
         raise ValueError("inner ball must contain at least two nodes")
     n = lat.dim
     hn = lat.h ** n
-    c = lat.coords[idx]
     logs = np.log(np.maximum(u.values[idx], 0.0) + d)
+    table = OffsetTable(lat)
+    dn = table.dist ** n
     lhs = 0.0
-    for sl, dm in distance_blocks(c, c, BALL_ROWS):
-        off = dm > 0
-        dl = np.abs(logs[sl, None] - logs[None, :])[off]
-        lhs += float(np.sum(dl / dm[off] ** n))
+    for sl, kc in table.blocks(idx, idx, BALL_ROWS):
+        dl = np.abs(logs[sl, None] - logs[None, :])
+        lhs += float(np.sum(dl / dn.take(kc)))
     lhs *= hn * hn
 
     model = u.exterior
@@ -460,14 +464,12 @@ def holder_decay_fit(u, x0, r0, sigma, levels, s, nf, omega_mask=None):
 
     # discrete Holder seminorm on the half ball, bracket with tail at r
     half = np.flatnonzero(dist <= r0 + 1e-12)
-    ch = lat.coords[half]
     vh = u.values[half]
+    table = OffsetTable(lat)
+    da = table.dist ** max(alpha_hat, 0.0)
     seminorm = 0.0
-    for sl, dm in distance_blocks(ch, ch):
-        off = dm > 0
-        quot = np.abs(vh[sl, None] - vh[None, :])[off]
-        if alpha_hat > 0:
-            quot = quot / dm[off] ** alpha_hat
+    for sl, kc in table.blocks(half, half):
+        quot = np.abs(vh[sl, None] - vh[None, :]) / da.take(kc)
         seminorm = max(seminorm, float(quot.max(initial=0.0)))
     tl = fsp.tail(u, x0, r, s, nf)
     bracket = brep.rhs_terms["local"] + (

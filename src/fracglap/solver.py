@@ -397,30 +397,6 @@ def weak_residual(prob, v):
     return float(np.abs(_gradient_omega(prob, v.values)).max())
 
 
-def convexity_probe(prob, v1, v2):
-    """Energy along the segment between two admissible candidates, at
-    theta = 0.1, 0.2, ..., 0.9, against the chord; the defect must be
-    nonnegative, strictly positive off the endpoints when the candidates
-    differ on the domain."""
-    prob.require_admissible(v1)
-    prob.require_admissible(v2)
-    e1 = _energy_values(prob, v1.values)
-    e2 = _energy_values(prob, v2.values)
-    rows = []
-    differ = float(np.abs((v1.values - v2.values)[prob.omega_mask]).max()) > 0
-    for th in np.linspace(0.1, 0.9, 9):
-        mix = th * v1.values + (1.0 - th) * v2.values
-        lhs = _energy_values(prob, mix)
-        rhs = th * e1 + (1.0 - th) * e2
-        rows.append({"theta": float(th), "lhs": lhs, "rhs": rhs,
-                     "defect": rhs - lhs})
-    tol = 1e-12 * max(1.0, abs(e1), abs(e2))
-    convex_ok = all(r["defect"] >= -tol for r in rows)
-    strict_ok = (not differ) or all(r["defect"] > 0.0 for r in rows)
-    return {"samples": rows, "convex_ok": convex_ok, "strict_ok": strict_ok,
-            "endpoints": (e1, e2), "candidates_differ": differ}
-
-
 # -- quadratic assembly (closed-form oracle route for p = q = 2) ----------
 
 def assemble_quadratic(prob):

@@ -130,3 +130,13 @@ def scipy_radial(fn, r0, breaks=(), span=200.0):
 
     return sum(quad(density, lo, hi, epsabs=0, epsrel=1e-13, limit=400)[0]
                for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def coordinate_distance_blocks(xa, xb, rows=64):
+    """Yield (sl, d) with d = |xa[sl] - xb| by the coordinate norm, over
+    row blocks of ``xa``: the per-pair distances the estimate checks'
+    ball sums formed before the lattice offset table, kept as their
+    oracle."""
+    for start in range(0, xa.shape[0], rows):
+        sl = slice(start, start + rows)
+        yield sl, np.linalg.norm(xa[sl, None, :] - xb[None, :, :], axis=2)

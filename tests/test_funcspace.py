@@ -124,19 +124,6 @@ class TestGagliardoModular:
         with pytest.raises(ValueError):
             gagliardo_modular(f, Ball([9.0], 0.1), 0.5, nf2)
 
-    def test_seminorm_unit_modular(self, nf2):
-        from fracglap import gagliardo_seminorm
-        lat = Lattice.from_box([0.0], [2.0], 0.125)
-        rng = np.random.default_rng(21)
-        f = GridFunction(lat, rng.normal(size=lat.n_nodes))
-        sem = gagliardo_seminorm(f, None, 0.5, nf2)
-        unit = gagliardo_modular(f.with_values(f.values / sem), None, 0.5, nf2)
-        assert unit == pytest.approx(1.0, abs=1e-8)
-        # seminorm <= modular + 1 mirrors the norm/modular bound
-        assert sem <= gagliardo_modular(f, None, 0.5, nf2) + 1.0 + 1e-10
-        assert gagliardo_seminorm(f.with_values(np.zeros(lat.n_nodes)),
-                                  None, 0.5, nf2) == 0.0
-
     def test_s_range(self, nf2):
         lat = Lattice.from_box([0.0], [1.0], 0.25)
         f = GridFunction(lat, np.zeros(5))
@@ -146,17 +133,12 @@ class TestGagliardoModular:
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_norms_match_power_closed_forms(p):
-    # G(t) = t^p/p: sum G(|f|/lam) h^n = 1 gives lam = (sum |f|^p h^n/p)^(1/p),
-    # and the pair modular scales as lam^(-p), so the seminorm is modular^(1/p)
-    from fracglap import gagliardo_seminorm
+    # G(t) = t^p/p: sum G(|f|/lam) h^n = 1 gives lam = (sum |f|^p h^n/p)^(1/p)
     nf = make_power(p)
     lat = Lattice.from_box([0.0], [2.0], 0.125)
     f = GridFunction(lat, np.random.default_rng(2).normal(size=lat.n_nodes))
     want = (np.sum(np.abs(f.values) ** p) * lat.h / p) ** (1.0 / p)
     assert luxemburg_norm(f, None, nf) == pytest.approx(want, rel=1e-12)
-    modular = gagliardo_modular(f, None, 0.5, nf)
-    assert gagliardo_seminorm(f, None, 0.5, nf) == pytest.approx(
-        modular ** (1.0 / p), rel=1e-12)
 
 
 class TestLuxemburgNorm:

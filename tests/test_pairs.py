@@ -1,5 +1,6 @@
 """The offset-stencil pair build against the dense construction it
-replaced, and the chunk budget as a pure memory knob."""
+replaced, the ball sums' offset table against coordinate norms, and the
+chunk budget as a pure memory knob."""
 
 import math
 
@@ -9,7 +10,11 @@ import pytest
 import fracglap.pairs as pairs
 from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Kernel,
                       Lattice, NonlocalProblem, caccioppoli_check,
-                      gagliardo_modular, make_power)
+                      gagliardo_modular, holder_decay_fit, log_estimate_check,
+                      make_power)
+from fracglap.regularity import _truncation_far_tail
+
+from helpers import coordinate_distance_blocks
 
 
 def dense_pairs(prob):
@@ -120,11 +125,149 @@ def test_tiny_chunk_budget_changes_nothing(monkeypatch, dim, h, rext):
     assert _checks(tiny) == ref_checks
 
 
-def test_distance_blocks_bounded(monkeypatch):
+def test_offset_blocks_bounded(monkeypatch):
+    # a block holds at most CHUNK_ELEMENTS indices unless the caller fixes
+    # its height; the gathered distances are the coordinate norms
     monkeypatch.setattr(pairs, "CHUNK_ELEMENTS", 64)
-    xa = np.random.default_rng(0).normal(size=(50, 2))
-    xb = np.random.default_rng(1).normal(size=(20, 2))
-    blocks = list(pairs.distance_blocks(xa, xb))
-    assert all(d.shape == (1, 20) for _, d in blocks)
-    full = np.linalg.norm(xa[:, None, :] - xb[None, :, :], axis=2)
-    np.testing.assert_array_equal(np.vstack([d for _, d in blocks]), full)
+    lat = Lattice.from_box([0.0, 0.0], [1.0, 0.75], 0.125)
+    rng = np.random.default_rng(0)
+    ia = rng.choice(lat.n_nodes, 50, replace=False)
+    ib = rng.choice(lat.n_nodes, 20, replace=False)
+    table = pairs.OffsetTable(lat)
+    assert table.dist.size == (2 * 9 - 1) * (2 * 7 - 1)
+    blocks = list(table.blocks(ia, ib))
+    assert all(kc.size <= 64 for _, kc in blocks)
+    assert all(kc.shape == (3, 20) for _, kc in blocks[:-1])
+    tall = list(table.blocks(ia, ia, pairs.BALL_ROWS))
+    assert len(tall) == 1 and tall[0][1].shape == (50, 50)
+    x = lat.coords
+    full = np.linalg.norm(x[ia, None, :] - x[None, ib, :], axis=2)
+    got = table.dist.take(np.vstack([kc for _, kc in blocks]))
+    np.testing.assert_array_equal(got, np.where(full > 0, full, np.inf))
+
+
+# non-dyadic spacings in 1-D and 2-D, whose coordinate differences round
+SPACING = {1: 1 / 40, 2: 1 / 12, 3: 1 / 8}
+CENTER = {1: (0.013,), 2: (0.013, -0.029), 3: (0.013, -0.029, 0.041)}
+
+
+def grid_function(dim, half):
+    """A positive smooth function on the cube (-half, half)^dim with a
+    constant exterior model."""
+    lat = Lattice.from_box([-half] * dim, [half] * dim, SPACING[dim])
+    x = lat.coords
+    vals = 1.2 + 0.5 * np.sin(3.0 * x.sum(axis=1)) + 0.3 * x[:, 0] ** 2
+    return GridFunction(lat, vals, ExteriorModel(value=0.3))
+
+
+def oracle_caccioppoli(u, ball, k, cutoff, sign, s, nf):
+    """lhs, cutoff term, discrete Lipschitz constant and the lattice part
+    of the sup tail of ``caccioppoli_check``, from coordinate norms."""
+    lat = u.lattice
+    x, n, hn = lat.coords, lat.dim, lat.h ** lat.dim
+    x0 = np.asarray(ball.center)
+
+    def trunc(v):
+        return np.maximum(v - k if sign == "plus" else k - v, 0.0)
+
+    idx = np.flatnonzero(lat.select(ball))
+    w = trunc(u.values[idx])
+    phi = cutoff(np.linalg.norm(x[idx] - x0, axis=1))
+    phiq = phi ** nf.q
+    lhs = cut = lip = 0.0
+    for sl, d in coordinate_distance_blocks(x[idx], x[idx]):
+        off = d > 0
+        dd = d[off]
+        dw = np.abs(w[sl, None] - w[None, :])[off]
+        wmax = np.maximum(w[sl, None], w[None, :])[off]
+        pq = np.minimum(phiq[sl, None], phiq[None, :])[off]
+        dphi = np.abs(phi[sl, None] - phi[None, :])[off]
+        lhs += np.sum(nf.G(dw / dd ** s) * pq / dd ** n) * hn * hn
+        cut += np.sum(nf.G(dphi / dd ** s * wmax) / dd ** n) * hn * hn
+        lip = max(lip, (dphi / dd).max())
+    supp = idx[phi > 0]
+    out = np.flatnonzero(np.linalg.norm(x - x0, axis=1) > ball.radius)
+    wo = trunc(u.values[out])
+    sup = 0.0
+    for _, d in coordinate_distance_blocks(x[supp], x[out]):
+        rows = np.sum(nf.g(wo / d ** s) * d ** (-(n + s)), axis=1) * hn
+        sup = max(sup, rows.max())
+    return lhs, cut, lip, sup
+
+
+def oracle_pair_sum(u, idx, term):
+    """sum over ordered pairs of distinct nodes of ``idx`` of
+    term(|u(x) - u(y)|, |x - y|), from coordinate norms."""
+    x, v = u.lattice.coords[idx], u.values[idx]
+    total = 0.0
+    for sl, d in coordinate_distance_blocks(x, x):
+        off = d > 0
+        total += np.sum(term(np.abs(v[sl, None] - v[None, :])[off], d[off]))
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_caccioppoli_matches_coordinate_oracle(dim):
+    u = grid_function(dim, 1.0)
+    nf, s = make_power(2.5), 0.4
+    ball = Ball(CENTER[dim], 0.6)
+    cutoff = Cutoff(0.3, 0.51)
+    levels = np.quantile(u.values[u.lattice.select(ball)], [0.25, 0.5, 0.75])
+    for k in levels:
+        for sign in ("plus", "minus"):
+            rep = caccioppoli_check(u, ball, k, cutoff, sign, s, nf)
+            lhs, cut, lip, sup = oracle_caccioppoli(u, ball, k, cutoff, sign,
+                                                    s, nf)
+            far = _truncation_far_tail(u, np.asarray(ball.center), 0.6, k,
+                                       sign, s, nf)
+            assert rep.lhs == pytest.approx(lhs, rel=1e-13)
+            assert rep.rhs_terms["cutoff_term"] == pytest.approx(cut,
+                                                                 rel=1e-13)
+            assert rep.details["discrete_lipschitz"] == pytest.approx(
+                lip, rel=1e-13)
+            assert rep.details["sup_tail"] == pytest.approx(sup + far,
+                                                            rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("region", ["ball", None])
+def test_gagliardo_modular_matches_coordinate_oracle(dim, region):
+    # the whole box is kept small in 3-D
+    u = grid_function(dim, 1.0 if region else 0.5)
+    nf, s, n = make_power(1.5), 0.6, dim
+    reg = Ball(CENTER[dim], 0.7) if region else None
+    idx = np.flatnonzero(u.lattice.select(reg))
+    want = oracle_pair_sum(u, idx, lambda dv, d: nf.G(dv / d ** s) / d ** n) \
+        * u.lattice.h ** (2 * n)
+    assert gagliardo_modular(u, reg, s, nf) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_log_estimate_matches_coordinate_oracle(dim):
+    u = grid_function(dim, 1.0)
+    nf, s, n, dshift = make_power(2.0), 0.5, dim, 0.1
+    x0, r = np.asarray(CENTER[dim]), 0.4
+    rep = log_estimate_check(u, x0, r, 0.9, dshift, nf, s)
+    idx = np.flatnonzero(np.linalg.norm(u.lattice.coords - x0, axis=1)
+                         <= r + 1e-12)
+    logs = GridFunction(u.lattice, np.log(u.values + dshift))
+    want = oracle_pair_sum(logs, idx, lambda dl, d: dl / d ** n) \
+        * u.lattice.h ** (2 * n)
+    assert rep.lhs == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_holder_seminorm_matches_coordinate_oracle(dim):
+    u = grid_function(dim, 1.0)
+    x0, r0 = np.asarray(CENTER[dim]), 0.45
+    res = holder_decay_fit(u, x0, r0, 0.8, 6, 0.5, make_power(2.0))
+    assert res.alpha_hat > 0
+    half = np.flatnonzero(np.linalg.norm(u.lattice.coords - x0, axis=1)
+                          <= r0 + 1e-12)
+    x, v = u.lattice.coords[half], u.values[half]
+    want = 0.0
+    for sl, d in coordinate_distance_blocks(x, x):
+        off = d > 0
+        quot = np.abs(v[sl, None] - v[None, :])[off] / d[off] ** res.alpha_hat
+        want = max(want, quot.max())
+    assert res.holder_seminorm == pytest.approx(want, rel=1e-13)

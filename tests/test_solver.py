@@ -8,10 +8,9 @@ from scipy import integrate, optimize
 import fracglap.nfunction as nfm
 from fracglap import solver as sl
 from fracglap import (ExteriorModel, GridFunction, InadmissibleError, Kernel,
-                      Lattice, NonlocalProblem, assemble_quadratic,
-                      convexity_probe, energy, gradient, make_power,
-                      make_power_log, make_table, solve, sphere_measure,
-                      weak_residual)
+                      Lattice, NonlocalProblem, assemble_quadratic, energy,
+                      gradient, make_power, make_power_log, make_table, solve,
+                      sphere_measure, weak_residual)
 from fracglap.cli import build_problem, run
 from fracglap.quadrature import integrate_graded, integrate_radial
 from fracglap.solver import _energy_values, _gradient_omega
@@ -334,40 +333,6 @@ class TestWeakResidual:
             float(np.abs(g.values).max()), rel=1e-13)
 
 
-class TestConvexity:
-    def test_equal_candidates_equality(self, p2_problem):
-        v = p2_problem.datum_extension(0.3)
-        rep = convexity_probe(p2_problem, v, v)
-        assert rep["convex_ok"] and rep["strict_ok"]
-        assert all(abs(r["defect"]) < 1e-12 for r in rep["samples"])
-
-    def test_strict_for_distinct(self):
-        prob = line_problem(h=1 / 16, s=0.5, p=3.0)
-        rng = np.random.default_rng(13)
-        n = int(prob.omega_mask.sum())
-        v1 = prob.datum_extension(rng.normal(size=n))
-        v2 = prob.datum_extension(rng.normal(size=n))
-        rep = convexity_probe(prob, v1, v2)
-        assert rep["convex_ok"] and rep["strict_ok"]
-        assert all(r["defect"] > 0 for r in rep["samples"])
-
-    def test_quadratic_defect_identity(self, p2_problem):
-        # defect = 0.5 theta (1-theta) d'Ad for the quadratic profile
-        prob = p2_problem
-        A, _, _, oi = quadratic_oracle(prob)
-        rng = np.random.default_rng(14)
-        w1 = rng.normal(size=oi.size)
-        w2 = rng.normal(size=oi.size)
-        rep = convexity_probe(prob, prob.datum_extension(w1),
-                              prob.datum_extension(w2))
-        d = w1 - w2
-        quad_dist = 0.5 * d @ A @ d
-        for r in rep["samples"]:
-            th = r["theta"]
-            assert r["defect"] == pytest.approx(th * (1 - th) * quad_dist,
-                                                rel=1e-9, abs=1e-12)
-
-
 class TestProblemValidation:
     def test_domain_on_boundary_rejected(self):
         lat = Lattice.from_box([0.0], [2.0], 1.0)
@@ -435,6 +400,21 @@ class TestGradedRule:
             sl.FAR_PANELS, sl.FAR_POINTS)
         want = (hi - lo) ** 1.2 * math.gamma(1.1) ** 2 / math.gamma(2.2)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_segment_bits_do_not_depend_on_the_batch(self):
+        # a segment's integral is the same float alone or among 200
+        rng = np.random.default_rng(17)
+        lo = rng.uniform(0.0, 1.0, 200)
+        hi = lo + rng.uniform(0.0, 2.0, 200)
+
+        def fn(t):
+            return np.exp(-t) * np.sqrt(t) + t ** 1.5
+
+        batched = integrate_graded(fn, lo, hi, sl.FAR_PANELS, sl.FAR_POINTS)
+        alone = np.concatenate([
+            integrate_graded(fn, lo[k:k + 1], hi[k:k + 1], sl.FAR_PANELS,
+                             sl.FAR_POINTS) for k in range(lo.size)])
+        np.testing.assert_array_equal(batched, alone, strict=True)
 
 
 class TestRadialRule:
