@@ -56,9 +56,11 @@ def _as_float_array(t):
 
 
 def _check_domain(t, what="argument"):
-    if np.any(t < 0):
+    # one pass for each bound; fmin and fmax skip NaN as the comparisons
+    # would, and the initial 0 lets an empty or all-NaN array pass
+    if np.fmin.reduce(t, axis=None, initial=0.0) < 0:
         raise ValueError(f"{what} must be >= 0")
-    if np.any(t > REPRESENTABLE_MAX):
+    if np.fmax.reduce(t, axis=None, initial=0.0) > REPRESENTABLE_MAX:
         raise OverflowError(
             f"{what} exceeds the representable range [0, {REPRESENTABLE_MAX:g}]"
         )

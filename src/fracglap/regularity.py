@@ -235,6 +235,9 @@ def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf):
     out_idx = np.flatnonzero(out_mask)
     uo = u.values[out_idx]
     wo = np.maximum(uo - k, 0.0) if sign == "plus" else np.maximum(k - uo, 0.0)
+    # g(0) = 0: the exterior nodes with w = 0 add exactly 0
+    live = wo > 0
+    out_idx, wo = out_idx[live], wo[live]
     sup_tail = 0.0
     if supp.size:
         svals = np.zeros(supp.size)

@@ -55,6 +55,9 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 # width of the diagonal blocks of the substitution in ``_cholesky_solve``
 SUBST_BLOCK = 128
+# pair-by-candidate entries per block of ``_energies`` (512 KiB per
+# temporary); 2^14 and 2^18 (``pairs.CHUNK_ELEMENTS``) measured slower
+ENERGY_BLOCK = 2**16
 
 
 class InadmissibleError(ValueError):
@@ -365,6 +368,30 @@ def _energy_values(prob, vals):
     return pair_part + far
 
 
+def _energies(prob, V):
+    """Energies of the candidates stacked in the rows of V (B, nodes),
+    in one pass over the pairs; each row agrees with ``_energy_values``
+    up to the order of the pair sum.
+
+    The stack is taken node-major, so one pair index gathers the B values
+    of a node at once, and the pairs are walked in blocks of at most
+    ``ENERGY_BLOCK`` pair-by-candidate entries.
+    """
+    ia, ja, dist, w = prob._pairs
+    inv_ds = prob._inv_ds
+    n_cand = V.shape[0]
+    Vt = np.ascontiguousarray(V.T)
+    out = np.zeros(n_cand)
+    rows = max(1, ENERGY_BLOCK // n_cand)
+    for start in range(0, ia.size, rows):
+        blk = slice(start, start + rows)
+        t = np.abs(Vt[ia[blk]] - Vt[ja[blk]])
+        t *= inv_ds[blk, None]
+        out += w[blk] @ prob.nf.G(t)
+    far = prob._far_energy(V[:, prob.omega_mask].ravel())
+    return out + far.reshape(n_cand, -1).sum(axis=1)
+
+
 def gradient(prob, v):
     """First variation at admissible ``v``; nonzero only on the domain."""
     prob.require_admissible(v)
@@ -420,22 +447,30 @@ def _assemble_surrogate(prob):
     pos = -np.ones(prob.lattice.n_nodes, dtype=int)
     pos[omega_idx] = np.arange(omega_idx.size)
     ia, ja, dist, w = prob._pairs
-    cw = w * dist ** (-2.0 * prob.s)
     no = omega_idx.size
-    A = np.zeros((no, no))
-    b = np.zeros(no)
-    const = 0.0
     fvals = prob.exterior_datum.values
-    pa, pb = pos[ia], pos[ja]
-    both = (pa >= 0) & (pb >= 0)
-    np.add.at(A, (pa[both], pa[both]), cw[both])
-    np.add.at(A, (pb[both], pb[both]), cw[both])
-    np.add.at(A, (pa[both], pb[both]), -cw[both])
-    np.add.at(A, (pb[both], pa[both]), -cw[both])
+    # every pair has its first end in the domain, and a pair of two
+    # domain nodes is stored once (``truncated_pairs``)
+    both = prob.omega_mask[ja]
     halo = ~both
-    np.add.at(A, (pa[halo], pa[halo]), cw[halo])
-    np.add.at(b, pa[halo], cw[halo] * fvals[ja[halo]])
-    const += float(np.sum(0.5 * cw[halo] * fvals[ja[halo]] ** 2))
+    cw = w * dist ** (-2.0 * prob.s)
+    A = np.zeros((no, no))
+    diag = np.zeros(no)
+    i, j, c = pos[ia[both]], pos[ja[both]], cw[both]
+    # one term per off-diagonal entry
+    A[i, j] = -c
+    A[j, i] = -c
+    # a diagonal entry sums its node's terms in pair order: as the first
+    # end of a domain pair, then as the second end, then over its halo
+    # pairs
+    np.add.at(diag, i, c)
+    np.add.at(diag, j, c)
+    hn, hc = pos[ia[halo]], cw[halo]
+    np.add.at(diag, hn, hc)
+    A[np.diag_indices(no)] = diag
+    fh = fvals[ja[halo]]
+    b = np.bincount(hn, hc * fh, minlength=no)
+    const = float(np.sum(0.5 * hc * fh ** 2))
     # far tail of the quadratic profile, radial closed form; a genuine
     # power model takes level 0
     lvl = prob.exterior_datum.exterior.level or 0.0

@@ -140,3 +140,65 @@ def coordinate_distance_blocks(xa, xb, rows=64):
     for start in range(0, xa.shape[0], rows):
         sl = slice(start, start + rows)
         yield sl, np.linalg.norm(xa[sl, None, :] - xb[None, :, :], axis=2)
+
+
+def surrogate_add_at_reference(prob):
+    """(A, b, const) of ``solver._assemble_surrogate`` with every entry of
+    A and b accumulated by ``np.add.at`` in pair order: the assembly
+    before its off-diagonal entries were assigned and its diagonal
+    accumulated in a vector, kept as its oracle."""
+    omega_idx = np.flatnonzero(prob.omega_mask)
+    pos = -np.ones(prob.lattice.n_nodes, dtype=int)
+    pos[omega_idx] = np.arange(omega_idx.size)
+    ia, ja, dist, w = prob._pairs
+    cw = w * dist ** (-2.0 * prob.s)
+    no = omega_idx.size
+    A = np.zeros((no, no))
+    b = np.zeros(no)
+    fvals = prob.exterior_datum.values
+    pa, pb = pos[ia], pos[ja]
+    both = (pa >= 0) & (pb >= 0)
+    np.add.at(A, (pa[both], pa[both]), cw[both])
+    np.add.at(A, (pb[both], pb[both]), cw[both])
+    np.add.at(A, (pa[both], pb[both]), -cw[both])
+    np.add.at(A, (pb[both], pa[both]), -cw[both])
+    halo = ~both
+    np.add.at(A, (pa[halo], pa[halo]), cw[halo])
+    np.add.at(b, pa[halo], cw[halo] * fvals[ja[halo]])
+    const = 0.0 + float(np.sum(0.5 * cw[halo] * fvals[ja[halo]] ** 2))
+    lvl = prob.exterior_datum.exterior.level or 0.0
+    r, s = prob.truncation_radius, prob.s
+    cfar = prob._far_coef * r ** (-2.0 * s) / (2.0 * s)
+    A[np.diag_indices(no)] += cfar
+    b += cfar * lvl
+    const += 0.5 * cfar * lvl ** 2 * no
+    return A, b, const
+
+
+def minimality_reference(ctx, rng):
+    """``verify:minimality`` with one normal draw and one energy sum
+    (``solver._energy_values``) per perturbation: the stage before its
+    perturbations were scored in one pass, kept as its oracle."""
+    from fracglap import solver as sl
+    from fracglap.reports import EstimateReport
+    prob = ctx.problem
+    rep = ctx.ensure_solved()
+    base = rep.minimizer.values
+    e0 = sl._energy_values(prob, base)
+    scale = 0.01 * (1.0 + prob.data_oscillation())
+    violations = 0
+    for _ in range(100):
+        pert = base.copy()
+        pert[prob.omega_mask] += scale * rng.normal(
+            size=int(prob.omega_mask.sum()))
+        if sl._energy_values(prob, pert) <= e0:
+            violations += 1
+    wres = sl.weak_residual(prob, rep.minimizer)
+    thr = rep.details["threshold"]
+    passed = violations == 0 and wres <= thr
+    return EstimateReport(
+        name="minimality", lhs=float(violations), rhs_terms={"allowed": 0.0},
+        empirical_constant=float(violations),
+        tolerance=0.5, passed=passed,
+        details={"weak_residual": wres, "threshold": thr,
+                 "energy": e0, "probes": 100})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -15,6 +16,8 @@ from fracglap import solver as sl
 from fracglap.cli import (EXIT_CONFIG, EXIT_ESTIMATE, EXIT_IO, EXIT_OK,
                           EXIT_SOLVER, SCHEMA, build_problem, generate_corpus,
                           main, run, validate_config)
+
+from helpers import minimality_reference
 
 
 def base_config(**overrides):
@@ -426,6 +429,43 @@ class TestGradientFD:
                    out_override=str(out)) == EXIT_ESTIMATE
         rep = json.loads((out / "estimate_gradient_fd.json").read_text())
         assert not rep["passed"]
+
+
+class TestMinimality:
+    """``verify:minimality`` scores its 100 perturbations in one pass; the
+    sequential reference draws and sums them one at a time."""
+
+    def test_report_matches_sequential_reference(self, tmp_path,
+                                                 monkeypatch):
+        cfg = small_component_config()
+        cfg["pipeline"] = ["solve", "verify:minimality"]
+        cfg["tolerances"] = {"solve": 1e-11}
+        path = write_config(tmp_path, cfg)
+        assert run(path, out_override=str(tmp_path / "new")) == EXIT_OK
+        monkeypatch.setitem(cli.VERIFY_STAGES, "minimality",
+                            minimality_reference)
+        assert run(path, out_override=str(tmp_path / "ref")) == EXIT_OK
+        got = read_reports(tmp_path / "new")
+        assert got == read_reports(tmp_path / "ref")
+        assert json.loads(got["estimate_minimality.json"])["passed"]
+
+    def test_violations_match_sequential_reference(self, tmp_path):
+        # the minimizer lifted by 5 on the domain: about a third of the
+        # perturbations lower its energy, and both routes must count the
+        # same ones
+        cfg = small_component_config()
+        ctx = cli.RunContext(cfg, str(tmp_path), cfg["seed"])
+        prob = ctx.problem
+        rep = sl.solve(prob, tol=1e-11)
+        lifted = rep.minimizer.values[prob.omega_mask] + 5.0
+        ctx.solve_report = dataclasses.replace(
+            rep, minimizer=prob.datum_extension(lifted))
+        got = cli.VERIFY_STAGES["minimality"](
+            ctx, np.random.default_rng([cfg["seed"], 2]))
+        want = minimality_reference(
+            ctx, np.random.default_rng([cfg["seed"], 2]))
+        assert 10 < got.lhs < 90
+        assert got.to_dict() == want.to_dict()
 
 
 # CSV header of each sweep artifact, part of the artifact contract

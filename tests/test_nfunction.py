@@ -45,6 +45,46 @@ class TestEvalG:
             make_power(2.0).g(1e31)
 
 
+class TestDomainCheck:
+    """``_check_domain`` takes one min and one max pass; NaN is skipped as
+    the elementwise comparisons skipped it."""
+
+    @pytest.mark.parametrize("t", [np.array([]), np.zeros((0, 3)),
+                                   np.array([np.nan, np.nan]),
+                                   np.array(np.nan), np.array(0.0),
+                                   np.array([[0.0, 1e30], [np.nan, 2.0]])],
+                             ids=["empty", "empty-2d", "all-nan",
+                                  "nan-scalar", "zero", "in-range"])
+    def test_passes(self, t):
+        nfm._check_domain(t)
+
+    @pytest.mark.parametrize("t", [np.array([np.nan, -1.0]),
+                                   np.array([[1.0, np.nan], [-np.inf, 2.0]]),
+                                   np.array(-1e-300),
+                                   # the lower bound is checked first
+                                   np.array([-1.0, 1e31])],
+                             ids=["nan-negative", "nan-minus-inf",
+                                  "negative-scalar", "negative-and-large"])
+    def test_negative_raises_value_error(self, t):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            nfm._check_domain(t)
+
+    @pytest.mark.parametrize("t", [np.array([1.0, 1e31]),
+                                   np.array([[np.nan, np.inf]]),
+                                   np.array(1e30 * (1 + 1e-15))],
+                             ids=["large", "nan-inf", "just-above"])
+    def test_above_range_raises_overflow(self, t):
+        with pytest.raises(OverflowError):
+            nfm._check_domain(t)
+
+    def test_profiles_check_their_arguments(self, nf_plog):
+        for nf in (make_power(2.0), nf_plog):
+            with pytest.raises(ValueError):
+                nf.G(np.array([np.nan, -1.0]))
+            with pytest.raises(OverflowError):
+                nf.G(np.array([[0.5, 1e31]]))
+
+
 class TestEvalBigG:
     def test_quadratic(self):
         assert make_power(2.0).G(2.0) == pytest.approx(2.0, rel=1e-14)

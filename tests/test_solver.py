@@ -15,7 +15,8 @@ from fracglap.cli import build_problem, run
 from fracglap.quadrature import integrate_graded, integrate_radial
 from fracglap.solver import _energy_values, _gradient_omega
 
-from helpers import line_problem, oracle_energy, quadratic_oracle
+from helpers import (line_problem, oracle_energy, quadratic_oracle,
+                     square_problem, surrogate_add_at_reference)
 
 
 @pytest.fixture(scope="module")
@@ -631,3 +632,78 @@ class TestFarTail:
         report = json.loads((out / "SolveReport.json").read_text())
         assert report["converged"]
         assert report["iterations"] <= 50
+
+
+def _stack_problem(dim, nf, model, r=0.5):
+    """Domain [-0.25, 0.25]^dim with a halo of width r + h, s = 0.5 and
+    a sin datum under the exterior ``model``; about a thousand pairs
+    (h = 1/64 in 1-D, 1/8 in 2-D)."""
+    h = 1 / 64 if dim == 1 else 1 / 8
+    lat = Lattice.from_box([-0.25 - r - h] * dim, [0.25 + r + h] * dim, h)
+    x = lat.coords
+    omega = np.all(np.abs(x) < 0.25 + 1e-12, axis=1)
+    datum = GridFunction(lat, np.sin(2 * x.sum(axis=1)), model.resolved(lat))
+    return NonlocalProblem(lat, omega, nf, Kernel(), 0.5, datum,
+                           truncation_radius=r)
+
+
+STACK_PROFILES = {
+    "power1.5": lambda: make_power(1.5),
+    "power2": lambda: make_power(2.0),
+    "power3": lambda: make_power(3.0),
+    "power_log2": lambda: make_power_log(2.0),
+    "table": FAR_PROFILES["table"],
+}
+STACK_MODELS = {
+    "constant": ExteriorModel(value=0.3),
+    "power0.25": ExteriorModel(value=0.3, exponent=0.25),
+    "power-0.3": ExteriorModel(value=0.3, exponent=-0.3),
+}
+
+
+class TestEnergies:
+    """``_energies`` scores a stack of candidates in one blocked pass; each
+    row is ``_energy_values`` of that candidate up to summation order."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("model", sorted(STACK_MODELS))
+    @pytest.mark.parametrize("profile", sorted(STACK_PROFILES))
+    def test_rows_match_single_energies(self, profile, model, dim,
+                                        monkeypatch):
+        prob = _stack_problem(dim, STACK_PROFILES[profile](),
+                              STACK_MODELS[model])
+        n_pairs = prob._pairs[0].size
+        # small blocks: several per pass, the last one partial
+        monkeypatch.setattr(sl, "ENERGY_BLOCK", 700)
+        rng = np.random.default_rng(dim)
+        for n_cand in (1, 7, 100):
+            rows = 700 // n_cand
+            assert n_pairs > rows and n_pairs % rows
+            # the datum plus noise on the domain: the pair arguments stay
+            # inside the table's range
+            V = np.tile(prob.exterior_datum.values, (n_cand, 1))
+            V[:, prob.omega_mask] += rng.uniform(
+                -0.25, 0.25, size=(n_cand, int(prob.omega_mask.sum())))
+            want = [_energy_values(prob, v) for v in V]
+            np.testing.assert_allclose(sl._energies(prob, V), want,
+                                       rtol=1e-13, atol=0)
+
+
+class TestSurrogateAssembly:
+    """The surrogate assigns each off-diagonal entry and accumulates the
+    diagonal in a vector: bitwise the assembly by ``np.add.at`` on A."""
+
+    @pytest.mark.parametrize("case", ["1d", "2d", "weighted"])
+    def test_matches_add_at_reference(self, case):
+        if case == "2d":
+            prob = square_problem(h=1 / 8, rext=0.5)
+        else:
+            kernel = None if case == "1d" else Kernel.from_config(
+                {"form": "weighted", "lambda": 0.5, "Lambda": 2.0,
+                 "frequency": 2.0})
+            prob = line_problem(h=1 / 16, datum="sin", kernel=kernel)
+        A, b, const, _ = sl._assemble_surrogate(prob)
+        A_ref, b_ref, const_ref = surrogate_add_at_reference(prob)
+        assert np.array_equal(A, A_ref)
+        assert np.array_equal(b, b_ref)
+        assert const == const_ref
