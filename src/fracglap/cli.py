@@ -459,17 +459,20 @@ def _stage_minimality(ctx, rng):
     the weak residual is within the threshold the solve recorded.  The
     100 perturbations (normal, scale 0.01 (1 + osc f), on the domain)
     are drawn as one (100, domain nodes) block, the same stream as 100
-    draws of a row each, and scored in one pass over the pairs
-    (``solver._energies``)."""
+    draws of a row each, and scored with the minimizer in one pass over
+    the pairs (``solver._energies``), so every energy compared has the
+    same summation order."""
     prob = ctx.problem
     rep = ctx.ensure_solved()
     base = rep.minimizer.values
-    e0 = sl._energy_values(prob, base)
     scale = 0.01 * (1.0 + prob.data_oscillation())
-    pert = np.tile(base, (100, 1))
-    pert[:, prob.omega_mask] += scale * rng.normal(
+    # row 0 is the minimizer itself, scored in the same pass
+    cand = np.tile(base, (101, 1))
+    cand[1:, prob.omega_mask] += scale * rng.normal(
         size=(100, int(prob.omega_mask.sum())))
-    violations = int(np.count_nonzero(sl._energies(prob, pert) <= e0))
+    energies = sl._energies(prob, cand)
+    e0 = float(energies[0])
+    violations = int(np.count_nonzero(energies[1:] <= e0))
     wres = sl.weak_residual(prob, rep.minimizer)
     thr = rep.details["threshold"]
     passed = violations == 0 and wres <= thr

@@ -17,9 +17,10 @@ BISECT_REL_TOL = 1e-12
 # half segment and Gauss-Legendre points per panel
 FAR_PANELS = 40
 FAR_POINTS = 8
-# nodes per block of ``integrate_zero_to``: its temporaries stay below
-# 128 KiB, which malloc serves from its heap (larger ones took fresh
-# pages every block and doubled the time of a power_log build)
+# nodes per block of ``integrate_zero_to`` and of the solver's
+# power-exterior tail: their temporaries stay below 128 KiB, which malloc
+# serves from its heap (larger ones took fresh pages every block and
+# doubled the time of a power_log build)
 BLOCK_NODES = 2**14
 
 

@@ -47,8 +47,8 @@ import numpy as np
 
 from .funcspace import GridFunction, sphere_measure
 from .pairs import truncated_pairs
-from .quadrature import (FAR_PANELS, FAR_POINTS, bisect_increasing,
-                         integrate_graded)
+from .quadrature import (BLOCK_NODES, FAR_PANELS, FAR_POINTS,
+                         bisect_increasing, integrate_graded)
 
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
@@ -276,22 +276,25 @@ class NonlocalProblem:
         lo, hi = bp[:, :-1], bp[:, 1:]
         owner = np.broadcast_to(np.arange(w.size)[:, None], lo.shape)
         keep = hi > lo
-        owner = owner[keep]
-        Ao, Bo = A[owner, None], B[owner, None]
+        owner, lo, hi = owner[keep], lo[keep], hi[keep]
 
-        def diff(tau):
-            return flip * tau * (Ao - Bo * tau ** delta)
-
-        if derivative:
-            def fn(tau):
-                d = diff(tau)
+        def fn(tau, Ao, Bo):
+            d = flip * tau * (Ao - Bo * tau ** delta)
+            if derivative:
                 return self.nf.g(np.abs(d)) * np.sign(d) * tau ** (s / m - 1.0)
-        else:
-            def fn(tau):
-                return self.nf.G(np.abs(diff(tau))) / tau
+            return self.nf.G(np.abs(d)) / tau
 
-        vals = integrate_graded(fn, lo[keep], hi[keep], FAR_PANELS,
-                                FAR_POINTS)
+        # segments in blocks of at most BLOCK_NODES quadrature nodes, so a
+        # stack of candidates costs no more memory than one; a segment's
+        # integral has the same bits in any block
+        vals = np.empty(owner.size)
+        rows = max(1, BLOCK_NODES // (2 * FAR_PANELS * FAR_POINTS))
+        for start in range(0, owner.size, rows):
+            seg = slice(start, start + rows)
+            Ao, Bo = A[owner[seg], None], B[owner[seg], None]
+            vals[seg] = integrate_graded(lambda tau: fn(tau, Ao, Bo),
+                                         lo[seg], hi[seg], FAR_PANELS,
+                                         FAR_POINTS)
         return self._far_coef / m * np.bincount(owner, vals,
                                                 minlength=w.size)
 
@@ -361,21 +364,19 @@ def energy(prob, v):
 
 
 def _energy_values(prob, vals):
-    ia, ja, dist, w = prob._pairs
-    t = np.abs(vals[ia] - vals[ja]) * prob._inv_ds
-    pair_part = float(np.dot(prob.nf.G(t), w))
-    far = float(np.sum(prob._far_energy(vals[prob.omega_mask])))
-    return pair_part + far
+    """Energy of the node values ``vals``: ``_energies`` of one row."""
+    return float(_energies(prob, vals[None])[0])
 
 
 def _energies(prob, V):
     """Energies of the candidates stacked in the rows of V (B, nodes),
-    in one pass over the pairs; each row agrees with ``_energy_values``
-    up to the order of the pair sum.
+    in one pass over the pairs.
 
     The stack is taken node-major, so one pair index gathers the B values
     of a node at once, and the pairs are walked in blocks of at most
-    ``ENERGY_BLOCK`` pair-by-candidate entries.
+    ``ENERGY_BLOCK`` pair-by-candidate entries.  A row's pair sum runs
+    over blocks whose height depends on B, so a candidate scored alone
+    and in a stack agree up to the order of the sum.
     """
     ia, ja, dist, w = prob._pairs
     inv_ds = prob._inv_ds
@@ -385,7 +386,9 @@ def _energies(prob, V):
     rows = max(1, ENERGY_BLOCK // n_cand)
     for start in range(0, ia.size, rows):
         blk = slice(start, start + rows)
-        t = np.abs(Vt[ia[blk]] - Vt[ja[blk]])
+        t = np.take(Vt, ia[blk], axis=0)
+        t -= np.take(Vt, ja[blk], axis=0)
+        np.abs(t, out=t)
         t *= inv_ds[blk, None]
         out += w[blk] @ prob.nf.G(t)
     far = prob._far_energy(V[:, prob.omega_mask].ravel())

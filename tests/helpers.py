@@ -175,23 +175,34 @@ def surrogate_add_at_reference(prob):
     return A, b, const
 
 
+def energy_reference(prob, vals):
+    """Energy of the node values ``vals`` by one unblocked pair sum: the
+    single-candidate route before ``solver._energies``, kept as its
+    oracle."""
+    ia, ja, dist, w = prob._pairs
+    t = np.abs(vals[ia] - vals[ja]) * prob._inv_ds
+    pair_part = float(np.dot(prob.nf.G(t), w))
+    far = float(np.sum(prob._far_energy(vals[prob.omega_mask])))
+    return pair_part + far
+
+
 def minimality_reference(ctx, rng):
     """``verify:minimality`` with one normal draw and one energy sum
-    (``solver._energy_values``) per perturbation: the stage before its
+    (``energy_reference``) per perturbation: the stage before its
     perturbations were scored in one pass, kept as its oracle."""
     from fracglap import solver as sl
     from fracglap.reports import EstimateReport
     prob = ctx.problem
     rep = ctx.ensure_solved()
     base = rep.minimizer.values
-    e0 = sl._energy_values(prob, base)
+    e0 = energy_reference(prob, base)
     scale = 0.01 * (1.0 + prob.data_oscillation())
     violations = 0
     for _ in range(100):
         pert = base.copy()
         pert[prob.omega_mask] += scale * rng.normal(
             size=int(prob.omega_mask.sum()))
-        if sl._energy_values(prob, pert) <= e0:
+        if energy_reference(prob, pert) <= e0:
             violations += 1
     wres = sl.weak_residual(prob, rep.minimizer)
     thr = rep.details["threshold"]

@@ -15,8 +15,9 @@ from fracglap.cli import build_problem, run
 from fracglap.quadrature import integrate_graded, integrate_radial
 from fracglap.solver import _energy_values, _gradient_omega
 
-from helpers import (line_problem, oracle_energy, quadratic_oracle,
-                     square_problem, surrogate_add_at_reference)
+from helpers import (energy_reference, line_problem, oracle_energy,
+                     quadratic_oracle, square_problem,
+                     surrogate_add_at_reference)
 
 
 @pytest.fixture(scope="module")
@@ -663,7 +664,8 @@ STACK_MODELS = {
 
 class TestEnergies:
     """``_energies`` scores a stack of candidates in one blocked pass; each
-    row is ``_energy_values`` of that candidate up to summation order."""
+    row, and ``_energy_values`` of that candidate alone, is the unblocked
+    pair sum up to summation order."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("model", sorted(STACK_MODELS))
@@ -684,9 +686,49 @@ class TestEnergies:
             V = np.tile(prob.exterior_datum.values, (n_cand, 1))
             V[:, prob.omega_mask] += rng.uniform(
                 -0.25, 0.25, size=(n_cand, int(prob.omega_mask.sum())))
-            want = [_energy_values(prob, v) for v in V]
+            want = [energy_reference(prob, v) for v in V]
             np.testing.assert_allclose(sl._energies(prob, V), want,
                                        rtol=1e-13, atol=0)
+            np.testing.assert_allclose([_energy_values(prob, v) for v in V],
+                                       want, rtol=1e-13, atol=0)
+
+
+class TestFarBlocks:
+    """The power-exterior tail walks its segments in blocks of at most
+    ``BLOCK_NODES`` quadrature nodes, so a stack of candidates never
+    builds a larger quadrature array than one block; a segment's integral
+    has the same bits in any block."""
+
+    @pytest.mark.parametrize("model", ["power0.25", "power-0.3"])
+    @pytest.mark.parametrize("profile", ["power2", "table"])
+    def test_blocks_bound_the_rule_and_keep_the_bits(self, profile, model,
+                                                     monkeypatch):
+        prob = _stack_problem(2, STACK_PROFILES[profile](),
+                              STACK_MODELS[model])
+        rng = np.random.default_rng(5)
+        w = np.tile(prob.exterior_datum.values[prob.omega_mask], 7) \
+            + rng.uniform(-0.25, 0.25, size=7 * int(prob.omega_mask.sum()))
+        real = sl.integrate_graded
+        sizes = []
+
+        def spy(fn, lo, hi, panels, npts):
+            sizes.append(lo.size)
+            return real(fn, lo, hi, panels, npts)
+
+        monkeypatch.setattr(sl, "integrate_graded", spy)
+        monkeypatch.setattr(sl, "BLOCK_NODES", 2**40)
+        whole = prob._far_energy(w), prob._far_gradient(w)
+        n_seg = sizes[0]
+        assert sizes == [n_seg, n_seg]
+        # several blocks per call, the last one partial
+        rows = next(k for k in range(3, 12) if n_seg % k)
+        per_rule = 2 * sl.FAR_PANELS * sl.FAR_POINTS
+        monkeypatch.setattr(sl, "BLOCK_NODES", rows * per_rule)
+        sizes.clear()
+        blocked = prob._far_energy(w), prob._far_gradient(w)
+        assert sizes == 2 * ([rows] * (n_seg // rows) + [n_seg % rows])
+        for got, want in zip(blocked, whole):
+            np.testing.assert_array_equal(got, want, strict=True)
 
 
 class TestSurrogateAssembly:
