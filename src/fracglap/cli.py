@@ -111,8 +111,7 @@ SCHEMA = {
             "properties": {
                 "tol": {"type": "number"},
                 "max_iter": {"type": "integer"},
-                "initial": {"enum": ["zero", "zero-extension",
-                                     "harmonic", "halo-harmonic-guess"]},
+                "initial": {"enum": ["zero", "harmonic"]},
             },
         },
     },

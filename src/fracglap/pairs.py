@@ -1,16 +1,17 @@
 """Lattice pair enumeration with bounded temporaries.
 
-Two routines serve every pairwise sum in the package:
+On a lattice |x - y| = h |k| depends only on the integer offset k, so one
+table, ``OffsetTable``, holds h |k| for every offset, and every pairwise
+sum in the package reads its distances from it.  There are two access
+patterns:
 
 * ``truncated_pairs`` builds the solver's pair set (pairs with an end in
-  the domain, within the truncation radius) from the integer offset
-  stencil |k|_inf <= floor(r / h): each stencil offset is one flat-index
-  shift, so the build never forms a distance matrix.
-* ``OffsetTable`` serves the O(m^2) ball sums of the estimate checks:
-  on a lattice |x - y| = h |k| depends only on the integer offset k, so
-  one table holds h |k| for every offset, a caller raises it to the
-  powers it needs once per call, and row blocks of integer table
-  indices gather them for two node sets.
+  the domain, within the truncation radius): the table offsets within
+  the radius are flat-index shifts, each pair gathers the distance of its
+  offset, and no distance matrix is formed.
+* the O(m^2) ball sums of the estimate checks raise the table to the
+  powers they need once per call and gather them with row blocks of
+  integer table indices for two node sets (``OffsetTable.blocks``).
 
 No temporary grows past ``CHUNK_ELEMENTS`` entries, except the row
 blocks whose height a caller fixes (a block is then the summation unit
@@ -28,57 +29,47 @@ CHUNK_ELEMENTS = 2**18
 BALL_ROWS = 512
 
 
-def offset_stencil(lattice, radius):
-    """Flat-index shifts of the integer offsets k with |k|_inf <=
-    floor(radius / h) and h |k| <= radius (with a rounding margin), in
-    increasing order."""
-    h = lattice.h
-    m = int(math.floor((radius + 1e-12) / h + 1e-9))
-    axis = np.arange(-m, m + 1)
-    ks = np.stack([g.ravel() for g in np.meshgrid(*[axis] * lattice.dim,
-                                                  indexing="ij")], axis=1)
-    # drops only offsets more than 1e-6 h past the radius in exact
-    # arithmetic; the cut-off test itself is on node coordinates
-    reach = (radius + 1e-12) / h + 1e-6
-    ks = ks[np.sum(ks * ks, axis=1) <= reach * reach]
-    strides = np.ones(lattice.dim, dtype=np.int64)
-    for d in range(lattice.dim - 2, -1, -1):
-        strides[d] = strides[d + 1] * lattice.counts[d + 1]
-    return np.sort(ks @ strides)
-
-
 def truncated_pairs(lattice, omega_mask, radius):
     """(ia, ja, dist) of the unordered node pairs with an end in the
-    domain and 0 < |x_i - x_j| <= radius, in (i, j) order; a pair of two
-    domain nodes appears once, with j > i.
+    domain and 0 < h |k| <= radius, in (i, j) order; a pair of two domain
+    nodes appears once, with j > i.
 
-    Flat indices are shifted without wrapping around the box: the caller
-    guarantees that every domain node has lattice nodes up to ``radius``
-    in each direction (``NonlocalProblem`` checks this margin), so
-    i + shift is the node at offset k for every stencil offset.
+    The stencil is the ``OffsetTable`` offsets within the radius (the
+    zero offset holds inf, so it drops out), and each pair's distance is
+    that of its offset.  Flat indices are shifted without wrapping around
+    the box: the caller guarantees that every domain node has lattice
+    nodes up to ``radius`` in each direction (``NonlocalProblem`` checks
+    this margin), so i + shift is the node at offset k for every stencil
+    offset.  The same margin gives |k_d| <= (counts_d - 1) / 2, under
+    which the flat shifts rise with the table codes, so the pairs of a
+    node come in increasing j.
     """
-    coords = lattice.coords
+    table = OffsetTable(lattice)
+    codes = np.flatnonzero(table.dist <= radius + 1e-12)
+    dsel = table.dist[codes]
+    counts = lattice.counts
+    strides = [math.prod(counts[d + 1:]) for d in range(lattice.dim)]
+    shifts = sum((k - c + 1) * st for k, c, st in
+                 zip(np.unravel_index(codes, table._span), counts, strides))
     halo = ~omega_mask
-    shifts = offset_stencil(lattice, radius)
     omega_idx = np.flatnonzero(omega_mask)
-    rows = max(1, CHUNK_ELEMENTS // (shifts.size * lattice.dim))
+    rows = max(1, CHUNK_ELEMENTS // shifts.size)
     ia_list, ja_list, d_list = [], [], []
     for start in range(0, omega_idx.size, rows):
-        ib = omega_idx[start:start + rows]
-        i = np.repeat(ib, shifts.size)
-        j = (ib[:, None] + shifts[None, :]).ravel()
-        d = np.linalg.norm(coords[i] - coords[j], axis=1)
-        keep = (d > 0) & (d <= radius + 1e-12) & (halo[j] | (j > i))
-        ia_list.append(i[keep])
+        ib = omega_idx[start:start + rows, None]
+        j = ib + shifts
+        keep = halo[j] | (j > ib)
+        ia_list.append(np.broadcast_to(ib, j.shape)[keep])
         ja_list.append(j[keep])
-        d_list.append(d[keep])
+        d_list.append(np.broadcast_to(dsel, j.shape)[keep])
     return (np.concatenate(ia_list), np.concatenate(ja_list),
             np.concatenate(d_list))
 
 
 class OffsetTable:
     """Distances h |k| of the integer offsets k between two nodes of a
-    lattice, for the O(m^2) ball sums of the estimate checks.
+    lattice, for the solver's pair set and the O(m^2) ball sums of the
+    estimate checks.
 
     ``dist`` has prod_d (2 counts_d - 1) entries: offset k sits at
     sum_d (k_d + counts_d - 1) P_d, with P the row-major strides of the

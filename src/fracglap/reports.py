@@ -10,7 +10,6 @@ as witnesses.  Every artifact file is written through ``write_atomic``.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -44,11 +43,6 @@ class EstimateReport:
 
     def to_dict(self):
         return dataclasses.asdict(self)
-
-    def to_json(self, **kw):
-        kw.setdefault("sort_keys", True)
-        kw.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kw)
 
 
 def ratio(lhs, rhs):

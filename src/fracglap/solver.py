@@ -22,9 +22,11 @@ Pairs are counted with the symmetric convention (each unordered pair
 with a relevant end twice), the diagonal is excluded, and pairs closer
 than one spacing do not occur on a lattice, so no principal-value
 handling is needed: G(0) = 0 kills the diagonal singularity.  The pair
-arrays are built once per problem from the integer offset stencil within
-the truncation radius (``pairs.truncated_pairs``); every energy and
-gradient then gathers over them.
+arrays are built once per problem from the lattice offset table: the
+offsets within the truncation radius and their distances h |k|
+(``pairs.truncated_pairs``).  Every energy then gathers over them, and
+every per-node pair sum (the gradient, the stopping scale) scatters onto
+the nodes in one order (``_node_sums``).
 
 Strict convexity of the energy (g strictly increasing) makes the
 minimizer unique; descent with Armijo backtracking therefore converges
@@ -179,13 +181,9 @@ class NonlocalProblem:
         osc = self.data_oscillation()
         if osc == 0.0:
             return 0.0
-        ia, ja, dist, w = self._pairs
-        contrib = w * dist ** (-self.s) * self.nf.g(osc * dist ** (-self.s))
-        acc = np.zeros(self.lattice.n_nodes)
-        np.add.at(acc, ia, contrib)
-        both = self.omega_mask[ja]
-        np.add.at(acc, ja[both], contrib[both])
-        return float(acc[self.omega_mask].max())
+        inv_ds = self._inv_ds
+        contrib = self._pairs[3] * inv_ds * self.nf.g(osc * inv_ds)
+        return float(_node_sums(self, contrib, 1.0).max())
 
     def data_oscillation(self):
         datum = self.exterior_datum
@@ -403,17 +401,26 @@ def gradient(prob, v):
     return GridFunction(prob.lattice, full, v.exterior)
 
 
+def _node_sums(prob, contrib, sign):
+    """Per-domain-node sums of the pair values ``contrib``: a pair adds
+    its value to its first end and ``sign`` times it to its second end
+    when that end lies in the domain, the first ends in pair order, then
+    the second ends."""
+    ia, ja = prob._pairs[:2]
+    acc = np.zeros(prob.lattice.n_nodes)
+    np.add.at(acc, ia, contrib)
+    both = prob.omega_mask[ja]
+    np.add.at(acc, ja[both], sign * contrib[both])
+    return acc[prob.omega_mask]
+
+
 def _gradient_omega(prob, vals):
     ia, ja, dist, w = prob._pairs
     dv = vals[ia] - vals[ja]
     t = np.abs(dv) * prob._inv_ds
     # g(0) = 0 makes the integrand differentiable at coincident values
     gval = prob.nf.g(t) * np.sign(dv) * prob._inv_ds * w
-    acc = np.zeros(prob.lattice.n_nodes)
-    np.add.at(acc, ia, gval)
-    both = prob.omega_mask[ja]
-    np.add.at(acc, ja[both], -gval[both])
-    out = acc[prob.omega_mask]
+    out = _node_sums(prob, gval, -1.0)
     out += prob._far_gradient(vals[prob.omega_mask])
     return out
 
@@ -527,12 +534,9 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
     with one unknown the Barzilai-Borwein step is a secant step on the
     scalar derivative.
     """
-    if initial in ("zero", "zero-extension"):
-        harmonic = False
-    elif initial in ("harmonic", "halo-harmonic-guess"):
-        harmonic = True
-    else:
+    if initial not in ("zero", "harmonic"):
         raise ValueError("initial must be 'zero' or 'harmonic'")
+    harmonic = initial == "harmonic"
     omega = prob.omega_mask
     vals = prob.exterior_datum.values.copy()
 

@@ -119,6 +119,13 @@ class TestConfigValidation:
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("initial", ["zero-extension",
+                                         "halo-harmonic-guess"])
+    def test_removed_initial_alias_rejected(self, tmp_path, initial):
+        cfg = base_config(solver={"initial": initial})
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(tmp_path / "out")) == EXIT_CONFIG
+
     def test_unreadable_config_is_io_error(self, tmp_path):
         assert run(str(tmp_path / "missing.json")) == EXIT_IO
 

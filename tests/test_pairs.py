@@ -1,4 +1,4 @@
-"""The offset-stencil pair build against the dense construction it
+"""The offset-table pair build against the dense construction it
 replaced, the ball sums' offset table against coordinate norms, and the
 chunk budget as a pure memory knob."""
 
@@ -94,15 +94,43 @@ def test_offset_build_matches_dense_irregular_domain():
 
 
 def test_stencil_is_sorted_and_within_radius():
+    # a one-node domain: its pairs are the whole stencil, all to the halo
     lat = Lattice.from_box([0.0, 0.0], [4.0, 3.0], 0.25)
-    shifts = pairs.offset_stencil(lat, 0.6)
-    assert np.all(np.diff(shifts) > 0)
-    # 0.6 / 0.25 = 2.4: every k with |k| <= 2.4 (21 offsets, 0 included)
-    assert shifts.size == 21
     stride = lat.counts[1]
+    centre = 8 * stride + 6
+    omega = np.zeros(lat.n_nodes, dtype=bool)
+    omega[centre] = True
+    ia, ja, dist = pairs.truncated_pairs(lat, omega, 0.6)
+    assert np.all(ia == centre)
+    shifts = ja - ia
+    assert np.all(np.diff(shifts) > 0)
+    # 0.6 / 0.25 = 2.4: every k != 0 with |k| <= 2.4 (20 offsets)
+    assert shifts.size == 20
     k0, k1 = np.divmod(shifts + 2 * stride + 2, stride)
     ks = np.stack([k0 - 2, k1 - 2], axis=1)
     assert np.all(np.sum(ks * ks, axis=1) * 0.25 ** 2 <= 0.6 ** 2)
+    assert np.all(dist <= 0.6)
+
+
+@pytest.mark.parametrize("dim, h, rext, kernel", [
+    (1, 0.1, 0.65, None),
+    (1, 1 / 12, 0.7, WEIGHTED),
+    (2, 0.1, 0.35, WEIGHTED),
+    (2, 1 / 12, 0.3, None),
+])
+def test_non_dyadic_spacing(dim, h, rext, kernel):
+    # coordinate differences round at these spacings; the offset table
+    # gives every offset one distance
+    prob = box_problem(dim, h, rext, kernel)
+    ia, ja, dist, weight = prob._pairs
+    dia, dja, ddist, dweight = dense_pairs(prob)
+    assert_bitwise((ia, ja), (dia, dja))
+    shift, first = np.unique(ja - ia, return_inverse=True)
+    one = np.full(shift.size, np.nan)
+    one[first] = dist
+    np.testing.assert_array_equal(dist, one[first])
+    np.testing.assert_allclose(dist, ddist, rtol=4e-15, atol=0)
+    np.testing.assert_allclose(weight, dweight, rtol=1e-13, atol=0)
 
 
 def _checks(prob):
