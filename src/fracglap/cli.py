@@ -364,18 +364,22 @@ def _boundedness(ctx, ball):
                                 omega_mask=prob.omega_mask)
 
 
-def _caccioppoli(ctx, k, sign):
+def _caccioppoli(ctx, points):
+    """Caccioppoli reports of the minimizer on the default ball, one per
+    (level, sign) of ``points``, in one walk over the ball."""
     ball = _default_ball(ctx)
     cut = rg.Cutoff(plateau=0.5 * ball.radius, support=0.85 * ball.radius)
-    return rg.caccioppoli_check(ctx.ensure_solved().minimizer, ball, k, cut,
-                                sign, ctx.problem.s, ctx.problem.nf,
+    return rg.caccioppoli_check(ctx.ensure_solved().minimizer, ball, points,
+                                cut, ctx.problem.s, ctx.problem.nf,
                                 bound=ctx.tol("caccioppoli", math.inf))
 
 
-def _sobolev_poincare(ctx, f, bound):
+def _sobolev_poincare(ctx, fs, bound):
+    """Sobolev-Poincare reports on the default ball, one per function of
+    ``fs``, in one walk over the ball."""
     n, s = ctx.problem.lattice.dim, ctx.problem.s
     theta = 0.5 * (1.0 + n / (n - s / 2.0))
-    return rg.sobolev_poincare_check(f, _default_ball(ctx), s,
+    return rg.sobolev_poincare_check(fs, _default_ball(ctx), s,
                                      ctx.problem.nf, theta, bound=bound)
 
 
@@ -409,19 +413,21 @@ def _stage_linear_oracle(ctx, rng):
 
 
 # rounding allowance of the central difference, in units of
-# eps_mach * (|E(v+)| + |E(v-)|) / (2 h): each energy sum is exact only
-# to about eps_mach * |E|, whatever order the summation takes
+# eps_mach * (|E(v+)| + |E(v-)|) / (2 h), E the energy terms that contain
+# the probed node: each sum is exact only to about eps_mach * |E|,
+# whatever order the summation takes
 FD_ROUNDING = 2.0
 
 
 def _stage_gradient_fd(ctx, rng):
     """Gradient against central differences of the energy at probed
-    nodes of a random admissible candidate.  A probe passes when
-    |g - fd| <= tol |fd| + FD_ROUNDING eps_mach (|E+| + |E-|) / (2 h):
-    a small component next to a large energy would otherwise be judged
-    on the rounding of the energy sums alone.  The 12 plus and 12 minus
-    candidates are scored in one pass over the pairs
-    (``solver._energies``)."""
+    nodes of a random admissible candidate.  A difference at node i is
+    taken over the energy terms that contain i, the pairs incident to i
+    and i's far tail (``solver._local_energies``): the other terms
+    cancel, and would add only their rounding.  A probe passes when
+    |g - fd| <= tol |fd| + FD_ROUNDING eps_mach (|E+| + |E-|) / (2 h),
+    E+- those local sums: a small component would otherwise be judged
+    on the rounding of the sums alone."""
     prob = ctx.problem
     n_om = int(prob.omega_mask.sum())
     v = prob.datum_extension(rng.normal(size=n_om))
@@ -430,13 +436,7 @@ def _stage_gradient_fd(ctx, rng):
     probe = rng.choice(n_om, size=min(12, n_om), replace=False)
     scale = max(1.0, float(np.abs(v.values).max()))
     eps = 1e-6 * scale
-    # rows: the plus candidates, then the minus ones, in probe order
-    cand = np.tile(v.values, (2, probe.size, 1))
-    k = np.arange(probe.size)
-    cand[0, k, idx[probe]] += eps
-    cand[1, k, idx[probe]] -= eps
-    e_plus, e_minus = sl._energies(
-        prob, cand.reshape(2 * probe.size, -1)).reshape(2, -1)
+    e_plus, e_minus = sl._local_energies(prob, v.values, idx[probe], eps)
     fd = (e_plus - e_minus) / (2 * eps)
     err = np.abs(g[probe] - fd)
     fd_abs = np.maximum(np.abs(fd), 1e-12)
@@ -593,7 +593,8 @@ def _stage_boundedness(ctx, rng):
 
 
 def _stage_caccioppoli(ctx, rng):
-    return _caccioppoli(ctx, float(np.median(_ball_levels(ctx))), "plus")
+    return _caccioppoli(ctx, [(float(np.median(_ball_levels(ctx))),
+                               "plus")])[0]
 
 
 def _stage_logarithmic(ctx, rng):
@@ -619,8 +620,8 @@ def _stage_logarithmic(ctx, rng):
 
 
 def _stage_sobolev_poincare(ctx, rng):
-    return _sobolev_poincare(ctx, ctx.ensure_solved().minimizer,
-                             ctx.tol("sobolev_poincare", math.inf))
+    return _sobolev_poincare(ctx, [ctx.ensure_solved().minimizer],
+                             ctx.tol("sobolev_poincare", math.inf))[0]
 
 
 def _stage_holder_decay(ctx, rng):
@@ -645,20 +646,21 @@ def _sweep_boundedness(ctx, rng, params):
     base = _default_ball(ctx)
     fractions = params.get("fractions", [1.0, 0.8, 0.6, 0.45])
     balls = [Ball(base.center, base.radius * f) for f in fractions]
-    return _parallel_map(ctx, functools.partial(_boundedness, ctx), balls)
+    return _parallel_map(
+        ctx, lambda batch: [_boundedness(ctx, b) for b in batch], balls)
 
 
 def _sweep_caccioppoli(ctx, rng, params):
     levels = np.quantile(_ball_levels(ctx), [0.25, 0.5, 0.75])
-    jobs = [(float(k), sign) for k in levels
-            for sign in params.get("signs", ["plus", "minus"])]
-    return _parallel_map(ctx, lambda job: _caccioppoli(ctx, *job), jobs)
+    points = [(float(k), sign) for k in levels
+              for sign in params.get("signs", ["plus", "minus"])]
+    return _parallel_map(ctx, functools.partial(_caccioppoli, ctx), points)
 
 
 def _sweep_sobolev_poincare(ctx, rng, params):
     corpus = _corpus(ctx, rng, int(params.get("count", 6)))
     return _parallel_map(
-        ctx, lambda f: _sobolev_poincare(ctx, f, math.inf), corpus)
+        ctx, lambda fs: _sobolev_poincare(ctx, fs, math.inf), corpus)
 
 
 def _sweep_holder_decay(ctx, rng, params):
@@ -677,10 +679,19 @@ def _sweep_holder_decay(ctx, rng, params):
 
 
 def _parallel_map(ctx, fn, items):
-    if ctx.jobs == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=ctx.jobs) as pool:
-        return list(pool.map(fn, items))  # submission order, deterministic
+    """fn(batch) -> one report per item of the batch, over the items in
+    ``ctx.jobs`` contiguous batches, one thread each, concatenated in
+    order.  A sweep check scores each point on its own, so the reports
+    do not depend on the split."""
+    if not items:
+        return []
+    if ctx.jobs == 1 or len(items) == 1:
+        return fn(items)
+    parts = min(ctx.jobs, len(items))
+    bounds = [len(items) * i // parts for i in range(parts + 1)]
+    batches = [items[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+        return [rep for part in pool.map(fn, batches) for rep in part]
 
 
 # -- stage table -------------------------------------------------------------

@@ -319,27 +319,36 @@ class MembershipReport:
 
 # -- modulars, norms, tail ----------------------------------------------
 
-def gagliardo_modular(f, region, s, nf):
+def gagliardo_modular(fs, region, s, nf):
     """Double Riemann sum of G(|f(x)-f(y)| / |x-y|^s) |x-y|^(-n) over
     ordered node pairs of the region, diagonal excluded, with pair
-    measure h^(2n)."""
+    measure h^(2n), for each function f of ``fs`` (all on one lattice),
+    in order.  The functions share one walk over the region's
+    ``BALL_ROWS`` row blocks: a block's d^s and d^n are gathered once,
+    and each function sums its own terms over the same blocks, so its
+    value does not depend on the others."""
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
-    lat = f.lattice
+    lat = fs[0].lattice
+    if any(f.lattice != lat for f in fs):
+        raise ValueError("the functions must share one lattice")
     idx = np.flatnonzero(lat.select(region))
     if idx.size == 0:
         raise ValueError("region contains no lattice nodes")
-    v = f.values[idx]
+    vs = [f.values[idx] for f in fs]
     n = lat.dim
     w_pair = lat.h ** (2 * n)
     table = OffsetTable(lat)
     ds = table.dist ** s
     dn = table.dist ** n
-    total = 0.0
+    totals = [0.0] * len(fs)
     for sl, kc in table.blocks(idx, idx, BALL_ROWS):
-        dv = np.abs(v[sl, None] - v[None, :])
-        total += float(np.sum(nf.G(dv / ds.take(kc)) / dn.take(kc))) * w_pair
-    return total
+        dds = ds.take(kc)
+        ddn = dn.take(kc)
+        for j, v in enumerate(vs):
+            dv = np.abs(v[sl, None] - v[None, :])
+            totals[j] += float(np.sum(nf.G(dv / dds) / ddn)) * w_pair
+    return totals
 
 
 def luxemburg_norm(f, region, nf):

@@ -29,6 +29,7 @@ workers.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -293,7 +294,8 @@ class NFunction:
         fam = self.growth.family
         if fam == "power":
             pw = self.growth.exponent
-            val = t ** pw / pw
+            val = t ** pw
+            val *= 1.0 / pw
         elif fam == "table":
             val = self._table_G(t)
         else:
@@ -314,7 +316,8 @@ class NFunction:
         fam = self.growth.family
         if fam == "power":
             pw = self.growth.exponent
-            val = t ** pw / pw ** 2
+            val = t ** pw
+            val *= 1.0 / pw ** 2
         elif fam == "table":
             val = self._table_H(t)
         else:
@@ -389,20 +392,29 @@ class NFunction:
         return t ** (p + 1) / (p + 1) ** 2 - t ** (p + 2) / (2 * (p + 2) ** 2)
 
     def _accelerated(self, t, fast_fn, exact_fn, series_fn):
-        """``series_fn`` on 0 < t < SERIES_MAX, ``fast_fn`` on the rest of
-        the accelerator's range, ``exact_fn`` past it, and 0 at t = 0."""
-        out = np.zeros_like(t)
-        small = (t > 0) & (t < SERIES_MAX)
-        if small.any():
-            out[small] = series_fn(t[small])
-        rest = t >= SERIES_MAX
+        """``series_fn`` on t < SERIES_MAX (where t = 0 gives 0),
+        ``fast_fn`` on the rest of the accelerator's range and
+        ``exact_fn`` past it.  The range of t classifies a call whose
+        arguments share one piece, which then gets them whole; any other
+        call classifies its arguments once, by ``searchsorted``."""
+        edges = [SERIES_MAX]
+        fns = [series_fn]
         if fast_fn is not None:
-            fast = rest & (t <= self._accel.hi)
-            if fast.any():
-                out[fast] = fast_fn(t[fast])
-            rest &= ~fast
-        if rest.any():
-            out[rest] = exact_fn(t[rest])
+            edges.append(math.nextafter(self._accel.hi, math.inf))
+            fns.append(fast_fn)
+        fns.append(exact_fn)
+        lo = t.min(initial=math.inf)
+        first = bisect.bisect_right(edges, lo)
+        last = bisect.bisect_right(edges, t.max(initial=-math.inf))
+        if first == last and not math.isnan(lo):
+            return fns[first](t)
+        # NaN sorts past the last edge: it goes to ``exact_fn``
+        cls = np.searchsorted(edges, t, side="right")
+        out = np.empty_like(t)
+        for c, fn in enumerate(fns):
+            sel = cls == c
+            if sel.any():
+                out[sel] = fn(t[sel])
         return out
 
     def _build_accelerator(self):

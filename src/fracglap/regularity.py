@@ -86,36 +86,46 @@ def de_giorgi_iterate(C, B, beta, A0, steps=60):
 
 # -- Sobolev-Poincare ------------------------------------------------------
 
-def sobolev_poincare_check(f, ball, s, nf, theta, bound=math.inf):
+def sobolev_poincare_check(fs, ball, s, nf, theta, bound=math.inf):
     """Improved integrability of G(|f - mean| / r^s) on a ball against
-    the average pair modular: lhs is the theta-mean of G(...)^theta,
-    rhs the node average of the pair sum
+    the average pair modular, one report for each function f of ``fs``
+    (all on one lattice), in order: lhs is the theta-mean of
+    G(...)^theta, rhs the node average of the pair sum
 
         sum_y G(|f(x)-f(y)| / |x-y|^s) |x-y|^(-n) h^n,
 
     that is ``gagliardo_modular`` over the ball divided by m h^n for m
-    nodes.  Both sides are invariant under x -> x/r with h scaled
-    alike."""
-    n = f.lattice.dim
+    nodes; the functions share one walk over the ball's blocks
+    (``funcspace.gagliardo_modular``).  Both sides are invariant under
+    x -> x/r with h scaled alike."""
+    if not fs:
+        return []
+    lat = fs[0].lattice
+    n = lat.dim
     if not 1.0 < theta < n / (n - s / 2.0):
         raise ValueError("theta must lie in (1, n / (n - s/2))")
-    idx = np.flatnonzero(f.lattice.select(ball))
+    idx = np.flatnonzero(lat.select(ball))
     if idx.size < 2:
         raise ValueError("ball must contain at least two lattice nodes")
-    v = f.values[idx]
     r = ball.radius
-    mean = float(v.mean())
-    dev = np.abs(v - mean)
-    # deviations at the rounding level of the mean are geometry, not data
-    dev[dev <= 8.0 * np.finfo(float).eps * (abs(mean) + np.abs(v).max())] = 0.0
-    lhs = float(np.mean(nf.G(dev / r ** s) ** theta)) ** (1.0 / theta)
-
-    hn = f.lattice.h ** n
-    rhs = fsp.gagliardo_modular(f, ball, s, nf) / (idx.size * hn)
-    return EstimateReport.from_sides(
-        "sobolev_poincare", lhs, {"pair_modular_avg": rhs}, bound,
-        witnesses={"center": tuple(ball.center), "radius": r,
-                   "theta": theta, "nodes": int(idx.size)})
+    hn = lat.h ** n
+    modulars = fsp.gagliardo_modular(fs, ball, s, nf)
+    reports = []
+    for f, modular in zip(fs, modulars):
+        v = f.values[idx]
+        mean = float(v.mean())
+        dev = np.abs(v - mean)
+        # deviations at the rounding level of the mean are geometry, not
+        # data
+        dev[dev <= 8.0 * np.finfo(float).eps
+            * (abs(mean) + np.abs(v).max())] = 0.0
+        lhs = float(np.mean(nf.G(dev / r ** s) ** theta)) ** (1.0 / theta)
+        reports.append(EstimateReport.from_sides(
+            "sobolev_poincare", lhs,
+            {"pair_modular_avg": modular / (idx.size * hn)}, bound,
+            witnesses={"center": tuple(ball.center), "radius": r,
+                       "theta": theta, "nodes": int(idx.size)}))
+    return reports
 
 
 # -- local boundedness -----------------------------------------------------
@@ -176,19 +186,32 @@ class Cutoff:
                        0.0, 1.0)
 
 
-def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf):
-    """Truncation-energy estimate at level k on a ball.
+def _truncation(values, k, sign):
+    """(values - k)_+ for ``sign`` plus, (k - values)_+ for minus."""
+    return np.maximum(values - k, 0.0) if sign == "plus" \
+        else np.maximum(k - values, 0.0)
+
+
+def caccioppoli_check(u, ball, points, cutoff, s, nf, bound=math.inf):
+    """Truncation-energy estimate on a ball, one report for each
+    (level k, sign) of ``points``, in order.
 
     lhs: pair sum of G(|w(x)-w(y)| / d^s) min(phi^q(x), phi^q(y)) d^-n,
     with w the positive or negative truncation (u-k)_+/-; rhs: the
     cutoff-difference term G(|phi(x)-phi(y)| / d^s * max(w(x), w(y)))
     plus the w phi^q mass times the sup over supp(phi) of the exterior
     tail-type integral of w.
+
+    The points share one walk over the ball's ``BALL_ROWS`` row blocks:
+    a block's geometry (d^s, d^n, min(phi^q), |dphi|, the Lipschitz
+    quotient) is gathered once, and each point sums its own terms over
+    the same blocks, so a point's report does not depend on the others.
     """
-    if k < 0:
-        raise ValueError("truncation level must be >= 0")
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
+    for k, sign in points:
+        if k < 0:
+            raise ValueError("truncation level must be >= 0")
+        if sign not in ("plus", "minus"):
+            raise ValueError("sign must be 'plus' or 'minus'")
     lat = u.lattice
     x0 = np.asarray(ball.center, float)
     r = ball.radius
@@ -203,7 +226,7 @@ def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf):
     c = coords[idx]
     d0 = np.linalg.norm(c - x0, axis=1)
     uv = u.values[idx]
-    w = np.maximum(uv - k, 0.0) if sign == "plus" else np.maximum(k - uv, 0.0)
+    ws = [_truncation(uv, k, sign) for k, sign in points]
     phi = cutoff(d0)
     phiq = phi ** nf.q
 
@@ -211,53 +234,54 @@ def caccioppoli_check(u, ball, k, cutoff, sign, s, nf, bound=math.inf):
     dist = table.dist
     ds = dist ** s
     dn = dist ** n
-    lhs = 0.0
-    rhs_cut = 0.0
+    lhs = [0.0] * len(points)
+    rhs_cut = [0.0] * len(points)
     lip = 0.0
     for sl, kc in table.blocks(idx, idx, BALL_ROWS):
         dds = ds.take(kc)
         ddn = dn.take(kc)
-        dw = np.abs(w[sl, None] - w[None, :])
-        wmax = np.maximum(w[sl, None], w[None, :])
         pq = np.minimum(phiq[sl, None], phiq[None, :])
         dphi = np.abs(phi[sl, None] - phi[None, :])
-        lhs += float(np.sum(nf.G(dw / dds) * pq / ddn))
-        rhs_cut += float(np.sum(nf.G(dphi / dds * wmax) / ddn))
+        cut = dphi / dds
         lip = max(lip, float((dphi / dist.take(kc)).max(initial=0.0)))
-    lhs *= hn * hn
-    rhs_cut *= hn * hn
-
-    mass = float(np.sum(w * phiq)) * hn
+        for j, w in enumerate(ws):
+            dw = np.abs(w[sl, None] - w[None, :])
+            wmax = np.maximum(w[sl, None], w[None, :])
+            lhs[j] += float(np.sum(nf.G(dw / dds) * pq / ddn))
+            rhs_cut[j] += float(np.sum(nf.G(cut * wmax) / ddn))
 
     # sup over the cutoff support of the exterior tail-type integral of w
     supp = idx[phi > 0]
-    out_mask = np.linalg.norm(coords - x0, axis=1) > r
-    out_idx = np.flatnonzero(out_mask)
-    uo = u.values[out_idx]
-    wo = np.maximum(uo - k, 0.0) if sign == "plus" else np.maximum(k - uo, 0.0)
-    # g(0) = 0: the exterior nodes with w = 0 add exactly 0
-    live = wo > 0
-    out_idx, wo = out_idx[live], wo[live]
-    sup_tail = 0.0
-    if supp.size:
-        svals = np.zeros(supp.size)
-        kern = dist ** (-(n + s))
-        # row sums do not depend on the block height
-        for sl, kc in table.blocks(supp, out_idx):
-            svals[sl] = np.sum(nf.g(wo[None, :] / ds.take(kc))
-                               * kern.take(kc), axis=1) * hn
-        far = _truncation_far_tail(u, x0, r, k, sign, s, nf)
-        sup_tail = float(svals.max(initial=0.0)) + far
-    rhs_mass = mass * sup_tail
-
-    return EstimateReport.from_sides(
-        "caccioppoli", lhs, {"cutoff_term": rhs_cut, "mass_tail_term": rhs_mass},
-        bound,
-        witnesses={"center": tuple(ball.center), "radius": r, "level": k,
-                   "sign": sign, "plateau": cutoff.plateau,
-                   "support": cutoff.support},
-        details={"discrete_lipschitz": lip, "mass": mass,
-                 "sup_tail": sup_tail})
+    out_all = np.flatnonzero(np.linalg.norm(coords - x0, axis=1) > r)
+    uo = u.values[out_all]
+    kern = dist ** (-(n + s))
+    reports = []
+    for (k, sign), w, lhs_k, cut_k in zip(points, ws, lhs, rhs_cut):
+        mass = float(np.sum(w * phiq)) * hn
+        wo = _truncation(uo, k, sign)
+        # g(0) = 0: the exterior nodes with w = 0 add exactly 0
+        live = wo > 0
+        out_idx, wo = out_all[live], wo[live]
+        sup_tail = 0.0
+        if supp.size:
+            svals = np.zeros(supp.size)
+            # row sums do not depend on the block height
+            for sl, kc in table.blocks(supp, out_idx):
+                svals[sl] = np.sum(nf.g(wo[None, :] / ds.take(kc))
+                                   * kern.take(kc), axis=1) * hn
+            far = _truncation_far_tail(u, x0, r, k, sign, s, nf)
+            sup_tail = float(svals.max(initial=0.0)) + far
+        reports.append(EstimateReport.from_sides(
+            "caccioppoli", lhs_k * (hn * hn),
+            {"cutoff_term": cut_k * (hn * hn),
+             "mass_tail_term": mass * sup_tail},
+            bound,
+            witnesses={"center": tuple(ball.center), "radius": r, "level": k,
+                       "sign": sign, "plateau": cutoff.plateau,
+                       "support": cutoff.support},
+            details={"discrete_lipschitz": lip, "mass": mass,
+                     "sup_tail": sup_tail}))
+    return reports
 
 
 def _truncation_far_tail(u, x0, r, k, sign, s, nf):
@@ -275,8 +299,7 @@ def _truncation_far_tail(u, x0, r, k, sign, s, nf):
 
     def integrand(rho):
         f = model.signed_profile(rho)
-        wf = np.maximum(f - k, 0.0) if sign == "plus" else np.maximum(k - f, 0.0)
-        return nf.g(wf / rho ** s) * rho ** (-1.0 - s)
+        return nf.g(_truncation(f, k, sign) / rho ** s) * rho ** (-1.0 - s)
 
     # (f - k)_+ grows only if f -> +inf, (k - f)_+ only if f -> -inf;
     # the radius where f crosses k is a breakpoint

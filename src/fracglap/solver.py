@@ -57,7 +57,7 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 # width of the diagonal blocks of the substitution in ``_cholesky_solve``
 SUBST_BLOCK = 128
-# pair-by-candidate entries per block of ``_energies`` (512 KiB per
+# pair-by-candidate entries per block of ``_pair_energies`` (512 KiB per
 # temporary); 2^14 and 2^18 (``pairs.CHUNK_ELEMENTS``) measured slower
 ENERGY_BLOCK = 2**16
 
@@ -368,20 +368,34 @@ def _energy_values(prob, vals):
 
 def _energies(prob, V):
     """Energies of the candidates stacked in the rows of V (B, nodes),
-    in one pass over the pairs.
+    in one pass over the pairs (``_pair_energies``) plus the far tail.
 
-    The stack is taken node-major, so one pair index gathers the B values
-    of a node at once, and the pairs are walked in blocks of at most
-    ``ENERGY_BLOCK`` pair-by-candidate entries.  A row's pair sum runs
-    over blocks whose height depends on B, so a candidate scored alone
-    and in a stack agree up to the order of the sum.
+    A row's pair sum runs over blocks whose height depends on B, so a
+    candidate scored alone and in a stack agree up to the order of the
+    sum.
     """
-    ia, ja, dist, w = prob._pairs
-    inv_ds = prob._inv_ds
     n_cand = V.shape[0]
-    Vt = np.ascontiguousarray(V.T)
-    out = np.zeros(n_cand)
-    rows = max(1, ENERGY_BLOCK // n_cand)
+    out = _pair_energies(prob, np.ascontiguousarray(V.T))
+    far = prob._far_energy(V[:, prob.omega_mask].ravel())
+    return out + far.reshape(n_cand, -1).sum(axis=1)
+
+
+def _pair_energies(prob, Vt, sub=None):
+    """Pair part of the energies of the node-major stack Vt (nodes, B):
+    sum over the stored pairs, or over the pairs ``sub`` only, of
+    w G(|v(x) - v(y)| d^(-s)) for each column.
+
+    Node-major, one pair index gathers the B values of a node at once;
+    the pairs are walked in blocks of at most ``ENERGY_BLOCK``
+    pair-by-candidate entries, each summed by one matrix-vector product
+    with the pair weights.  This is the package's one energy kernel.
+    """
+    ia, ja, _, w = prob._pairs
+    inv_ds = prob._inv_ds
+    if sub is not None:
+        ia, ja, w, inv_ds = ia[sub], ja[sub], w[sub], inv_ds[sub]
+    out = np.zeros(Vt.shape[1])
+    rows = max(1, ENERGY_BLOCK // Vt.shape[1])
     for start in range(0, ia.size, rows):
         blk = slice(start, start + rows)
         t = np.take(Vt, ia[blk], axis=0)
@@ -389,8 +403,31 @@ def _energies(prob, V):
         np.abs(t, out=t)
         t *= inv_ds[blk, None]
         out += w[blk] @ prob.nf.G(t)
-    far = prob._far_energy(V[:, prob.omega_mask].ravel())
-    return out + far.reshape(n_cand, -1).sum(axis=1)
+    return out
+
+
+def _local_energies(prob, vals, nodes, eps):
+    """(E+, E-), each of shape (nodes.size,): for node i = nodes[k], the
+    energy terms that contain i, at vals + eps e_i and at vals - eps e_i.
+    These are the stored pairs incident to i (``_pair_energies`` on them)
+    and i's far tail.  Every other term is the same at both points, so
+    E+[k] - E-[k] is the full energy's central difference without the
+    rounding of the terms that cancel.  One gather of a node mask finds
+    the pairs incident to any of the nodes."""
+    ia, ja = prob._pairs[:2]
+    probed = np.zeros(prob.lattice.n_nodes, dtype=bool)
+    probed[nodes] = True
+    near = np.flatnonzero(probed[ia] | probed[ja])
+    ian, jan = ia[near], ja[near]
+    stack = np.repeat(vals[:, None], 2, axis=1)
+    out = np.empty((2, nodes.size))
+    for k, i in enumerate(nodes):
+        stack[i] = vals[i] + eps, vals[i] - eps
+        out[:, k] = _pair_energies(prob, stack, near[(ian == i) | (jan == i)])
+        stack[i] = vals[i]
+    far = prob._far_energy(np.concatenate([vals[nodes] + eps,
+                                           vals[nodes] - eps]))
+    return out + far.reshape(2, -1)
 
 
 def gradient(prob, v):

@@ -213,3 +213,98 @@ def minimality_reference(ctx, rng):
         tolerance=0.5, passed=passed,
         details={"weak_residual": wres, "threshold": thr,
                  "energy": e0, "probes": 100})
+
+
+def gagliardo_modular_reference(f, region, s, nf):
+    """``funcspace.gagliardo_modular`` of the one function ``f`` in its own
+    walk over the region's row blocks: the route before the functions of
+    a Sobolev-Poincare sweep shared one walk, kept as its oracle."""
+    from fracglap import pairs
+    lat = f.lattice
+    idx = np.flatnonzero(lat.select(region))
+    v = f.values[idx]
+    n = lat.dim
+    w_pair = lat.h ** (2 * n)
+    table = pairs.OffsetTable(lat)
+    ds = table.dist ** s
+    dn = table.dist ** n
+    total = 0.0
+    for sl, kc in table.blocks(idx, idx, pairs.BALL_ROWS):
+        dv = np.abs(v[sl, None] - v[None, :])
+        total += float(np.sum(nf.G(dv / ds.take(kc)) / dn.take(kc))) * w_pair
+    return total
+
+
+def caccioppoli_reference(u, ball, k, cutoff, sign, s, nf, bound=math.inf):
+    """``regularity.caccioppoli_check`` at the one point (k, sign), with
+    the ball geometry gathered for that point alone: the route before the
+    points of a sweep shared one walk over the ball, kept as its oracle."""
+    from fracglap import pairs
+    from fracglap.regularity import _truncation_far_tail
+    from fracglap.reports import EstimateReport
+    lat = u.lattice
+    x0 = np.asarray(ball.center, float)
+    r = ball.radius
+    idx = np.flatnonzero(lat.select(ball))
+    n = lat.dim
+    hn = lat.h ** n
+    coords = lat.coords
+    d0 = np.linalg.norm(coords[idx] - x0, axis=1)
+    uv = u.values[idx]
+    w = np.maximum(uv - k, 0.0) if sign == "plus" else np.maximum(k - uv, 0.0)
+    phi = cutoff(d0)
+    phiq = phi ** nf.q
+    table = pairs.OffsetTable(lat)
+    dist = table.dist
+    ds = dist ** s
+    dn = dist ** n
+    lhs = rhs_cut = lip = 0.0
+    for sl, kc in table.blocks(idx, idx, pairs.BALL_ROWS):
+        dds = ds.take(kc)
+        ddn = dn.take(kc)
+        dw = np.abs(w[sl, None] - w[None, :])
+        wmax = np.maximum(w[sl, None], w[None, :])
+        pq = np.minimum(phiq[sl, None], phiq[None, :])
+        dphi = np.abs(phi[sl, None] - phi[None, :])
+        lhs += float(np.sum(nf.G(dw / dds) * pq / ddn))
+        rhs_cut += float(np.sum(nf.G(dphi / dds * wmax) / ddn))
+        lip = max(lip, float((dphi / dist.take(kc)).max(initial=0.0)))
+    lhs *= hn * hn
+    rhs_cut *= hn * hn
+    mass = float(np.sum(w * phiq)) * hn
+    supp = idx[phi > 0]
+    out_idx = np.flatnonzero(np.linalg.norm(coords - x0, axis=1) > r)
+    uo = u.values[out_idx]
+    wo = np.maximum(uo - k, 0.0) if sign == "plus" else np.maximum(k - uo, 0.0)
+    live = wo > 0
+    out_idx, wo = out_idx[live], wo[live]
+    sup_tail = 0.0
+    if supp.size:
+        svals = np.zeros(supp.size)
+        kern = dist ** (-(n + s))
+        for sl, kc in table.blocks(supp, out_idx):
+            svals[sl] = np.sum(nf.g(wo[None, :] / ds.take(kc))
+                               * kern.take(kc), axis=1) * hn
+        far = _truncation_far_tail(u, x0, r, k, sign, s, nf)
+        sup_tail = float(svals.max(initial=0.0)) + far
+    return EstimateReport.from_sides(
+        "caccioppoli", lhs,
+        {"cutoff_term": rhs_cut, "mass_tail_term": mass * sup_tail}, bound,
+        witnesses={"center": tuple(ball.center), "radius": r, "level": k,
+                   "sign": sign, "plateau": cutoff.plateau,
+                   "support": cutoff.support},
+        details={"discrete_lipschitz": lip, "mass": mass,
+                 "sup_tail": sup_tail})
+
+
+def central_differences_full(prob, vals, nodes, eps):
+    """(E+, E-) of the whole energy at vals +- eps e_i for each node i of
+    ``nodes``, scored as one stack (``solver._energies``): the
+    ``verify:gradient_fd`` route before its differences were taken over
+    the terms that contain the probed node, kept as its oracle."""
+    from fracglap import solver as sl
+    cand = np.tile(vals, (2, nodes.size, 1))
+    k = np.arange(nodes.size)
+    cand[0, k, nodes] += eps
+    cand[1, k, nodes] -= eps
+    return sl._energies(prob, cand.reshape(2 * nodes.size, -1)).reshape(2, -1)

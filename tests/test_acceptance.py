@@ -278,7 +278,7 @@ def test_criterion_09_estimate_constant_stability():
         brep = boundedness_check(u, ball, 0.5, nf)
         bconsts.append(brep.empirical_constant)
         cut = Cutoff(plateau=0.18, support=0.36)
-        crep = caccioppoli_check(u, ball, 0.1, cut, "plus", 0.5, nf)
+        crep, = caccioppoli_check(u, ball, [(0.1, "plus")], cut, 0.5, nf)
         cconsts.append(crep.empirical_constant)
         if scaling_gap is None:
             c = 41.7

@@ -315,13 +315,30 @@ class TestRun:
         assert "compactly contained in the domain" in capsys.readouterr().err
         assert not (out / "sweep_boundedness.csv").exists()
 
-    def test_jobs_flag_deterministic(self, tmp_path):
-        cfg = base_config(pipeline=["solve", "sweep:boundedness"])
+    def test_jobs_flag_deterministic(self, tmp_path, monkeypatch):
+        # jobs > 1 splits a sweep's points into that many batches, each
+        # scored in one call of its check; every sweep artifact is
+        # byte-identical to the one of a single batch
+        cfg = base_config(pipeline=["solve"] + [f"sweep:{n}" for n in
+                                                cli.SWEEP_STAGES])
         p = write_config(tmp_path, cfg)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert run(p, out_override=str(out1), jobs=1) == EXIT_OK
-        assert run(p, out_override=str(out2), jobs=4) == EXIT_OK
-        assert read_reports(out1) == read_reports(out2)
+        check = cli.rg.caccioppoli_check
+        calls = []
+
+        def counted(u, ball, points, *args, **kw):
+            calls.append(len(points))
+            return check(u, ball, points, *args, **kw)
+
+        monkeypatch.setattr(cli.rg, "caccioppoli_check", counted)
+        reports, batches = {}, {}
+        for jobs in (1, 2, 4):
+            calls.clear()
+            out = tmp_path / f"o{jobs}"
+            assert run(p, out_override=str(out), jobs=jobs) == EXIT_OK
+            reports[jobs] = read_reports(out)
+            batches[jobs] = sorted(calls)
+        assert reports[1] == reports[2] == reports[4]
+        assert batches == {1: [6], 2: [3, 3], 4: [1, 1, 2, 2]}
 
 
 def small_component_config():
@@ -437,6 +454,32 @@ class TestGradientFD:
                    out_override=str(out)) == EXIT_ESTIMATE
         rep = json.loads((out / "estimate_gradient_fd.json").read_text())
         assert not rep["passed"]
+
+
+    def test_small_component_wrong_at_rounding_scale_fails(self, tmp_path,
+                                                          monkeypatch):
+        # the smallest probed component (6.5e-4) wrong by 2e-5 relative,
+        # 1.3e-8: below the rounding allowance of differences of the whole
+        # energy (3.5e-8), above that of the terms that contain the probed
+        # node (6.6e-9)
+        cfg = small_component_config()
+        probe, g = probed_components(cfg)
+        k = probe[np.argmin(np.abs(g[probe]))]
+        exact = sl._gradient_omega
+
+        def wrong(prob, vals):
+            out = exact(prob, vals)
+            out[k] *= 1.0 + 2e-5
+            return out
+
+        monkeypatch.setattr(sl, "_gradient_omega", wrong)
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) == EXIT_ESTIMATE
+        rep = json.loads((out / "estimate_gradient_fd.json").read_text())
+        assert not rep["passed"]
+        assert rep["lhs"] == pytest.approx(2e-5 * abs(g[k]), rel=0.05)
+        assert rep["rhs_terms"]["rounding"] < 1e-8
 
 
 def assert_same_minimality(got, want):

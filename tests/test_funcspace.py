@@ -78,35 +78,38 @@ class TestGagliardoModular:
     def test_constant_vanishes(self, nf2):
         lat = Lattice.from_box([0.0], [1.0], 0.25)
         f = GridFunction(lat, np.full(5, 3.7))
-        assert gagliardo_modular(f, None, 0.5, nf2) == 0.0
+        assert gagliardo_modular([f], None, 0.5, nf2)[0] == 0.0
 
     def test_two_node_enumeration(self, nf2):
         # both ordered pairs of a two-node lattice, h = d = 1
         lat = Lattice.from_box([0.0], [1.0], 1.0)
         f = GridFunction(lat, [0.0, 1.0])
-        assert gagliardo_modular(f, None, 0.5, nf2) == pytest.approx(1.0)
+        assert gagliardo_modular([f], None, 0.5, nf2)[0] == pytest.approx(1.0)
 
     def test_quadratic_homogeneity(self, nf2):
         lat = Lattice.from_box([0.0], [2.0], 0.25)
         rng = np.random.default_rng(0)
         f = GridFunction(lat, rng.normal(size=lat.n_nodes))
-        m1 = gagliardo_modular(f, None, 0.5, nf2)
-        m2 = gagliardo_modular(f.with_values(2 * f.values), None, 0.5, nf2)
+        m1 = gagliardo_modular([f], None, 0.5, nf2)[0]
+        m2 = gagliardo_modular([f.with_values(2 * f.values)], None, 0.5,
+                               nf2)[0]
         assert m2 == pytest.approx(4.0 * m1, rel=1e-12)
 
     def test_relabel_symmetry(self, nf2):
         lat = Lattice.from_box([0.0], [2.0], 0.25)
         rng = np.random.default_rng(1)
         vals = rng.normal(size=lat.n_nodes)
-        m1 = gagliardo_modular(GridFunction(lat, vals), None, 0.6, nf2)
-        m2 = gagliardo_modular(GridFunction(lat, vals[::-1]), None, 0.6, nf2)
+        m1 = gagliardo_modular([GridFunction(lat, vals)], None, 0.6, nf2)[0]
+        m2 = gagliardo_modular([GridFunction(lat, vals[::-1])], None, 0.6,
+                               nf2)[0]
         assert m1 == pytest.approx(m2, rel=1e-13)
 
     def test_positive_for_nonconstant(self, nf2):
         lat = Lattice.from_box([0.0], [2.0], 0.25)
         vals = np.zeros(lat.n_nodes)
         vals[3] = 1e-9
-        assert gagliardo_modular(GridFunction(lat, vals), None, 0.5, nf2) > 0
+        f = GridFunction(lat, vals)
+        assert gagliardo_modular([f], None, 0.5, nf2)[0] > 0
 
     def test_refinement_cauchy(self, nf2):
         # smooth test function: halving h moves the modular by little
@@ -114,21 +117,27 @@ class TestGagliardoModular:
         fine = lat.refined()
         f1 = GridFunction(lat, np.sin(2 * np.pi * lat.coords[:, 0]))
         f2 = GridFunction(fine, np.sin(2 * np.pi * fine.coords[:, 0]))
-        m1 = gagliardo_modular(f1, None, 0.5, nf2)
-        m2 = gagliardo_modular(f2, None, 0.5, nf2)
+        m1 = gagliardo_modular([f1], None, 0.5, nf2)[0]
+        m2 = gagliardo_modular([f2], None, 0.5, nf2)[0]
         assert abs(m2 - m1) / m1 < 0.05
 
     def test_empty_region(self, nf2):
         lat = Lattice.from_box([0.0], [1.0], 0.25)
         f = GridFunction(lat, np.zeros(5))
         with pytest.raises(ValueError):
-            gagliardo_modular(f, Ball([9.0], 0.1), 0.5, nf2)
+            gagliardo_modular([f], Ball([9.0], 0.1), 0.5, nf2)
 
     def test_s_range(self, nf2):
         lat = Lattice.from_box([0.0], [1.0], 0.25)
         f = GridFunction(lat, np.zeros(5))
         with pytest.raises(ValueError):
-            gagliardo_modular(f, None, 1.2, nf2)
+            gagliardo_modular([f], None, 1.2, nf2)
+
+    def test_functions_share_one_lattice(self, nf2):
+        f = GridFunction(Lattice.from_box([0.0], [1.0], 0.25), np.zeros(5))
+        g = GridFunction(Lattice.from_box([0.0], [1.0], 0.125), np.zeros(9))
+        with pytest.raises(ValueError, match="one lattice"):
+            gagliardo_modular([f, g], None, 0.5, nf2)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

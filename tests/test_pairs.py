@@ -136,9 +136,9 @@ def test_non_dyadic_spacing(dim, h, rext, kernel):
 def _checks(prob):
     u = prob.exterior_datum
     x0 = tuple(0.0 for _ in range(prob.lattice.dim))
-    cac = caccioppoli_check(u, Ball(x0, 0.4), 0.1, Cutoff(0.15, 0.3), "plus",
-                            prob.s, prob.nf)
-    gm = gagliardo_modular(u, Ball(x0, 0.45), prob.s, prob.nf)
+    cac, = caccioppoli_check(u, Ball(x0, 0.4), [(0.1, "plus")],
+                             Cutoff(0.15, 0.3), prob.s, prob.nf)
+    gm = gagliardo_modular([u], Ball(x0, 0.45), prob.s, prob.nf)[0]
     return cac.to_dict(), gm
 
 
@@ -243,7 +243,7 @@ def test_caccioppoli_matches_coordinate_oracle(dim):
     levels = np.quantile(u.values[u.lattice.select(ball)], [0.25, 0.5, 0.75])
     for k in levels:
         for sign in ("plus", "minus"):
-            rep = caccioppoli_check(u, ball, k, cutoff, sign, s, nf)
+            rep, = caccioppoli_check(u, ball, [(k, sign)], cutoff, s, nf)
             lhs, cut, lip, sup = oracle_caccioppoli(u, ball, k, cutoff, sign,
                                                     s, nf)
             far = _truncation_far_tail(u, np.asarray(ball.center), 0.6, k,
@@ -267,7 +267,8 @@ def test_gagliardo_modular_matches_coordinate_oracle(dim, region):
     idx = np.flatnonzero(u.lattice.select(reg))
     want = oracle_pair_sum(u, idx, lambda dv, d: nf.G(dv / d ** s) / d ** n) \
         * u.lattice.h ** (2 * n)
-    assert gagliardo_modular(u, reg, s, nf) == pytest.approx(want, rel=1e-13)
+    got, = gagliardo_modular([u], reg, s, nf)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracglap import funcspace, pairs, regularity
 from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Lattice,
                       boundedness_check, caccioppoli_check,
                       de_giorgi_iterate, holder_decay_fit, log_estimate_check,
@@ -10,7 +11,8 @@ from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Lattice,
                       solve)
 from fracglap.regularity import DecaySchedule, _truncation_far_tail
 
-from helpers import line_problem, scipy_radial
+from helpers import (caccioppoli_reference, gagliardo_modular_reference,
+                     line_problem, scipy_radial, square_problem)
 
 
 @pytest.fixture
@@ -60,7 +62,7 @@ class TestSobolevPoincare:
     def test_constant_function_zero_sides(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.125)
         f = GridFunction(lat, np.full(lat.n_nodes, 4.2))
-        rep = sobolev_poincare_check(f, Ball([0.0], 0.9), 0.5, nf2, 1.1)
+        rep, = sobolev_poincare_check([f], Ball([0.0], 0.9), 0.5, nf2, 1.1)
         assert rep.lhs == 0.0 and rep.empirical_constant == 0.0
         assert rep.passed
 
@@ -68,19 +70,19 @@ class TestSobolevPoincare:
         lat = Lattice.from_box([-1.0], [1.0], 0.125)
         rng = np.random.default_rng(17)
         f = GridFunction(lat, rng.normal(size=lat.n_nodes))
-        rep = sobolev_poincare_check(f, Ball([0.0], 0.95), 0.5, nf2, 1.1)
+        rep, = sobolev_poincare_check([f], Ball([0.0], 0.95), 0.5, nf2, 1.1)
         assert math.isfinite(rep.empirical_constant)
-        flip = sobolev_poincare_check(f.with_values(-f.values),
-                                      Ball([0.0], 0.95), 0.5, nf2, 1.1)
+        flip, = sobolev_poincare_check([f.with_values(-f.values)],
+                                       Ball([0.0], 0.95), 0.5, nf2, 1.1)
         assert flip.empirical_constant == rep.empirical_constant
 
     def test_mean_centering_shift_invariance(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.125)
         rng = np.random.default_rng(18)
         f = GridFunction(lat, rng.normal(size=lat.n_nodes))
-        r1 = sobolev_poincare_check(f, Ball([0.0], 0.9), 0.5, nf2, 1.2)
-        r2 = sobolev_poincare_check(f.with_values(f.values + 7.0),
-                                    Ball([0.0], 0.9), 0.5, nf2, 1.2)
+        r1, = sobolev_poincare_check([f], Ball([0.0], 0.9), 0.5, nf2, 1.2)
+        r2, = sobolev_poincare_check([f.with_values(f.values + 7.0)],
+                                     Ball([0.0], 0.9), 0.5, nf2, 1.2)
         assert r1.lhs == pytest.approx(r2.lhs, rel=1e-12)
         assert r1.rhs_terms == pytest.approx(r2.rhs_terms)
 
@@ -94,8 +96,8 @@ class TestSobolevPoincare:
             y = lat.coords / r
             f = GridFunction(lat, np.sin(2.0 * y.sum(axis=1)) + y[:, 0] ** 2)
             theta = 0.5 * (1.0 + dim / (dim - 0.25))
-            rep = sobolev_poincare_check(f, Ball([0.0] * dim, r), 0.5, nf2,
-                                         theta)
+            rep, = sobolev_poincare_check([f], Ball([0.0] * dim, r), 0.5,
+                                          nf2, theta)
             consts.append(rep.empirical_constant)
         assert consts[0] > 0
         np.testing.assert_allclose(consts, consts[0], rtol=1e-12)
@@ -105,7 +107,7 @@ class TestSobolevPoincare:
         rng = np.random.default_rng(19)
         f = GridFunction(lat, rng.normal(size=lat.n_nodes))
         ball = Ball([0.0], 0.9)
-        rep = sobolev_poincare_check(f, ball, 0.5, nf2, 1.2)
+        rep, = sobolev_poincare_check([f], ball, 0.5, nf2, 1.2)
         idx = np.flatnonzero(lat.select(ball))
         x, v = lat.coords[idx, 0], f.values[idx]
         d = np.abs(x[:, None] - x[None, :])
@@ -120,15 +122,15 @@ class TestSobolevPoincare:
         f = GridFunction(lat, np.zeros(lat.n_nodes))
         # n = 1, s = 0.5: admissible band is (1, 4/3)
         with pytest.raises(ValueError):
-            sobolev_poincare_check(f, Ball([0.0], 0.9), 0.5, nf2, 1.5)
+            sobolev_poincare_check([f], Ball([0.0], 0.9), 0.5, nf2, 1.5)
         with pytest.raises(ValueError):
-            sobolev_poincare_check(f, Ball([0.0], 0.9), 0.5, nf2, 1.0)
+            sobolev_poincare_check([f], Ball([0.0], 0.9), 0.5, nf2, 1.0)
 
     def test_tiny_ball_rejected(self, nf2):
         lat = Lattice.from_box([-1.0], [1.0], 0.25)
         f = GridFunction(lat, np.zeros(lat.n_nodes))
         with pytest.raises(ValueError):
-            sobolev_poincare_check(f, Ball([0.1], 0.05), 0.5, nf2, 1.1)
+            sobolev_poincare_check([f], Ball([0.1], 0.05), 0.5, nf2, 1.1)
 
 
 class TestBoundedness:
@@ -187,15 +189,15 @@ class TestCaccioppoli:
         ball = Ball([0.0], 0.45)
         k = float(np.abs(u.values).max()) + 1.0
         cut = Cutoff(plateau=0.2, support=0.4)
-        rep = caccioppoli_check(u, ball, k, cut, "plus", 0.5, nf2)
+        rep, = caccioppoli_check(u, ball, [(k, "plus")], cut, 0.5, nf2)
         assert rep.lhs == 0.0 and rep.passed
 
     def test_full_cutoff_rejected(self, nf2):
         prob, u = self.make_solved()
         ball = Ball([0.0], 0.45)
         with pytest.raises(ValueError, match="vanish"):
-            caccioppoli_check(u, ball, 0.1, Cutoff(plateau=0.2, support=0.45),
-                              "plus", 0.5, nf2)
+            caccioppoli_check(u, ball, [(0.1, "plus")],
+                              Cutoff(plateau=0.2, support=0.45), 0.5, nf2)
 
     def test_bad_cutoff_spec(self):
         with pytest.raises(ValueError):
@@ -207,7 +209,7 @@ class TestCaccioppoli:
         cut = Cutoff(plateau=0.2, support=0.4)
         k = float(np.median(np.abs(u.values[u.lattice.select(ball)])))
         for sign in ("plus", "minus"):
-            rep = caccioppoli_check(u, ball, k, cut, sign, 0.5, nf2)
+            rep, = caccioppoli_check(u, ball, [(k, sign)], cut, 0.5, nf2)
             assert math.isfinite(rep.empirical_constant)
             assert rep.details["discrete_lipschitz"] <= 2.0 / 0.2 + 1e-9
 
@@ -219,7 +221,7 @@ class TestCaccioppoli:
             u = solve(prob, tol=1e-10).minimizer
             ball = Ball([0.0], 0.45)
             cut = Cutoff(plateau=0.2, support=0.4)
-            rep = caccioppoli_check(u, ball, 0.1, cut, "plus", 0.5, nf2)
+            rep, = caccioppoli_check(u, ball, [(0.1, "plus")], cut, 0.5, nf2)
             consts.append(rep.empirical_constant)
         assert abs(consts[1] - consts[0]) / consts[0] < 0.2
 
@@ -386,8 +388,80 @@ class TestTwoDimensionalChecks:
                               omega_mask=prob.omega_mask)
         assert math.isfinite(b.empirical_constant)
         theta = 0.5 * (1.0 + 2.0 / (2.0 - 0.25))
-        sp = sobolev_poincare_check(u, ball, 0.5, prob.nf, theta)
+        sp, = sobolev_poincare_check([u], ball, 0.5, prob.nf, theta)
         assert math.isfinite(sp.empirical_constant)
         cut = Cutoff(plateau=0.15, support=0.3)
-        cc = caccioppoli_check(u, ball, 0.05, cut, "plus", 0.5, prob.nf)
+        cc, = caccioppoli_check(u, ball, [(0.05, "plus")], cut, 0.5,
+                                prob.nf)
         assert math.isfinite(cc.empirical_constant)
+
+
+class TestBatchedChecks:
+    """A sweep scores all its points in one walk over the ball: each
+    point's report is bitwise the report of its own walk (the per-point
+    references in ``helpers``), with row blocks split and the last one
+    partial."""
+
+    CASES = {1: (lambda: line_problem(h=1 / 32, s=0.5, p=2.0, datum="sin"),
+                 Ball([0.0], 0.45), Cutoff(plateau=0.2, support=0.4)),
+             2: (lambda: square_problem(h=1 / 8, s=0.5, p=2.0, rext=1.0),
+                 Ball([0.0, 0.0], 0.4), Cutoff(plateau=0.15, support=0.3))}
+
+    @staticmethod
+    def split_blocks(monkeypatch, u, ball, rows=7):
+        """Ball blocks of ``rows`` rows, and tail blocks of at least three
+        rows (exactly three when every node off the ball is live); both
+        split, and the last ball block is partial."""
+        lat = u.lattice
+        m = int(lat.select(ball).sum())
+        assert m > rows and m % rows
+        outside = int(np.sum(np.linalg.norm(
+            lat.coords - np.asarray(ball.center), axis=1) > ball.radius))
+        for mod in (pairs, regularity, funcspace):
+            monkeypatch.setattr(mod, "BALL_ROWS", rows)
+        monkeypatch.setattr(pairs, "CHUNK_ELEMENTS", 3 * outside + 1)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_caccioppoli_points_match_per_point_reference(self, monkeypatch,
+                                                          dim):
+        make, ball, cut = self.CASES[dim]
+        prob = make()
+        u = solve(prob, tol=1e-9).minimizer
+        vals = np.abs(u.values[u.lattice.select(ball)])
+        # the last level lies above every value: its plus truncation has
+        # no live exterior node, its minus one has all of them
+        top = float(np.abs(u.values).max()) + 1.0
+        points = [(float(k), sign)
+                  for k in [*np.quantile(vals, [0.25, 0.5, 0.75]), top]
+                  for sign in ("plus", "minus")]
+        self.split_blocks(monkeypatch, u, ball)
+        got = caccioppoli_check(u, ball, points, cut, prob.s, prob.nf)
+        assert len(got) == len(points)
+        for rep, (k, sign) in zip(got, points):
+            want = caccioppoli_reference(u, ball, k, cut, sign, prob.s,
+                                         prob.nf)
+            assert rep.to_dict() == want.to_dict()
+        assert got[-2].lhs == 0.0 and got[-2].details["sup_tail"] == 0.0
+        assert got[-1].details["sup_tail"] > 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pair_modulars_match_per_function_reference(self, monkeypatch,
+                                                        dim):
+        make, ball, _ = self.CASES[dim]
+        prob = make()
+        u = solve(prob, tol=1e-9).minimizer
+        rng = np.random.default_rng(dim)
+        fs = [u] + [u.with_values(rng.normal(size=u.lattice.n_nodes))
+                    for _ in range(2)]
+        theta = 0.5 * (1.0 + dim / (dim - 0.25))
+        self.split_blocks(monkeypatch, u, ball)
+        got = funcspace.gagliardo_modular(fs, ball, prob.s, prob.nf)
+        assert got == [gagliardo_modular_reference(f, ball, prob.s, prob.nf)
+                       for f in fs]
+        reps = sobolev_poincare_check(fs, ball, prob.s, prob.nf, theta)
+        m = int(u.lattice.select(ball).sum())
+        for rep, f, modular in zip(reps, fs, got):
+            alone, = sobolev_poincare_check([f], ball, prob.s, prob.nf, theta)
+            assert rep.to_dict() == alone.to_dict()
+            assert rep.rhs_terms["pair_modular_avg"] == \
+                modular / (m * u.lattice.h ** dim)

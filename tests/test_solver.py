@@ -11,13 +11,13 @@ from fracglap import (ExteriorModel, GridFunction, InadmissibleError, Kernel,
                       Lattice, NonlocalProblem, assemble_quadratic, energy,
                       gradient, make_power, make_power_log, make_table, solve,
                       sphere_measure, weak_residual)
-from fracglap.cli import build_problem, run
+from fracglap.cli import FD_ROUNDING, build_problem, run
 from fracglap.quadrature import integrate_graded, integrate_radial
 from fracglap.solver import _energy_values, _gradient_omega
 
-from helpers import (energy_reference, line_problem, oracle_energy,
-                     quadratic_oracle, square_problem,
-                     surrogate_add_at_reference)
+from helpers import (central_differences_full, energy_reference,
+                     line_problem, oracle_energy, quadratic_oracle,
+                     square_problem, surrogate_add_at_reference)
 
 
 @pytest.fixture(scope="module")
@@ -691,6 +691,35 @@ class TestEnergies:
                                        rtol=1e-13, atol=0)
             np.testing.assert_allclose([_energy_values(prob, v) for v in V],
                                        want, rtol=1e-13, atol=0)
+
+
+class TestLocalEnergies:
+    """``verify:gradient_fd`` differences only the energy terms that
+    contain the probed node (``_local_energies``).  Its central
+    differences agree with those of the whole energy
+    (``central_differences_full``) within the rounding allowance the
+    stage gave the latter, FD_ROUNDING eps_mach (|E+| + |E-|) / (2 h)."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("model", sorted(STACK_MODELS))
+    @pytest.mark.parametrize("profile", sorted(STACK_PROFILES))
+    def test_differences_match_full_energy(self, profile, model, dim):
+        prob = _stack_problem(dim, STACK_PROFILES[profile](),
+                              STACK_MODELS[model])
+        rng = np.random.default_rng(dim)
+        vals = prob.exterior_datum.values.copy()
+        vals[prob.omega_mask] += rng.uniform(
+            -0.25, 0.25, size=int(prob.omega_mask.sum()))
+        nodes = rng.choice(np.flatnonzero(prob.omega_mask), 12,
+                           replace=False)
+        eps = 1e-6 * max(1.0, float(np.abs(vals).max()))
+        lp, lm = sl._local_energies(prob, vals, nodes, eps)
+        fp, fm = central_differences_full(prob, vals, nodes, eps)
+        allowance = FD_ROUNDING * np.finfo(float).eps * (fp + fm) / (2 * eps)
+        gap = np.abs((lp - lm) - (fp - fm)) / (2 * eps)
+        assert np.all(gap <= allowance)
+        # the terms that contain a node are a part of the energy
+        assert np.all((0.0 < lp) & (lp < fp) & (0.0 < lm) & (lm < fm))
 
 
 class TestFarBlocks:
