@@ -105,7 +105,27 @@ SCHEMA = {
         "seed": {"type": "integer"},
         "output_dir": {"type": "string"},
         "tolerances": {"type": "object"},
-        "sweeps": {"type": "object"},
+        # one object per sweep stage, holding only that sweep's params
+        "sweeps": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                name: {"type": "object", "additionalProperties": False,
+                       "properties": {param: spec}}
+                for name, param, spec in (
+                    ("boundedness", "fractions",
+                     {"type": "array", "items": {"type": "number"},
+                      "minItems": 1}),
+                    ("caccioppoli", "signs",
+                     {"type": "array", "items": {"enum": ["plus", "minus"]},
+                      "minItems": 1}),
+                    ("sobolev_poincare", "count",
+                     {"type": "integer", "minimum": 1}),
+                    ("holder_decay", "sigmas",
+                     {"type": "array", "items": {"type": "number"},
+                      "minItems": 1}),
+                )},
+        },
         "solver": {
             "type": "object",
             "properties": {
@@ -243,6 +263,7 @@ class RunContext:
         self._rng_counter = 0
         self.problem = build_problem(config, self.stage_rng())
         self.solve_report = None
+        self._checked = {}
 
     def stage_rng(self):
         if self.seed is None:
@@ -269,6 +290,18 @@ class RunContext:
         if not self.solve_report.converged:
             raise SolverFailure("solver did not converge")
         return self.solve_report
+
+    def checked(self, name, check, points):
+        """One result per point, each distinct (name, point) computed
+        once per run: check(batch) -> one result per point takes the
+        misses through ``_parallel_map``, and the memo is filled here
+        after the batches join.  A check scores each point on its own,
+        so a hit is the result a fresh call would give."""
+        missed = [p for p in dict.fromkeys(points)
+                  if (name, p) not in self._checked]
+        for p, result in zip(missed, _parallel_map(self, check, missed)):
+            self._checked[name, p] = result
+        return [self._checked[name, p] for p in points]
 
 
 def _timestamp():
@@ -336,8 +369,8 @@ def _sample_grid(nf, rng, count):
 
 
 # -- shared checks -----------------------------------------------------------
-# A sweep and its verify stage share these; sweeps call them directly, not
-# through VERIFY_STAGES, so that no stage runs inside another.
+# One helper per estimate, on a list of points; a verify stage is its
+# sweep's default point.  The minimizer is solved before any batch thread.
 
 def _corpus(ctx, rng, count):
     """``count`` random-smooth functions on the problem lattice."""
@@ -354,33 +387,41 @@ def _ball_levels(ctx):
     return np.abs(u.values[u.lattice.select(_default_ball(ctx))])
 
 
-def _boundedness(ctx, ball):
-    """Local boundedness of the minimizer on ``ball``, which must lie in
-    the domain."""
+def _boundedness(ctx, fractions):
+    """Local boundedness of the minimizer on the default ball scaled by
+    each of ``fractions``; a ball must lie in the domain."""
     prob = ctx.problem
-    return rg.boundedness_check(ctx.ensure_solved().minimizer, ball, prob.s,
-                                prob.nf, kernel=prob.kernel,
-                                bound=ctx.tol("boundedness", math.inf),
-                                omega_mask=prob.omega_mask)
+    u = ctx.ensure_solved().minimizer
+    base = _default_ball(ctx)
+    bound = ctx.tol("boundedness", math.inf)
+    return ctx.checked("boundedness", lambda batch: [
+        rg.boundedness_check(u, Ball(base.center, base.radius * f), prob.s,
+                             prob.nf, kernel=prob.kernel, bound=bound,
+                             omega_mask=prob.omega_mask) for f in batch],
+        fractions)
 
 
 def _caccioppoli(ctx, points):
     """Caccioppoli reports of the minimizer on the default ball, one per
-    (level, sign) of ``points``, in one walk over the ball."""
+    (level, sign) of ``points``; a batch takes one walk over the ball."""
+    u = ctx.ensure_solved().minimizer
     ball = _default_ball(ctx)
     cut = rg.Cutoff(plateau=0.5 * ball.radius, support=0.85 * ball.radius)
-    return rg.caccioppoli_check(ctx.ensure_solved().minimizer, ball, points,
-                                cut, ctx.problem.s, ctx.problem.nf,
-                                bound=ctx.tol("caccioppoli", math.inf))
+    bound = ctx.tol("caccioppoli", math.inf)
+    return ctx.checked("caccioppoli", lambda batch: rg.caccioppoli_check(
+        u, ball, batch, cut, ctx.problem.s, ctx.problem.nf, bound=bound),
+        points)
 
 
-def _sobolev_poincare(ctx, fs, bound):
+def _sobolev_poincare(ctx, fs):
     """Sobolev-Poincare reports on the default ball, one per function of
-    ``fs``, in one walk over the ball."""
+    ``fs`` (never repeated, so not memoized); a batch takes one walk."""
     n, s = ctx.problem.lattice.dim, ctx.problem.s
     theta = 0.5 * (1.0 + n / (n - s / 2.0))
-    return rg.sobolev_poincare_check(fs, _default_ball(ctx), s,
-                                     ctx.problem.nf, theta, bound=bound)
+    ball = _default_ball(ctx)
+    bound = ctx.tol("sobolev_poincare", math.inf)
+    return _parallel_map(ctx, lambda batch: rg.sobolev_poincare_check(
+        batch, ball, s, ctx.problem.nf, theta, bound=bound), fs)
 
 
 def _decay_sigma(ctx, r0):
@@ -389,13 +430,15 @@ def _decay_sigma(ctx, r0):
     return min(0.85, max(0.35, (4.0 * h / r0) ** (1.0 / 3.0)))
 
 
-def _holder_decay(ctx, sigma):
-    """Oscillation decay fit over ten levels from half the default
-    ball's radius."""
+def _holder_decay(ctx, sigmas):
+    """Oscillation decay fits over ten levels from half the default
+    ball's radius, one per ratio of ``sigmas``."""
+    u = ctx.ensure_solved().minimizer
     ball = _default_ball(ctx)
-    return rg.holder_decay_fit(ctx.ensure_solved().minimizer, ball.center,
-                               0.5 * ball.radius, sigma, 10, ctx.problem.s,
-                               ctx.problem.nf)
+    return ctx.checked("holder_decay", lambda batch: [
+        rg.holder_decay_fit(u, ball.center, 0.5 * ball.radius, sg, 10,
+                            ctx.problem.s, ctx.problem.nf) for sg in batch],
+        sigmas)
 
 
 # -- verify stages -----------------------------------------------------------
@@ -589,11 +632,11 @@ def _stage_de_giorgi(ctx, rng):
 
 
 def _stage_boundedness(ctx, rng):
-    return _boundedness(ctx, _default_ball(ctx))
+    return _boundedness(ctx, [1.0])[0]
 
 
 def _stage_caccioppoli(ctx, rng):
-    return _caccioppoli(ctx, [(float(np.median(_ball_levels(ctx))),
+    return _caccioppoli(ctx, [(float(np.quantile(_ball_levels(ctx), 0.5)),
                                "plus")])[0]
 
 
@@ -620,14 +663,13 @@ def _stage_logarithmic(ctx, rng):
 
 
 def _stage_sobolev_poincare(ctx, rng):
-    return _sobolev_poincare(ctx, [ctx.ensure_solved().minimizer],
-                             ctx.tol("sobolev_poincare", math.inf))[0]
+    return _sobolev_poincare(ctx, [ctx.ensure_solved().minimizer])[0]
 
 
 def _stage_holder_decay(ctx, rng):
     r0 = 0.5 * _default_ball(ctx).radius
     sigma = _decay_sigma(ctx, r0)
-    res = _holder_decay(ctx, sigma)
+    res = _holder_decay(ctx, [sigma])[0]
     passed = res.osc_monotone and res.alpha_hat >= 0.0 and res.schedule_ok
     return EstimateReport(
         name="holder_decay", lhs=res.alpha_hat, rhs_terms={"unit": 1.0},
@@ -642,47 +684,37 @@ def _stage_holder_decay(ctx, rng):
 # -- sweep stages ------------------------------------------------------------
 
 def _sweep_boundedness(ctx, rng, params):
-    ctx.ensure_solved()  # before the threads of _parallel_map
-    base = _default_ball(ctx)
-    fractions = params.get("fractions", [1.0, 0.8, 0.6, 0.45])
-    balls = [Ball(base.center, base.radius * f) for f in fractions]
-    return _parallel_map(
-        ctx, lambda batch: [_boundedness(ctx, b) for b in batch], balls)
+    return _boundedness(ctx, params.get("fractions", [1.0, 0.8, 0.6, 0.45]))
 
 
 def _sweep_caccioppoli(ctx, rng, params):
     levels = np.quantile(_ball_levels(ctx), [0.25, 0.5, 0.75])
-    points = [(float(k), sign) for k in levels
-              for sign in params.get("signs", ["plus", "minus"])]
-    return _parallel_map(ctx, functools.partial(_caccioppoli, ctx), points)
+    signs = params.get("signs", ["plus", "minus"])
+    return _caccioppoli(ctx, [(float(k), sign) for k in levels
+                              for sign in signs])
 
 
 def _sweep_sobolev_poincare(ctx, rng, params):
-    corpus = _corpus(ctx, rng, int(params.get("count", 6)))
-    return _parallel_map(
-        ctx, lambda fs: _sobolev_poincare(ctx, fs, math.inf), corpus)
+    return _sobolev_poincare(ctx, _corpus(ctx, rng, params.get("count", 6)))
 
 
 def _sweep_holder_decay(ctx, rng, params):
-    ctx.ensure_solved()  # an empty sigma list still solves
     base = _decay_sigma(ctx, 0.5 * _default_ball(ctx).radius)
-    reports = []
-    for sg in params.get("sigmas", [base, min(0.9, base * 1.1)]):
-        res = _holder_decay(ctx, sg)
-        reports.append(EstimateReport(
-            name="holder_decay", lhs=res.alpha_hat, rhs_terms={"unit": 1.0},
-            empirical_constant=res.alpha_hat, tolerance=math.inf,
-            passed=res.osc_monotone and res.schedule_ok,
-            witnesses={"sigma": sg, "levels": res.resolved_levels},
-            details={"c_holder": res.c_holder}))
-    return reports
+    sigmas = params.get("sigmas", [base, min(0.9, base * 1.1)])
+    return [EstimateReport(
+        name="holder_decay", lhs=res.alpha_hat, rhs_terms={"unit": 1.0},
+        empirical_constant=res.alpha_hat, tolerance=math.inf,
+        passed=res.osc_monotone and res.schedule_ok,
+        witnesses={"sigma": sg, "levels": res.resolved_levels},
+        details={"c_holder": res.c_holder})
+        for sg, res in zip(sigmas, _holder_decay(ctx, sigmas))]
 
 
 def _parallel_map(ctx, fn, items):
-    """fn(batch) -> one report per item of the batch, over the items in
+    """fn(batch) -> one result per item of the batch, over the items in
     ``ctx.jobs`` contiguous batches, one thread each, concatenated in
-    order.  A sweep check scores each point on its own, so the reports
-    do not depend on the split."""
+    order.  A check scores each point on its own, so the results do not
+    depend on the split."""
     if not items:
         return []
     if ctx.jobs == 1 or len(items) == 1:
@@ -722,6 +754,9 @@ SWEEP_STAGES = {
     "holder_decay": _sweep_holder_decay,
 }
 
+# wrappers (a tracer, a test) replace entries of the dicts in place
+STAGES = {"verify": VERIFY_STAGES, "sweep": SWEEP_STAGES}
+
 # Stages that sample randomly.  Each gets its own stream of the config
 # seed, drawn in pipeline order, so a pipeline with any of them needs a
 # seed.
@@ -735,12 +770,6 @@ SEEDED_STAGES = frozenset({
 TOLERANCE_KEYS = frozenset(
     "solve linear_oracle gradient_fd nfunction luxemburg tail_closed_form "
     "boundedness caccioppoli logarithmic sobolev_poincare".split())
-
-
-def _stage_tables():
-    # looked up at call time: the benchmark tracer wraps the entries of
-    # both dicts in place
-    return {"verify": VERIFY_STAGES, "sweep": SWEEP_STAGES}
 
 
 # Exception class -> exit code and stderr prefix of the one-line message.
@@ -771,14 +800,13 @@ def validate_config(config):
         _schema_validator().iter_errors(config))
     if err is not None:
         raise ConfigError(f"config schema violation: {err.message}")
-    tables = _stage_tables()
     for stage in config["pipeline"]:
         if stage == "solve":
             continue
         kind, _, name = stage.partition(":")
-        if kind not in tables:
+        if kind not in STAGES:
             raise ConfigError(f"unknown pipeline stage {stage!r}")
-        if name not in tables[kind]:
+        if name not in STAGES[kind]:
             raise ConfigError(f"unknown {kind} stage {name!r}")
     for key, value in config.get("tolerances", {}).items():
         if key not in TOLERANCE_KEYS:
@@ -830,7 +858,7 @@ def _run(config_path, out_override, seed_override, tol_override, jobs,
             continue
         kind, _, name = stage.partition(":")
         rng = ctx.stage_rng() if stage in SEEDED_STAGES else None
-        fn = _stage_tables()[kind][name]
+        fn = STAGES[kind][name]
         if kind == "verify":
             report = fn(ctx, rng)
             _write_json(out_dir, f"estimate_{name}.json", report.to_dict())

@@ -436,7 +436,7 @@ class HolderDecayResult:
     boundedness: EstimateReport
 
 
-def holder_decay_fit(u, x0, r0, sigma, levels, s, nf, omega_mask=None):
+def holder_decay_fit(u, x0, r0, sigma, levels, s, nf):
     """Measure oscillations over the nested balls B(sigma^i r0), fit the
     decay exponent by least squares in log-log, and compare against the
     schedule built from the empirical boundedness constant.
@@ -476,8 +476,7 @@ def holder_decay_fit(u, x0, r0, sigma, levels, s, nf, omega_mask=None):
     osc_monotone = bool(np.all(np.diff(oscs_a) <= 1e-12 * max(oscs_a[0], 1.0)))
 
     r = 2.0 * r0
-    brep = boundedness_check(u, Ball(tuple(x0), r), s, nf,
-                             omega_mask=omega_mask)
+    brep = boundedness_check(u, Ball(tuple(x0), r), s, nf)
     # base oscillation: the sup estimate with its empirical constant on
     # the local term and unit constant on the tail term
     omega0 = 2.0 * (brep.empirical_constant * brep.rhs_terms["local"]

@@ -147,6 +147,31 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="must be a number"):
             validate_config(base_config(tolerances={"solve": value}))
 
+    def test_sweeps_schema_names_the_sweep_stages(self):
+        assert set(SCHEMA["properties"]["sweeps"]["properties"]) \
+            == set(cli.SWEEP_STAGES)
+
+    @pytest.mark.parametrize("sweeps", [
+        {"boundedness": {"fractions": 5}},
+        {"boundedness": {"fractions": ["a"]}},
+        {"caccioppoli": [1]},
+        {"caccioppoli": {"sign": ["plus"]}},
+        {"bounded": {}},
+        {"sobolev_poincare": {"count": 0}},
+        {"holder_decay": {"sigmas": []}},
+    ])
+    def test_malformed_sweep_params_rejected(self, tmp_path, capsys, sweeps):
+        cfg = base_config(pipeline=["solve"] + [f"sweep:{n}" for n in
+                                                cli.SWEEP_STAGES],
+                          sweeps=sweeps)
+        code = main(["run", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: config schema violation:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_constant_data_solve(self, tmp_path):
@@ -316,29 +341,62 @@ class TestRun:
         assert not (out / "sweep_boundedness.csv").exists()
 
     def test_jobs_flag_deterministic(self, tmp_path, monkeypatch):
-        # jobs > 1 splits a sweep's points into that many batches, each
-        # scored in one call of its check; every sweep artifact is
-        # byte-identical to the one of a single batch
+        # jobs > 1 splits every sweep's points into that many batches, a
+        # Caccioppoli batch scored in one call of its check; every sweep
+        # artifact is byte-identical to the one of a single batch
         cfg = base_config(pipeline=["solve"] + [f"sweep:{n}" for n in
                                                 cli.SWEEP_STAGES])
         p = write_config(tmp_path, cfg)
         check = cli.rg.caccioppoli_check
-        calls = []
+        parallel_map = cli._parallel_map
+        calls, splits = [], []
 
         def counted(u, ball, points, *args, **kw):
             calls.append(len(points))
             return check(u, ball, points, *args, **kw)
 
+        def recorded(ctx, fn, items):
+            sizes = []
+            splits.append(sizes)
+
+            def batch_fn(batch):
+                sizes.append(len(batch))
+                return fn(batch)
+
+            return parallel_map(ctx, batch_fn, items)
+
         monkeypatch.setattr(cli.rg, "caccioppoli_check", counted)
-        reports, batches = {}, {}
+        monkeypatch.setattr(cli, "_parallel_map", recorded)
+        reports, batches, sweeps = {}, {}, {}
         for jobs in (1, 2, 4):
             calls.clear()
+            splits.clear()
             out = tmp_path / f"o{jobs}"
             assert run(p, out_override=str(out), jobs=jobs) == EXIT_OK
             reports[jobs] = read_reports(out)
             batches[jobs] = sorted(calls)
+            sweeps[jobs] = dict(zip(cli.SWEEP_STAGES, map(sorted, splits)))
         assert reports[1] == reports[2] == reports[4]
         assert batches == {1: [6], 2: [3, 3], 4: [1, 1, 2, 2]}
+        assert sweeps == {
+            1: {"boundedness": [4], "caccioppoli": [6],
+                "sobolev_poincare": [6], "holder_decay": [2]},
+            2: {"boundedness": [2, 2], "caccioppoli": [3, 3],
+                "sobolev_poincare": [3, 3], "holder_decay": [1, 1]},
+            4: {"boundedness": [1, 1, 1, 1], "caccioppoli": [1, 1, 2, 2],
+                "sobolev_poincare": [1, 1, 2, 2], "holder_decay": [1, 1]},
+        }
+
+    @pytest.mark.parametrize("name", ["caccioppoli", "boundedness",
+                                      "sobolev_poincare"])
+    def test_sweep_reads_its_bound(self, tmp_path, name):
+        cfg = base_config(pipeline=["solve", f"sweep:{name}"],
+                          tolerances={"solve": 1e-9, name: 1e-6})
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) == EXIT_ESTIMATE
+        assert not json.loads(
+            (out / f"sweep_{name}.json").read_text())["passed"]
 
 
 def small_component_config():
@@ -586,6 +644,74 @@ class TestDeterminism:
         d1 = json.loads((out1 / "estimate_gradient_fd.json").read_text())
         d2 = json.loads((out2 / "estimate_gradient_fd.json").read_text())
         assert d1["details"]["max_rel_error"] != d2["details"]["max_rel_error"]
+
+
+# estimates with a verify stage and a sweep over the same check
+SHARED = ["boundedness", "caccioppoli", "holder_decay"]
+
+
+class TestEstimateMemo:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("sweep_first", [False, True])
+    @pytest.mark.parametrize("name", SHARED)
+    def test_pair_matches_separate_runs(self, tmp_path, name, sweep_first,
+                                        jobs):
+        # a verify stage is its sweep's default point, read from the memo
+        # when the sweep ran first, and vice versa
+        stages = [f"verify:{name}", f"sweep:{name}"]
+        if sweep_first:
+            stages.reverse()
+        separate = {}
+        for stage in stages:
+            out = tmp_path / stage.replace(":", "_")
+            cfg = base_config(pipeline=["solve", stage])
+            assert run(write_config(tmp_path, cfg), out_override=str(out),
+                       jobs=jobs) == EXIT_OK
+            separate.update(read_reports(out))
+        out = tmp_path / "pair"
+        cfg = base_config(pipeline=["solve"] + stages)
+        assert run(write_config(tmp_path, cfg), out_override=str(out),
+                   jobs=jobs) == EXIT_OK
+        assert read_reports(out) == separate
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_check_point_computed_once(self, tmp_path, monkeypatch,
+                                            jobs):
+        # points that reach each check through its rg name; every
+        # holder_decay_fit calls boundedness_check once itself, without
+        # the kernel the stages pass, at its own point
+        seen = {"caccioppoli": [], "boundedness": [], "holder_decay": [],
+                "boundedness_in_fit": []}
+        cacc, bnd, fit = (cli.rg.caccioppoli_check, cli.rg.boundedness_check,
+                          cli.rg.holder_decay_fit)
+
+        def caccioppoli(u, ball, points, *args, **kw):
+            seen["caccioppoli"] += points
+            return cacc(u, ball, points, *args, **kw)
+
+        def boundedness(u, ball, *args, **kw):
+            key = "boundedness" if "kernel" in kw else "boundedness_in_fit"
+            seen[key].append(ball.radius)
+            return bnd(u, ball, *args, **kw)
+
+        def holder_decay(u, x0, r0, sigma, *args, **kw):
+            seen["holder_decay"].append(sigma)
+            return fit(u, x0, r0, sigma, *args, **kw)
+
+        monkeypatch.setattr(cli.rg, "caccioppoli_check", caccioppoli)
+        monkeypatch.setattr(cli.rg, "boundedness_check", boundedness)
+        monkeypatch.setattr(cli.rg, "holder_decay_fit", holder_decay)
+        cfg = base_config(pipeline=["solve"] + [
+            f"{kind}:{n}" for kind in ("verify", "sweep") for n in SHARED])
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(tmp_path / "out"), jobs=jobs) == EXIT_OK
+        counts = {key: len(points) for key, points in seen.items()}
+        # the verify points are the sweeps' defaults: 6 Caccioppoli
+        # points, not 7; 4 balls, not 5; 2 fits, not 3
+        assert counts == {"caccioppoli": 6, "boundedness": 4,
+                          "holder_decay": 2, "boundedness_in_fit": 2}
+        for key in ("caccioppoli", "boundedness", "holder_decay"):
+            assert len(set(seen[key])) == counts[key]
 
 
 def one_line(err):
