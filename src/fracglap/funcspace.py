@@ -285,15 +285,16 @@ class GridFunction:
         return GridFunction(self.lattice, values, self.exterior)
 
     def to_csv(self, path):
+        """One row per node: its multi-index and ``repr`` of its value.
+        The bytes are those of ``csv.writer`` row by row (no field needs
+        quoting, rows end in CRLF); each column is formatted once and the
+        rows are written in one go."""
+        header = [f"i{d}" for d in range(self.lattice.dim)] + ["value"]
         multi = self.lattice.multi_indices()
-
-        def write(fh):
-            writer = csv.writer(fh)
-            writer.writerow([f"i{d}" for d in range(self.lattice.dim)] + ["value"])
-            for row, val in zip(multi, self.values):
-                writer.writerow([*map(int, row), repr(float(val))])
-
-        write_atomic(path, write, newline="")
+        cols = [map(str, col.tolist()) for col in multi.T]
+        cols.append(map(repr, self.values.tolist()))
+        text = "\r\n".join([",".join(header), *map(",".join, zip(*cols))])
+        write_atomic(path, lambda fh: fh.write(text + "\r\n"), newline="")
 
     @classmethod
     def from_csv(cls, path, lattice, exterior=None):

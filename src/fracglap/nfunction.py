@@ -112,15 +112,18 @@ class GrowthFunction:
     def __call__(self, t):
         t, scalar = _as_float_array(t)
         _check_domain(t)
-        if self.family == "power":
-            val = t ** (self.exponent - 1.0)
-        elif self.family == "power_log":
-            val = t ** (self.exponent - 1.0) * np.log1p(t)
-        else:
-            if np.any(t > self.t_max * (1 + 1e-12)):
-                raise ValueError("argument outside the tabulated range")
-            val = np.interp(t, self.table[:, 0], self.table[:, 1])
+        val = self._unchecked(t)
         return float(val) if scalar else val
+
+    def _unchecked(self, t):
+        """g on a float array whose entries lie in [0, REPRESENTABLE_MAX]."""
+        if self.family == "power":
+            return t ** (self.exponent - 1.0)
+        if self.family == "power_log":
+            return t ** (self.exponent - 1.0) * np.log1p(t)
+        if np.any(t > self.t_max * (1 + 1e-12)):
+            raise ValueError("argument outside the tabulated range")
+        return np.interp(t, self.table[:, 0], self.table[:, 1])
 
     def inverse(self, y):
         """Preimage g^{-1}(y); monotone interpolation for tables."""
@@ -291,16 +294,26 @@ class NFunction:
         """
         t, scalar = _as_float_array(t)
         _check_domain(t)
+        val = self._G_unchecked(t)
+        return float(val) if scalar else val
+
+    def _G_unchecked(self, t):
+        """G on a float array whose entries lie in [0, REPRESENTABLE_MAX]:
+        the body ``G`` wraps, for callers that bound their arguments."""
         fam = self.growth.family
         if fam == "power":
             pw = self.growth.exponent
             val = t ** pw
             val *= 1.0 / pw
-        elif fam == "table":
-            val = self._table_G(t)
-        else:
-            val = self._quad_G(np.atleast_1d(t)).reshape(t.shape)
-        return float(val) if scalar else val
+            return val
+        if fam == "table":
+            return self._table_G(t)
+        return self._quad_G(np.atleast_1d(t)).reshape(t.shape)
+
+    def _g_unchecked(self, t):
+        """g on a float array whose entries lie in [0, REPRESENTABLE_MAX]:
+        the body ``g`` wraps."""
+        return self.growth._unchecked(t)
 
     def H(self, t):
         """H(t) = int_0^t G(tau)/tau dtau, the profile of the far tail

@@ -24,9 +24,12 @@ than one spacing do not occur on a lattice, so no principal-value
 handling is needed: G(0) = 0 kills the diagonal singularity.  The pair
 arrays are built once per problem from the lattice offset table: the
 offsets within the truncation radius and their distances h |k|
-(``pairs.truncated_pairs``).  Every energy then gathers over them, and
-every per-node pair sum (the gradient, the stopping scale) scatters onto
-the nodes in one order (``_node_sums``).
+(``pairs.truncated_pairs``).  Every energy then gathers over them in
+one blocked walk (``_pair_blocks``), and every per-node pair sum (the
+gradient, the stopping scale) scatters onto the nodes in one order
+(``_node_sums``).  The descent scores each trial point by one walk that
+gives both its energy and its gradient (``_energy_gradient``), so an
+accepted trial's gradient is the next iteration's.
 
 Strict convexity of the energy (g strictly increasing) makes the
 minimizer unique; descent with Armijo backtracking therefore converges
@@ -34,9 +37,10 @@ to the same function from any admissible start, whatever the number of
 domain nodes.  The descent measures steps in the metric of the p = 2
 operator on the same pairs (the quadratic surrogate A of
 ``_assemble_surrogate``, a Sobolev gradient): A is factored once by
-Cholesky and each direction is A^(-1) grad E, so the iteration count
-does not grow as h shrinks.  The dense factor costs N^2 floats for N
-domain nodes.
+Cholesky, the diagonal blocks of the factor are inverted once, and each
+direction A^(-1) grad E is then matrix-vector products only; the
+iteration count does not grow as h shrinks.  The dense factor costs N^2
+floats for N domain nodes.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .funcspace import GridFunction, sphere_measure
+from .nfunction import REPRESENTABLE_MAX
 from .pairs import truncated_pairs
 from .quadrature import (BLOCK_NODES, FAR_PANELS, FAR_POINTS,
                          bisect_increasing, integrate_graded)
@@ -55,10 +60,11 @@ from .quadrature import (BLOCK_NODES, FAR_PANELS, FAR_POINTS,
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
-# width of the diagonal blocks of the substitution in ``_cholesky_solve``
+# width of the diagonal blocks of the factor that ``_cholesky`` inverts
 SUBST_BLOCK = 128
-# pair-by-candidate entries per block of ``_pair_energies`` (512 KiB per
-# temporary); 2^14 and 2^18 (``pairs.CHUNK_ELEMENTS``) measured slower
+# pair-by-candidate entries per block of ``_pair_blocks`` (512 KiB per
+# temporary), and pairs per block of ``_assemble_surrogate``; 2^14 and
+# 2^18 (``pairs.CHUNK_ELEMENTS``) measured slower for the energy pass
 ENERGY_BLOCK = 2**16
 
 
@@ -167,6 +173,10 @@ class NonlocalProblem:
     @cached_property
     def _inv_ds(self):
         return self._pairs[2] ** (-self.s)
+
+    @cached_property
+    def _inv_ds_max(self):
+        return float(self._inv_ds.max())
 
     @cached_property
     def _far_coef(self):
@@ -385,25 +395,53 @@ def _pair_energies(prob, Vt, sub=None):
     sum over the stored pairs, or over the pairs ``sub`` only, of
     w G(|v(x) - v(y)| d^(-s)) for each column.
 
-    Node-major, one pair index gathers the B values of a node at once;
-    the pairs are walked in blocks of at most ``ENERGY_BLOCK``
-    pair-by-candidate entries, each summed by one matrix-vector product
+    Each block of ``_pair_blocks`` is summed by one matrix-vector product
     with the pair weights.  This is the package's one energy kernel.
     """
+    G, _ = _profile(prob, Vt)
+    out = np.zeros(Vt.shape[1])
+    for w, _, t, _ in _pair_blocks(prob, Vt, sub):
+        out += w @ G(t)
+    return out
+
+
+def _profile(prob, Vt):
+    """(G, g) for the pair arguments t = |v(x) - v(y)| d^(-s) of the stack
+    Vt.  Every t is at most (max V - min V) max d^(-s), also in floating
+    point, since rounding is monotone; when that bound lies in the domain
+    of the profile, the blocks skip its domain check (the unchecked
+    bodies of ``NFunction.G`` and ``g``).  Otherwise, NaN included, they
+    take the checked G and g, which raise what they raise on a block."""
+    nf = prob.nf
+    bound = (Vt.max() - Vt.min()) * prob._inv_ds_max
+    if bound <= REPRESENTABLE_MAX:
+        return nf._G_unchecked, nf._g_unchecked
+    return nf.G, nf.g
+
+
+def _pair_blocks(prob, Vt, sub=None, signed=False):
+    """Walk the stored pairs, or the pairs ``sub`` only, for the
+    node-major stack Vt (nodes, B) in blocks of at most ``ENERGY_BLOCK``
+    pair-by-candidate entries, yielding (w, d^(-s), t, sign) of a block:
+    its pair weights and inverse distance powers, t = |v(x) - v(y)|
+    d^(-s) of shape (pairs, B), and sign(v(x) - v(y)) when ``signed``
+    (else None).  Node-major, one pair index gathers the B values of a
+    node at once.  The block height depends on B only, so a stack of one
+    is walked in the same blocks by ``_energy_values`` and
+    ``_energy_gradient``."""
     ia, ja, _, w = prob._pairs
     inv_ds = prob._inv_ds
     if sub is not None:
         ia, ja, w, inv_ds = ia[sub], ja[sub], w[sub], inv_ds[sub]
-    out = np.zeros(Vt.shape[1])
     rows = max(1, ENERGY_BLOCK // Vt.shape[1])
     for start in range(0, ia.size, rows):
         blk = slice(start, start + rows)
         t = np.take(Vt, ia[blk], axis=0)
         t -= np.take(Vt, ja[blk], axis=0)
+        sign = np.sign(t) if signed else None
         np.abs(t, out=t)
         t *= inv_ds[blk, None]
-        out += w[blk] @ prob.nf.G(t)
-    return out
+        yield w[blk], inv_ds[blk], t, sign
 
 
 def _local_energies(prob, vals, nodes, eps):
@@ -442,24 +480,42 @@ def _node_sums(prob, contrib, sign):
     """Per-domain-node sums of the pair values ``contrib``: a pair adds
     its value to its first end and ``sign`` times it to its second end
     when that end lies in the domain, the first ends in pair order, then
-    the second ends."""
+    the second ends.  ``np.bincount`` adds in index order from 0, as
+    ``np.add.at`` into zeros would."""
     ia, ja = prob._pairs[:2]
-    acc = np.zeros(prob.lattice.n_nodes)
-    np.add.at(acc, ia, contrib)
+    acc = np.bincount(ia, contrib, minlength=prob.lattice.n_nodes)
     both = prob.omega_mask[ja]
     np.add.at(acc, ja[both], sign * contrib[both])
     return acc[prob.omega_mask]
 
 
+def _energy_gradient(prob, vals):
+    """(energy, domain gradient) of the node values ``vals`` in one walk
+    over the stored pairs: each block of ``_pair_blocks`` (a stack of
+    one) adds w G(t) to the energy, as ``_energy_values`` sums it, and
+    stores the pair derivative w d^(-s) g(t) sign(v(x) - v(y)), which
+    ``_node_sums`` scatters onto the nodes.  g(0) = 0 makes the
+    integrand differentiable at coincident values."""
+    Vt = vals[:, None]
+    G, g = _profile(prob, Vt)
+    pair = np.zeros(1)
+    deriv = np.empty(prob._pairs[0].size)
+    stop = 0
+    for w, inv_ds, t, sign in _pair_blocks(prob, Vt, signed=True):
+        pair += w @ G(t)
+        start, stop = stop, stop + w.size
+        deriv[start:stop] = g(t[:, 0]) * sign[:, 0] * inv_ds * w
+    om = vals[prob.omega_mask]
+    energy_val = float(pair[0] + prob._far_energy(om).sum())
+    grad = _node_sums(prob, deriv, -1.0)
+    grad += prob._far_gradient(om)
+    return energy_val, grad
+
+
 def _gradient_omega(prob, vals):
-    ia, ja, dist, w = prob._pairs
-    dv = vals[ia] - vals[ja]
-    t = np.abs(dv) * prob._inv_ds
-    # g(0) = 0 makes the integrand differentiable at coincident values
-    gval = prob.nf.g(t) * np.sign(dv) * prob._inv_ds * w
-    out = _node_sums(prob, gval, -1.0)
-    out += prob._far_gradient(vals[prob.omega_mask])
-    return out
+    """Domain gradient at the node values ``vals``: the gradient half of
+    ``_energy_gradient``."""
+    return _energy_gradient(prob, vals)[1]
 
 
 def weak_residual(prob, v):
@@ -489,35 +545,52 @@ def assemble_quadratic(prob):
 
 
 def _assemble_surrogate(prob):
-    """Quadratic-growth surrogate system on the same pair structure."""
-    omega_idx = np.flatnonzero(prob.omega_mask)
+    """Quadratic-growth surrogate system on the same pair structure.
+
+    The pairs are walked in blocks of ``ENERGY_BLOCK``, so no temporary
+    grows with the pair count.  Every pair has its first end in the
+    domain, and a pair of two domain nodes is stored once
+    (``truncated_pairs``), so each off-diagonal entry is assigned its one
+    term.  A diagonal entry sums its node's terms in pair order: as the
+    first end of a domain pair, then as the second end, then over its
+    halo pairs, one walk each; b accumulates the halo terms in pair
+    order, as ``np.bincount`` would.
+    """
+    omega = prob.omega_mask
+    omega_idx = np.flatnonzero(omega)
     pos = -np.ones(prob.lattice.n_nodes, dtype=int)
     pos[omega_idx] = np.arange(omega_idx.size)
     ia, ja, dist, w = prob._pairs
     no = omega_idx.size
     fvals = prob.exterior_datum.values
-    # every pair has its first end in the domain, and a pair of two
-    # domain nodes is stored once (``truncated_pairs``)
-    both = prob.omega_mask[ja]
-    halo = ~both
-    cw = w * dist ** (-2.0 * prob.s)
+    two_s = 2.0 * prob.s
+
+    def blocks(domain):
+        """(first-end positions, second ends, w d^(-2s)) of each block's
+        pairs whose second end lies in the domain (``domain``) or not."""
+        for start in range(0, ia.size, ENERGY_BLOCK):
+            blk = slice(start, start + ENERGY_BLOCK)
+            sel = omega[ja[blk]] == domain
+            yield (pos[ia[blk][sel]], ja[blk][sel],
+                   w[blk][sel] * dist[blk][sel] ** (-two_s))
+
     A = np.zeros((no, no))
     diag = np.zeros(no)
-    i, j, c = pos[ia[both]], pos[ja[both]], cw[both]
-    # one term per off-diagonal entry
-    A[i, j] = -c
-    A[j, i] = -c
-    # a diagonal entry sums its node's terms in pair order: as the first
-    # end of a domain pair, then as the second end, then over its halo
-    # pairs
-    np.add.at(diag, i, c)
-    np.add.at(diag, j, c)
-    hn, hc = pos[ia[halo]], cw[halo]
-    np.add.at(diag, hn, hc)
+    for i, j, c in blocks(True):
+        j = pos[j]
+        A[i, j] = -c
+        A[j, i] = -c
+        np.add.at(diag, i, c)
+    for _, j, c in blocks(True):
+        np.add.at(diag, pos[j], c)
+    b = np.zeros(no)
+    const = 0.0
+    for i, j, c in blocks(False):
+        np.add.at(diag, i, c)
+        fh = fvals[j]
+        np.add.at(b, i, c * fh)
+        const += float(np.sum(0.5 * c * fh ** 2))
     A[np.diag_indices(no)] = diag
-    fh = fvals[ja[halo]]
-    b = np.bincount(hn, hc * fh, minlength=no)
-    const = float(np.sum(0.5 * hc * fh ** 2))
     # far tail of the quadratic profile, radial closed form; a genuine
     # power model takes level 0
     lvl = prob.exterior_datum.exterior.level or 0.0
@@ -531,26 +604,34 @@ def _assemble_surrogate(prob):
 
 # -- minimization ----------------------------------------------------------
 
-def _cholesky_solve(L, g):
-    """A^(-1) g for A = L L' with L lower triangular.
+def _cholesky(A):
+    """Factor of the SPD matrix A for ``_cholesky_solve``: its Cholesky
+    factor L and the inverses of L's diagonal blocks of width
+    ``SUBST_BLOCK``, each computed once."""
+    L = np.linalg.cholesky(A)
+    inverses = [np.linalg.inv(L[i0:i0 + SUBST_BLOCK, i0:i0 + SUBST_BLOCK])
+                for i0 in range(0, L.shape[0], SUBST_BLOCK)]
+    return L, inverses
+
+
+def _cholesky_solve(factor, g):
+    """A^(-1) g for the ``_cholesky`` factor of A = L L'.
 
     numpy has no triangular solve, so forward and back substitution run
-    over diagonal blocks of width ``SUBST_BLOCK``: ``np.linalg.solve`` on
-    the block, one matvec for the part of the row already solved.
+    over the diagonal blocks of width ``SUBST_BLOCK``: one matvec for the
+    part of the row already solved, one with the block's inverse.
     O(N^2) per call.
     """
+    L, inverses = factor
     n = g.size
-    starts = range(0, n, SUBST_BLOCK)
     y = np.empty(n)
-    for i0 in starts:
-        i1 = min(i0 + SUBST_BLOCK, n)
-        y[i0:i1] = np.linalg.solve(L[i0:i1, i0:i1],
-                                   g[i0:i1] - L[i0:i1, :i0] @ y[:i0])
+    for k, inv in enumerate(inverses):
+        i0, i1 = k * SUBST_BLOCK, (k + 1) * SUBST_BLOCK
+        y[i0:i1] = inv @ (g[i0:i1] - L[i0:i1, :i0] @ y[:i0])
     x = np.empty(n)
-    for i0 in reversed(starts):
-        i1 = min(i0 + SUBST_BLOCK, n)
-        x[i0:i1] = np.linalg.solve(L[i0:i1, i0:i1].T,
-                                   y[i0:i1] - L[i1:, i0:i1].T @ x[i1:])
+    for k in reversed(range(len(inverses))):
+        i0, i1 = k * SUBST_BLOCK, (k + 1) * SUBST_BLOCK
+        x[i0:i1] = inverses[k].T @ (y[i0:i1] - L[i1:, i0:i1].T @ x[i1:])
     return x
 
 
@@ -559,9 +640,10 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
 
     Descent in the metric of the quadratic surrogate A (the p = 2
     operator on the same pairs, ``_assemble_surrogate``): A is factored
-    once, each step is d = A^(-1) grad E, its length comes from the
-    Barzilai-Borwein ratio (s'As)/(s'y), and Armijo backtracking
-    (c1 = 1e-4, factor 0.5) accepts it.  The metric is the Sobolev
+    once (``_cholesky``), each step is d = A^(-1) grad E, its length comes
+    from the Barzilai-Borwein ratio (s'As)/(s'y), and Armijo backtracking
+    (c1 = 1e-4, factor 0.5) accepts it.  Each trial point costs one pair
+    walk, for its energy and gradient together (``_energy_gradient``).  The metric is the Sobolev
     gradient of the p = 2 problem, so the iteration count does not grow
     as h shrinks, and for p = 2 the first full step lands on the
     minimizer.  ``initial="harmonic"`` starts from A^(-1) b through the
@@ -584,22 +666,22 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
             else prob.exterior_datum.exterior.value
         vals[omega] = level
         u = GridFunction(prob.lattice, vals, prob.exterior_datum.exterior)
-        res = float(np.abs(_gradient_omega(prob, vals)).max())
-        return SolveReport(u, _energy_values(prob, vals), res, 0, 0, True,
+        e_now, g_now = _energy_gradient(prob, vals)
+        res = float(np.abs(g_now).max())
+        return SolveReport(u, e_now, res, 0, 0, True,
                            details={"stop_scale": 0.0, "threshold": tol,
                                     "initial": initial})
 
     A, b, _, _ = _assemble_surrogate(prob)
     # A is SPD (positive weights, strictly diagonally dominant); only its
     # factor is kept
-    L = np.linalg.cholesky(A)
+    factor = _cholesky(A)
     del A
-    vals[omega] = _cholesky_solve(L, b) if harmonic else 0.0
+    vals[omega] = _cholesky_solve(factor, b) if harmonic else 0.0
 
     threshold = tol * (1.0 + prob._gradient_scale)
     v_om = vals[omega].copy()
-    g_now = _gradient_omega(prob, vals)
-    e_now = _energy_values(prob, vals)
+    e_now, g_now = _energy_gradient(prob, vals)
     history = [e_now]
     alpha = 1.0
     step = 0.0
@@ -610,7 +692,7 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
     converged = float(np.abs(g_now).max()) <= threshold
 
     while not converged and iterations < max_iter:
-        d = _cholesky_solve(L, g_now)
+        d = _cholesky_solve(factor, g_now)
         slope = float(np.dot(g_now, d))
         if v_prev is not None:
             sv = v_om - v_prev
@@ -631,7 +713,7 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
         for _ in range(MAX_BACKTRACKS):
             trial = v_om - t * alpha * d
             vals[omega] = trial
-            e_trial = _energy_values(prob, vals)
+            e_trial, g_trial = _energy_gradient(prob, vals)
             if e_trial <= e_now - ARMIJO_C1 * t * alpha * slope + noise:
                 accepted = True
                 break
@@ -645,7 +727,7 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
         step = t * alpha
         e_now = e_trial
         history.append(e_now)
-        g_now = _gradient_omega(prob, vals)
+        g_now = g_trial
         iterations += 1
         converged = float(np.abs(g_now).max()) <= threshold
 

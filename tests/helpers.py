@@ -186,6 +186,36 @@ def energy_reference(prob, vals):
     return pair_part + far
 
 
+def gradient_reference(prob, vals):
+    """Domain gradient at the node values ``vals`` by one unblocked pass
+    over the pairs, scattered by ``np.add.at``: the route before the
+    gradient became the second half of ``solver._energy_gradient``, kept
+    as its oracle."""
+    ia, ja, dist, w = prob._pairs
+    dv = vals[ia] - vals[ja]
+    t = np.abs(dv) * prob._inv_ds
+    gval = prob.nf.g(t) * np.sign(dv) * prob._inv_ds * w
+    acc = np.zeros(prob.lattice.n_nodes)
+    np.add.at(acc, ia, gval)
+    both = prob.omega_mask[ja]
+    np.add.at(acc, ja[both], -gval[both])
+    out = acc[prob.omega_mask]
+    out += prob._far_gradient(vals[prob.omega_mask])
+    return out
+
+
+def csv_writer_reference(f, path):
+    """``GridFunction.to_csv`` by one ``csv.writer.writerow`` call per
+    node: the writer before the columns were formatted at once, kept as
+    its oracle."""
+    import csv
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"i{d}" for d in range(f.lattice.dim)] + ["value"])
+        for row, val in zip(f.lattice.multi_indices(), f.values):
+            writer.writerow([*map(int, row), repr(float(val))])
+
+
 def minimality_reference(ctx, rng):
     """``verify:minimality`` with one normal draw and one energy sum
     (``energy_reference``) per perturbation: the stage before its

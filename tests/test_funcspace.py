@@ -10,7 +10,7 @@ from fracglap import (Ball, ExteriorModel, GridFunction, Kernel, Lattice,
                       membership_check, sphere_measure, tail)
 from fracglap.nfunction import make_power_log, make_table
 
-from helpers import scipy_radial
+from helpers import csv_writer_reference, scipy_radial
 
 
 @pytest.fixture
@@ -426,6 +426,18 @@ class TestSerialization:
         f.to_csv(path)
         g = GridFunction.from_csv(path, lat)
         np.testing.assert_array_equal(f.values, g.values)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, dim):
+        lat = Lattice.from_box([-0.5] * dim, [0.5] * dim, 0.25)
+        rng = np.random.default_rng(dim)
+        vals = rng.normal(size=lat.n_nodes)
+        vals[:4] = [-0.0, 1e-300, 1e300, -1e300]
+        f = GridFunction(lat, vals)
+        f.to_csv(tmp_path / "got.csv")
+        csv_writer_reference(f, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() \
+            == (tmp_path / "want.csv").read_bytes()
 
     def test_nonfinite_rejected(self):
         lat = Lattice.from_box([0.0], [1.0], 0.5)

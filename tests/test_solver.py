@@ -16,8 +16,9 @@ from fracglap.quadrature import integrate_graded, integrate_radial
 from fracglap.solver import _energy_values, _gradient_omega
 
 from helpers import (central_differences_full, energy_reference,
-                     line_problem, oracle_energy, quadratic_oracle,
-                     square_problem, surrogate_add_at_reference)
+                     gradient_reference, line_problem, oracle_energy,
+                     quadratic_oracle, square_problem,
+                     surrogate_add_at_reference)
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +297,40 @@ class TestSurrogateMetric:
         np.testing.assert_allclose(rep.minimizer.values[prob.omega_mask],
                                    np.linalg.solve(A, b), rtol=0, atol=1e-12)
 
+    def test_one_pair_pass_per_trial(self, monkeypatch):
+        # a cusp datum at p = 3 backtracks several times
+        prob = line_problem(h=1 / 16, p=3.0, datum="cusp")
+        passes = []
+        trials = []
+        walk, fused = sl._pair_blocks, sl._energy_gradient
+
+        def counted_walk(*args, **kwargs):
+            passes.append(1)
+            return walk(*args, **kwargs)
+
+        def recorded(prob, vals):
+            out = fused(prob, vals)
+            trials.append(out[0])
+            return out
+
+        monkeypatch.setattr(sl, "_pair_blocks", counted_walk)
+        monkeypatch.setattr(sl, "_energy_gradient", recorded)
+        rep = solve(prob, tol=1e-10)
+        assert rep.converged
+        # the accepted trials are the energy history, in order; the
+        # trials in between are the backtracks
+        accepted = iter(rep.energy_history)
+        nxt = next(accepted)
+        backtracks = 0
+        for e in trials:
+            if e == nxt:
+                nxt = next(accepted, None)
+            else:
+                backtracks += 1
+        assert nxt is None
+        assert backtracks > 0
+        assert len(passes) == rep.iterations + backtracks + 1
+
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
     def test_blocked_substitution_matches_dense_solve(self, n):
         rng = np.random.default_rng(n)
@@ -303,7 +338,7 @@ class TestSurrogateMetric:
         A = m @ m.T + n * np.eye(n)
         g = rng.standard_normal(n)
         want = np.linalg.solve(A, g)
-        got = sl._cholesky_solve(np.linalg.cholesky(A), g)
+        got = sl._cholesky_solve(sl._cholesky(A), g)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
 
@@ -635,7 +670,7 @@ class TestFarTail:
         assert report["iterations"] <= 50
 
 
-def _stack_problem(dim, nf, model, r=0.5):
+def _stack_problem(dim, nf, model, r=0.5, kernel=None):
     """Domain [-0.25, 0.25]^dim with a halo of width r + h, s = 0.5 and
     a sin datum under the exterior ``model``; about a thousand pairs
     (h = 1/64 in 1-D, 1/8 in 2-D)."""
@@ -644,8 +679,17 @@ def _stack_problem(dim, nf, model, r=0.5):
     x = lat.coords
     omega = np.all(np.abs(x) < 0.25 + 1e-12, axis=1)
     datum = GridFunction(lat, np.sin(2 * x.sum(axis=1)), model.resolved(lat))
-    return NonlocalProblem(lat, omega, nf, Kernel(), 0.5, datum,
+    return NonlocalProblem(lat, omega, nf, kernel or Kernel(), 0.5, datum,
                            truncation_radius=r)
+
+
+def _noisy_stack(prob, n_cand, rng):
+    """(n_cand, nodes) copies of the datum plus noise in [-0.25, 0.25] on
+    the domain: the pair arguments stay inside the table's range."""
+    V = np.tile(prob.exterior_datum.values, (n_cand, 1))
+    V[:, prob.omega_mask] += rng.uniform(
+        -0.25, 0.25, size=(n_cand, int(prob.omega_mask.sum())))
+    return V
 
 
 STACK_PROFILES = {
@@ -681,16 +725,83 @@ class TestEnergies:
         for n_cand in (1, 7, 100):
             rows = 700 // n_cand
             assert n_pairs > rows and n_pairs % rows
-            # the datum plus noise on the domain: the pair arguments stay
-            # inside the table's range
-            V = np.tile(prob.exterior_datum.values, (n_cand, 1))
-            V[:, prob.omega_mask] += rng.uniform(
-                -0.25, 0.25, size=(n_cand, int(prob.omega_mask.sum())))
+            V = _noisy_stack(prob, n_cand, rng)
             want = [energy_reference(prob, v) for v in V]
             np.testing.assert_allclose(sl._energies(prob, V), want,
                                        rtol=1e-13, atol=0)
             np.testing.assert_allclose([_energy_values(prob, v) for v in V],
                                        want, rtol=1e-13, atol=0)
+
+
+WEIGHTED = Kernel.from_config({"form": "weighted", "lambda": 0.5,
+                               "Lambda": 2.0, "frequency": 2.0})
+
+
+class TestEnergyGradient:
+    """``_energy_gradient`` gives the energy and the domain gradient in one
+    walk over the pairs: bitwise ``_energy_values`` and the unblocked
+    gradient (``gradient_reference``)."""
+
+    @pytest.mark.parametrize("kernel", ["pure", "weighted"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("model", ["constant", "power0.25"])
+    @pytest.mark.parametrize("profile", sorted(STACK_PROFILES))
+    def test_matches_energy_and_reference_gradient(self, profile, model, dim,
+                                                   kernel, monkeypatch):
+        prob = _stack_problem(dim, STACK_PROFILES[profile](),
+                              STACK_MODELS[model],
+                              kernel=WEIGHTED if kernel == "weighted"
+                              else None)
+        # several blocks per pass, the last one partial
+        monkeypatch.setattr(sl, "ENERGY_BLOCK", 700)
+        assert prob._pairs[0].size % 700
+        for vals in _noisy_stack(prob, 3, np.random.default_rng(dim)):
+            e, g = sl._energy_gradient(prob, vals)
+            assert e == _energy_values(prob, vals)
+            np.testing.assert_array_equal(g, gradient_reference(prob, vals),
+                                          strict=True)
+            np.testing.assert_array_equal(_gradient_omega(prob, vals), g,
+                                          strict=True)
+
+
+class TestDomainCheck:
+    """A pair pass bounds every argument t = |v(x) - v(y)| d^(-s) once, by
+    (max V - min V) max d^(-s).  Within the profile's domain the blocks
+    skip its domain check, with the same bits; past it they take the
+    checked G and g, which raise as on every block before."""
+
+    @pytest.mark.parametrize("profile", sorted(STACK_PROFILES))
+    def test_bounded_pass_skips_the_check_and_keeps_the_bits(
+            self, profile, monkeypatch):
+        prob = _stack_problem(2, STACK_PROFILES[profile](),
+                              STACK_MODELS["constant"])
+        monkeypatch.setattr(sl, "ENERGY_BLOCK", 700)
+        Vt = np.ascontiguousarray(
+            _noisy_stack(prob, 7, np.random.default_rng(3)).T)
+        checks = []
+        real = nfm._check_domain
+
+        def spy(t, *args):
+            checks.append(t.size)
+            return real(t, *args)
+
+        monkeypatch.setattr(nfm, "_check_domain", spy)
+        fast = sl._pair_energies(prob, Vt)
+        assert checks == []
+        # a bound below 0 sends every pass through the checked G
+        monkeypatch.setattr(sl, "REPRESENTABLE_MAX", -1.0)
+        checked = sl._pair_energies(prob, Vt)
+        assert len(checks) > 1
+        np.testing.assert_array_equal(fast, checked, strict=True)
+
+    def test_unbounded_pass_raises_as_before(self):
+        prob = _stack_problem(1, make_power(1.5), STACK_MODELS["constant"])
+        vals = prob.exterior_datum.values.copy()
+        vals[np.flatnonzero(prob.omega_mask)[0]] = 1e31
+        with pytest.raises(OverflowError, match="representable range"):
+            sl._pair_energies(prob, vals[:, None])
+        with pytest.raises(OverflowError, match="representable range"):
+            sl._energy_gradient(prob, vals)
 
 
 class TestLocalEnergies:
@@ -762,19 +873,34 @@ class TestFarBlocks:
 
 class TestSurrogateAssembly:
     """The surrogate assigns each off-diagonal entry and accumulates the
-    diagonal in a vector: bitwise the assembly by ``np.add.at`` on A."""
+    diagonal in a vector: bitwise the assembly by ``np.add.at`` on A.  It
+    walks the pairs in blocks of ``ENERGY_BLOCK``; only the constant,
+    summed block by block, may then move at rounding level."""
+
+    @staticmethod
+    def _problem(case):
+        if case == "2d":
+            return square_problem(h=1 / 8, rext=0.5)
+        kernel = None if case == "1d" else WEIGHTED
+        return line_problem(h=1 / 16, datum="sin", kernel=kernel)
 
     @pytest.mark.parametrize("case", ["1d", "2d", "weighted"])
     def test_matches_add_at_reference(self, case):
-        if case == "2d":
-            prob = square_problem(h=1 / 8, rext=0.5)
-        else:
-            kernel = None if case == "1d" else Kernel.from_config(
-                {"form": "weighted", "lambda": 0.5, "Lambda": 2.0,
-                 "frequency": 2.0})
-            prob = line_problem(h=1 / 16, datum="sin", kernel=kernel)
+        prob = self._problem(case)
         A, b, const, _ = sl._assemble_surrogate(prob)
         A_ref, b_ref, const_ref = surrogate_add_at_reference(prob)
         assert np.array_equal(A, A_ref)
         assert np.array_equal(b, b_ref)
         assert const == const_ref
+
+    @pytest.mark.parametrize("case", ["1d", "2d", "weighted"])
+    def test_blocks_keep_the_bits_of_a_and_b(self, case, monkeypatch):
+        prob = self._problem(case)
+        # several blocks per walk, the last one partial
+        monkeypatch.setattr(sl, "ENERGY_BLOCK", 300)
+        assert prob._pairs[0].size > 600 and prob._pairs[0].size % 300
+        A, b, const, _ = sl._assemble_surrogate(prob)
+        A_ref, b_ref, const_ref = surrogate_add_at_reference(prob)
+        assert np.array_equal(A, A_ref)
+        assert np.array_equal(b, b_ref)
+        assert const == pytest.approx(const_ref, rel=1e-14, abs=0)
