@@ -8,6 +8,10 @@ boundedness, oscillation decay with Holder-exponent recovery,
 truncation-energy and logarithmic bounds, the integral
 Sobolev-Poincare inequality, and the geometric iteration lemma.
 
+The growth profile is one object, ``NFunction(family, exponent=None,
+table=None, p=None, q=None)``, also built by ``make_power``,
+``make_power_log`` and ``make_table``.
+
 Main entry points:
 
 >>> from fracglap import make_power, Kernel, ExteriorModel, GridFunction
@@ -17,9 +21,9 @@ Main entry points:
 from .funcspace import (Ball, ExteriorModel, GridFunction, Kernel, Lattice,
                         gagliardo_modular, luxemburg_norm, membership_check,
                         sphere_measure, tail)
-from .nfunction import (GrowthFunction, NFunction, check_doubling,
-                        check_growth_sandwich, check_scaling, check_young,
-                        make_power, make_power_log, make_table)
+from .nfunction import (NFunction, check_doubling, check_growth_sandwich,
+                        check_scaling, check_young, make_power,
+                        make_power_log, make_table)
 from .regularity import (Cutoff, DecaySchedule, boundedness_check,
                          caccioppoli_check, de_giorgi_iterate,
                          holder_decay_fit, log_estimate_check,
@@ -31,8 +35,8 @@ from .solver import (InadmissibleError, NonlocalProblem, SolveReport,
 
 __all__ = [
     "Ball", "Cutoff", "DecaySchedule", "EstimateReport",
-    "ExteriorModel", "GridFunction", "GrowthFunction", "InadmissibleError",
-    "Kernel", "Lattice", "NFunction", "NonlocalProblem", "SolveReport",
+    "ExteriorModel", "GridFunction", "InadmissibleError", "Kernel",
+    "Lattice", "NFunction", "NonlocalProblem", "SolveReport",
     "assemble_quadratic", "boundedness_check", "caccioppoli_check",
     "check_doubling", "check_growth_sandwich",
     "check_scaling", "check_young", "de_giorgi_iterate", "energy",

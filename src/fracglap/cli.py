@@ -45,6 +45,16 @@ EXIT_IO = 5
 
 OUTPUT_DIR_ENV = "FRACGLAP_OUT"
 
+
+def _family_keys(required):
+    """Schema clauses that require, for each family, the keys its
+    builder reads without a default."""
+    return [{"if": {"required": ["family"],
+                    "properties": {"family": {"const": fam}}},
+             "then": {"required": keys}}
+            for fam, keys in required.items()]
+
+
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -75,6 +85,9 @@ SCHEMA = {
                         "q": {"type": "number"},
                         "points": {"type": "array"},
                     },
+                    "allOf": _family_keys({"power": ["p"],
+                                           "power_log": ["p"],
+                                           "table": ["points"]}),
                 },
                 "kernel": {
                     "type": "object",
@@ -86,7 +99,16 @@ SCHEMA = {
                         "frequency": {"type": "number"},
                     },
                 },
-                "datum": {"type": "object", "required": ["family"]},
+                "datum": {
+                    "type": "object",
+                    "required": ["family"],
+                    "properties": {"family": {"enum": [
+                        "constant", "linear", "sin", "power_cusp",
+                        "two_level", "random_smooth"]}},
+                    "allOf": _family_keys({"constant": ["value"],
+                                           "power_cusp": ["gamma"],
+                                           "two_level": ["low", "high"]}),
+                },
                 "exterior": {
                     "type": "object",
                     "required": ["kind"],
@@ -362,9 +384,8 @@ def _default_ball(ctx):
 
 def _sample_grid(nf, rng, count):
     lo, hi = -3.0, 3.0
-    if nf.growth.family == "table":
-        cap = nf.growth.t_max
-        lo, hi = math.log10(cap) - 6.0, math.log10(cap)
+    if nf.family == "table":
+        lo, hi = math.log10(nf.t_max) - 6.0, math.log10(nf.t_max)
     return 10.0 ** rng.uniform(lo, hi, size=count)
 
 
@@ -529,7 +550,7 @@ def _stage_minimality(ctx, rng):
 def _stage_nfunction(ctx, rng):
     nf = ctx.problem.nf
     tol = ctx.tol("nfunction",
-                  1e-8 if nf.growth.family != "power_log" else 1e-6)
+                  1e-8 if nf.family != "power_log" else 1e-6)
     count = 2000
     grid = _sample_grid(nf, rng, count)
     pairs = np.column_stack([_sample_grid(nf, rng, count),
@@ -584,7 +605,7 @@ def _stage_tail_closed_form(ctx, rng):
     f = GridFunction(lat, np.zeros(lat.n_nodes), model)
     R = max(lat.circumradius(lat.center()), model.start_radius) * 1.25
     got = tail(f, lat.center(), R, prob.s, nf)
-    if nf.growth.family == "power":
+    if nf.family == "power":
         sp = prob.s * nf.p
         want = sphere_measure(lat.dim) * M ** (nf.p - 1.0) * R ** (-sp) / sp
     else:

@@ -43,6 +43,47 @@ def far_exponent(a, s, p):
     return s - (a - s) * (p - 1.0)
 
 
+def knot_radii(arg, knots, r0, turns=(), far=0.0):
+    """Radii past ``r0`` where ``arg(rho)``, the argument of g in a
+    radial integral, crosses one of ``knots`` (``NFunction.knots``,
+    where g has a kink): the breaks of ``integrate_radial``.
+
+    ``arg`` (entrywise on arrays) is monotone between consecutive radii
+    of ``turns`` and tends to ``far`` as rho -> inf.  Each piece is
+    walked from its start, so a crossing is the root of an increasing
+    function of the distance u from it, arg or 1/arg
+    (``bisect_increasing``).
+    """
+    knots = np.asarray(knots, dtype=float)
+    if not knots.size:
+        return []
+    edges = [r0, *sorted(t for t in turns if t > r0), math.inf]
+    radii = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        v_lo = arg(np.array([lo]))[0]
+        v_hi = far if hi == math.inf else arg(np.array([hi]))[0]
+        y = knots[(knots > min(v_lo, v_hi)) & (knots < max(v_lo, v_hi))]
+        if not y.size:
+            continue
+        span = None if hi == math.inf else hi - lo
+        with np.errstate(divide="ignore"):
+            if v_hi > v_lo:
+                u = bisect_increasing(lambda u: arg(lo + u), y,
+                                      hi=span or lo, hi_cap=span)
+            else:
+                u = bisect_increasing(lambda u: 1.0 / arg(lo + u), 1.0 / y,
+                                      hi=span or lo, hi_cap=span)
+        radii.extend(lo + u)
+    return radii
+
+
+def far_limit(c, a, s):
+    """lim of |c| rho^(a - s) as rho -> inf."""
+    if a == s:
+        return abs(c)
+    return 0.0 if a < s else math.inf
+
+
 def _dist(coords, center):
     return np.linalg.norm(coords - np.asarray(center, float), axis=-1)
 
@@ -403,13 +444,21 @@ def tail(f, x0, R, s, nf):
     shift = float(_dist(x0[None, :], model.center)[0])
     r_far = max(R, model.start_radius + shift)
 
-    def integrand(rho):
-        prof = model.shifted_abs_profile(rho, shift)
-        return nf.g(prof / rho ** s) * rho ** (-1.0 - s)
+    def arg(rho):
+        return model.shifted_abs_profile(rho, shift) / rho ** s
 
-    m = far_exponent(model.growth_exponent, s, nf.p)
-    return part_a + sphere_measure(lat.dim) * integrate_radial(integrand,
-                                                               r_far, m)
+    def integrand(rho):
+        return nf.g(arg(rho)) * rho ** (-1.0 - s)
+
+    # |f| rho^(-s) falls, except that past a > s it rises again beyond
+    # its minimum at rho* = s shift / (a - s)
+    a = model.growth_exponent
+    breaks = knot_radii(arg, nf.knots, r_far,
+                        turns=(s * shift / (a - s),) if a > s else (),
+                        far=far_limit(model.value, a, s))
+    m = far_exponent(a, s, nf.p)
+    return part_a + sphere_measure(lat.dim) * integrate_radial(
+        integrand, r_far, m, breaks=breaks)
 
 
 def membership_check(f, s, nf):
@@ -439,16 +488,26 @@ def membership_check(f, s, nf):
     if model.level != 0.0:
         c_norm = float(np.linalg.norm(model.center))
 
-        def integrand(rho):
-            prof = model.shifted_abs_profile(rho, 0.0)
-            base = 1.0 + np.maximum(rho - c_norm, 0.0)
-            return nf.g(prof / base ** s) * (rho / base) ** (n - 1.0) \
-                * base ** (-1.0 - s)
+        def base(rho):
+            return 1.0 + np.maximum(rho - c_norm, 0.0)
 
-        # the weight's kink at rho = |center| is a breakpoint
-        m = far_exponent(model.growth_exponent, s, nf.p)
+        def arg(rho):
+            return model.shifted_abs_profile(rho, 0.0) / base(rho) ** s
+
+        def integrand(rho):
+            b = base(rho)
+            return nf.g(arg(rho)) * (rho / b) ** (n - 1.0) * b ** (-1.0 - s)
+
+        # the weight's kink at rho = |center| is a breakpoint; past it
+        # |c| rho^a base^(-s) turns at rho* = a (|center| - 1) / (a - s)
+        a = model.growth_exponent
+        turns = (c_norm, a * (c_norm - 1.0) / (a - s)) if a != s \
+            else (c_norm,)
+        breaks = knot_radii(arg, nf.knots, model.start_radius, turns=turns,
+                            far=far_limit(model.value, a, s))
+        m = far_exponent(a, s, nf.p)
         far = sphere_measure(n) * integrate_radial(
-            integrand, model.start_radius, m, breaks=(c_norm,))
+            integrand, model.start_radius, m, breaks=(c_norm, *breaks))
     weighted = body + far
 
     finite = [math.isfinite(t1), math.isfinite(t2), math.isfinite(weighted)]

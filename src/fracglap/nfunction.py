@@ -1,7 +1,8 @@
-"""Growth-profile machinery: the pair (G, g) with G' = g that sets the
-nonlinearity of the nonlocal operator, together with inverses, the
-Legendre conjugate, and checks of the structural inequalities every
-admissible profile must satisfy.
+"""Growth profiles: the pair (G, g) with G' = g that sets the
+nonlinearity of the nonlocal operator, in one object (``NFunction``)
+together with the far-tail profile H, inverses, the Legendre conjugate,
+and checks of the structural inequalities every admissible profile must
+satisfy.
 
 The profile is characterized by lower/upper growth indices (p, q) with
 
@@ -20,18 +21,18 @@ families:
 * ``table``      -- strictly increasing samples of g, monotone
                     piecewise-linear interpolation; G integrates the
                     interpolant exactly; indices derived exactly from
-                    the data unless declared.
+                    the data unless declared.  g has a kink at each
+                    interior sample (``NFunction.knots``).
 
 All evaluation methods accept scalars or numpy arrays and are pure;
-instances are immutable after construction and safe to share across
-workers.
+instances are not modified after construction and are safe to share
+across workers.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,11 +52,6 @@ SERIES_MAX = 1e-14
 _FAMILIES = ("power", "power_log", "table")
 
 
-def _as_float_array(t):
-    t = np.asarray(t, dtype=float)
-    return t, t.ndim == 0
-
-
 def _check_domain(t, what="argument"):
     # one pass for each bound; fmin and fmax skip NaN as the comparisons
     # would, and the initial 0 lets an empty or all-NaN array pass
@@ -67,78 +63,37 @@ def _check_domain(t, what="argument"):
         )
 
 
-@dataclass(frozen=True)
-class GrowthFunction:
-    """A growth density g: strictly increasing, continuous, g(0) = 0.
+def _checked(body, what="argument"):
+    """The public form of an evaluation body: ``body`` gets a float
+    array whose entries lie in [0, REPRESENTABLE_MAX] (``_check_domain``),
+    and a scalar argument gets a float back."""
+    def method(self, t):
+        t = np.asarray(t, dtype=float)
+        _check_domain(t, what)
+        val = body(self, t)
+        return float(val) if t.ndim == 0 else val
 
-    ``family`` selects the evaluation rule; ``exponent`` is the power p
-    for the closed-form families; ``table`` holds (t_i, g_i) samples,
-    strictly increasing in both coordinates, for user-supplied data.
-    A tabulated g is implicitly anchored at (0, 0).
-    """
+    method.__doc__ = body.__doc__
+    return method
 
-    family: str
-    exponent: float | None = None
-    table: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown growth family {self.family!r}")
-        if self.family in ("power", "power_log"):
-            if self.exponent is None or not self.exponent > 1.0:
-                raise ValueError("power-type families need an exponent > 1")
-        else:
-            tab = np.asarray(self.table, dtype=float)
-            if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
-                raise ValueError("table must be an (m, 2) array with m >= 2")
-            if np.any(np.diff(tab[:, 0]) <= 0) or np.any(np.diff(tab[:, 1]) <= 0):
-                raise ValueError("table samples must be strictly increasing "
-                                 "in both coordinates")
-            if tab[0, 0] < 0 or tab[0, 1] < 0:
-                raise ValueError("table samples must be nonnegative")
-            if tab[0, 0] > 0:
-                tab = np.vstack([[0.0, 0.0], tab])
-            elif tab[0, 1] != 0.0:
-                raise ValueError("g(0) must be 0")
-            object.__setattr__(self, "table", tab)
-
-    @property
-    def t_max(self):
-        """Upper end of the domain (table end, or the representable cap)."""
-        if self.family == "table":
-            return float(self.table[-1, 0])
-        return REPRESENTABLE_MAX
-
-    def __call__(self, t):
-        t, scalar = _as_float_array(t)
-        _check_domain(t)
-        val = self._unchecked(t)
-        return float(val) if scalar else val
-
-    def _unchecked(self, t):
-        """g on a float array whose entries lie in [0, REPRESENTABLE_MAX]."""
-        if self.family == "power":
-            return t ** (self.exponent - 1.0)
-        if self.family == "power_log":
-            return t ** (self.exponent - 1.0) * np.log1p(t)
-        if np.any(t > self.t_max * (1 + 1e-12)):
-            raise ValueError("argument outside the tabulated range")
-        return np.interp(t, self.table[:, 0], self.table[:, 1])
-
-    def inverse(self, y):
-        """Preimage g^{-1}(y); monotone interpolation for tables."""
-        y, scalar = _as_float_array(y)
-        _check_domain(y, "target")
-        if self.family == "power":
-            val = y ** (1.0 / (self.exponent - 1.0))
-        elif self.family == "power_log":
-            val = bisect_increasing(self.__call__, y, hi_cap=REPRESENTABLE_MAX)
-            val = np.asarray(val, dtype=float)
-        else:
-            if np.any(y > self.table[-1, 1] * (1 + 1e-12)):
-                raise ValueError("target outside the tabulated range of g")
-            val = np.interp(y, self.table[:, 1], self.table[:, 0])
-        return float(val) if scalar else val
+def _anchored_table(table):
+    """The (m, 2) samples (t_i, g_i) of a tabulated g, strictly
+    increasing in both coordinates, with the anchor (0, 0) prepended
+    when t_0 > 0."""
+    tab = np.asarray(table, dtype=float)
+    if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
+        raise ValueError("table must be an (m, 2) array with m >= 2")
+    if np.any(np.diff(tab[:, 0]) <= 0) or np.any(np.diff(tab[:, 1]) <= 0):
+        raise ValueError("table samples must be strictly increasing "
+                         "in both coordinates")
+    if tab[0, 0] < 0 or tab[0, 1] < 0:
+        raise ValueError("table samples must be nonnegative")
+    if tab[0, 0] > 0:
+        return np.vstack([[0.0, 0.0], tab])
+    if tab[0, 1] != 0.0:
+        raise ValueError("g(0) must be 0")
+    return tab
 
 
 def _clenshaw(c, idx, x):
@@ -178,7 +133,8 @@ class _ChebLogG:
         xs = (0.5 * (a + b) + 0.5 * (b - a) * probe).ravel()
         truth = exact(np.exp(xs))
         err = np.max(np.abs(self(np.exp(xs)) - truth) / truth)
-        if err > target:
+        # NaN (G leaving the float range) fails too
+        if not err <= target:
             raise _CertificationError(err)
 
         # dH/dx = G(e^x): integrate a fit of G itself, certified the same way
@@ -228,29 +184,35 @@ def _segment_H(t0, g0, G0, slope, dt):
 
 
 class NFunction:
-    """The convex profile G(t) = int_0^t g, with growth indices (p, q),
+    """A growth profile: the density g (strictly increasing, g(0) = 0)
+    and the convex G(t) = int_0^t g, with growth indices (p, q),
     doubling constant ``kappa`` (G(2t) <= kappa*G(t)) and reverse
     doubling constant ``ell`` (G(t) <= G(ell*t)/(2*ell)).
 
-    The indices of a table are exact: the extremes of t g(t)/G(t) over
-    its knots and the stationary points inside its segments
-    (``_table_indices``).  Construction validates the structural
-    inequalities on a sampled grid and derives both constants:
-    kappa = 2**q and ell = 2**(1/(p-1)) always satisfy their defining
-    inequalities under the index sandwich.
+    ``family`` selects the evaluation rule, ``exponent`` is the power p
+    of the closed-form families and ``table`` the (t_i, g_i) samples of
+    a tabulated g, anchored at (0, 0); ``t_max`` ends the domain.  The
+    indices of a table are exact (``_table_indices``); declared indices
+    may widen the band but not cut into it.  Construction validates the
+    structural inequalities on a sampled grid; kappa = 2**q and
+    ell = 2**(1/(p-1)) hold under the index sandwich.
     """
 
-    def __init__(self, growth, p=None, q=None):
-        self.growth = growth
-        self._accel = None
-
-        if growth.family == "power":
-            p0 = q0 = float(growth.exponent)
-        elif growth.family == "power_log":
-            p0 = float(growth.exponent)
-            q0 = p0 + 1.0
-        else:
+    def __init__(self, family, exponent=None, table=None, p=None, q=None):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown growth family {family!r}")
+        self.family = family
+        self.exponent = self.table = self._accel = None
+        self.t_max = REPRESENTABLE_MAX
+        if family == "table":
+            self.table = _anchored_table(table)
+            self.t_max = float(self.table[-1, 0])
             p0, q0 = self._table_indices()
+        elif exponent is None or not exponent > 1.0:
+            raise ValueError("power-type families need an exponent > 1")
+        else:
+            self.exponent = p0 = float(exponent)
+            q0 = p0 if family == "power" else p0 + 1.0
 
         tol = 1e-6 * max(1.0, q0)
         if p is None:
@@ -258,15 +220,13 @@ class NFunction:
         elif p > p0 + tol:
             raise ValueError(
                 f"declared lower index p={p:g} exceeds the observed "
-                f"infimum {p0:g} of t*g(t)/G(t)"
-            )
+                f"infimum {p0:g} of t*g(t)/G(t)")
         if q is None:
             q = q0
         elif q < q0 - tol:
             raise ValueError(
                 f"declared upper index q={q:g} is below the observed "
-                f"supremum {q0:g} of t*g(t)/G(t)"
-            )
+                f"supremum {q0:g} of t*g(t)/G(t)")
         if not (1.0 < p <= q):
             raise ValueError("indices must satisfy 1 < p <= q")
         self.p = float(p)
@@ -274,17 +234,31 @@ class NFunction:
         self.kappa = 2.0 ** self.q
         self.ell = 2.0 ** (1.0 / (self.p - 1.0))
 
-        if growth.family == "power_log":
-            self._build_accelerator()
-        self._validate()
+        # samples past the float range fail the certification or
+        # ``_validate`` by name, without a warning first
+        with np.errstate(all="ignore"):
+            if family == "power_log":
+                self._accel = self._build_accelerator()
+            self._validate()
+
+    @property
+    def knots(self):
+        """The interior table knots, where g has a kink (none otherwise)."""
+        return np.empty(0) if self.table is None else self.table[1:-1, 0]
 
     # -- evaluation ----------------------------------------------------
 
-    def g(self, t):
+    def _g_unchecked(self, t):
         """Growth density g(t)."""
-        return self.growth(t)
+        if self.family == "power":
+            return t ** (self.exponent - 1.0)
+        if self.family == "power_log":
+            return t ** (self.exponent - 1.0) * np.log1p(t)
+        if np.any(t > self.t_max * (1 + 1e-12)):
+            raise ValueError("argument outside the tabulated range")
+        return np.interp(t, self.table[:, 0], self.table[:, 1])
 
-    def G(self, t):
+    def _G_unchecked(self, t):
         """Antiderivative G(t) = int_0^t g(s) ds.
 
         Closed form for the power family, exact integration of the
@@ -292,29 +266,23 @@ class NFunction:
         log t (relative accuracy ``CERTIFY_TOL``) with the graded-rule
         quadrature ``quadrature.integrate_zero_to`` above it.
         """
-        t, scalar = _as_float_array(t)
-        _check_domain(t)
-        val = self._G_unchecked(t)
-        return float(val) if scalar else val
-
-    def _G_unchecked(self, t):
-        """G on a float array whose entries lie in [0, REPRESENTABLE_MAX]:
-        the body ``G`` wraps, for callers that bound their arguments."""
-        fam = self.growth.family
-        if fam == "power":
-            pw = self.growth.exponent
+        if self.family == "power":
+            pw = self.exponent
             val = t ** pw
             val *= 1.0 / pw
             return val
-        if fam == "table":
+        if self.family == "table":
             return self._table_G(t)
-        return self._quad_G(np.atleast_1d(t)).reshape(t.shape)
+        return self._accelerated(np.atleast_1d(t), self._accel,
+                                 self._quad_exact,
+                                 self._series_G).reshape(t.shape)
 
-    def _g_unchecked(self, t):
-        """g on a float array whose entries lie in [0, REPRESENTABLE_MAX]:
-        the body ``g`` wraps."""
-        return self.growth._unchecked(t)
+    # the checked entries; ``_G_unchecked`` and ``_g_unchecked`` serve
+    # callers that bound their arguments themselves
+    g = _checked(_g_unchecked)
+    G = _checked(_G_unchecked)
 
+    @_checked
     def H(self, t):
         """H(t) = int_0^t G(tau)/tau dtau, the profile of the far tail
         of a level exterior model (see ``NonlocalProblem._far_energy``).
@@ -324,41 +292,48 @@ class NFunction:
         (relative accuracy ``CERTIFY_TOL``) with the graded-rule
         quadrature of int_0^t g(u) log(t/u) du above it.
         """
-        t, scalar = _as_float_array(t)
-        _check_domain(t)
-        fam = self.growth.family
-        if fam == "power":
-            pw = self.growth.exponent
+        if self.family == "power":
+            pw = self.exponent
             val = t ** pw
             val *= 1.0 / pw ** 2
-        elif fam == "table":
-            val = self._table_H(t)
-        else:
-            val = self._quad_H(np.atleast_1d(t)).reshape(t.shape)
-        return float(val) if scalar else val
+            return val
+        if self.family == "table":
+            return self._table_H(t)
+        accel = self._accel
+        fast = accel.H if accel is not None and accel.hcoef is not None \
+            else None
+        return self._accelerated(np.atleast_1d(t), fast, self._quad_H_exact,
+                                 self._series_H).reshape(t.shape)
 
     def inv_G(self, y):
         """t with G(t) = y, by doubling bracket + bisection (relative
         width 1e-12); inv_G(0) = 0."""
         return bisect_increasing(self.G, y, hi_cap=REPRESENTABLE_MAX)
 
-    def inv_g(self, y):
-        """Preimage under g: ``GrowthFunction.inverse``, the closed form
-        y**(1/(p-1)) for the power family."""
-        return self.growth.inverse(y)
+    def _inv_g_unchecked(self, y):
+        """Preimage g^{-1}(y): the closed form y**(1/(p-1)) for the
+        power family, bisection on g for power_log, monotone
+        interpolation for tables."""
+        if self.family == "power":
+            return y ** (1.0 / (self.exponent - 1.0))
+        if self.family == "power_log":
+            return bisect_increasing(self._g_unchecked, y,
+                                     hi_cap=REPRESENTABLE_MAX)
+        if np.any(y > self.table[-1, 1] * (1 + 1e-12)):
+            raise ValueError("target outside the tabulated range of g")
+        return np.interp(y, self.table[:, 1], self.table[:, 0])
 
+    inv_g = _checked(_inv_g_unchecked, "target")
+
+    @_checked
     def conjugate(self, t):
         """Legendre conjugate G*(t) = sup_{s>=0} (s*t - G(s)).
 
         The objective is concave with derivative t - g(s), so the sup is
         attained at s = g^{-1}(t).
         """
-        t, scalar = _as_float_array(t)
-        _check_domain(t)
         s = np.asarray(self.inv_g(t), dtype=float)
-        val = s * t - self.G(s)
-        val = np.maximum(val, 0.0)
-        return float(val) if scalar else val
+        return np.maximum(s * t - self.G(s), 0.0)
 
     @property
     def p_conj(self):
@@ -368,40 +343,30 @@ class NFunction:
     def q_conj(self):
         return self.q / (self.q - 1.0)
 
-    # -- internals -----------------------------------------------------
+    # -- power_log internals -------------------------------------------
 
     def _quad_exact(self, t):
         # power_log: g(tau) = t^(p-1) u^(p-1) log1p(tau) at tau = t u, so
         # the power of t leaves the integral over the unit nodes u
-        pm1 = self.growth.exponent - 1.0
+        pm1 = self.exponent - 1.0
         return t ** pm1 * integrate_zero_to(
             lambda tau, u: u ** pm1 * np.log1p(tau), t)
 
     def _quad_H_exact(self, t):
         # swapping the two integrals of H gives int_0^t g(tau) log(t/tau)
         # dtau, and log(t/tau) = -log u; the power leaves as in G
-        pm1 = self.growth.exponent - 1.0
+        pm1 = self.exponent - 1.0
         return t ** pm1 * integrate_zero_to(
             lambda tau, u: u ** pm1 * -np.log(u) * np.log1p(tau), t)
 
-    def _quad_G(self, t):
-        return self._accelerated(t, self._accel, self._quad_exact,
-                                 self._series_G)
-
-    def _quad_H(self, t):
-        accel = self._accel
-        fast = accel.H if accel is not None and accel.hcoef is not None \
-            else None
-        return self._accelerated(t, fast, self._quad_H_exact, self._series_H)
-
     def _series_G(self, t):
         # log1p(u) = u - u^2/2 + O(u^3) under int_0^t u^(p-1) log1p(u) du
-        p = self.growth.exponent
+        p = self.exponent
         return t ** (p + 1) / (p + 1) - t ** (p + 2) / (2 * (p + 2))
 
     def _series_H(self, t):
         # int_0^t G(tau)/tau dtau of the two terms of ``_series_G``
-        p = self.growth.exponent
+        p = self.exponent
         return t ** (p + 1) / (p + 1) ** 2 - t ** (p + 2) / (2 * (p + 2) ** 2)
 
     def _accelerated(self, t, fast_fn, exact_fn, series_fn):
@@ -431,22 +396,20 @@ class NFunction:
         return out
 
     def _build_accelerator(self):
-        target = CERTIFY_TOL / 2
-        for intervals, degree in ((64, 24), (160, 32)):
-            try:
-                self._accel = _ChebLogG(self._quad_exact, SERIES_MAX, 1e14,
-                                        intervals, degree, target,
-                                        self._quad_H_exact)
-                return
-            except _CertificationError:
-                continue
-        self._accel = None  # fall back to direct quadrature on every call
+        """64 intervals of degree 24 on [SERIES_MAX, 1e14], or None (direct
+        quadrature on every call) when they miss the certification."""
+        try:
+            return _ChebLogG(self._quad_exact, SERIES_MAX, 1e14, 64, 24,
+                             CERTIFY_TOL / 2, self._quad_H_exact)
+        except _CertificationError:
+            return None
+
+    # -- table internals -----------------------------------------------
 
     @cached_property
     def _table_knots(self):
         """Knots t_k, g_k, G_k, H_k and segment slopes of a table."""
-        tab = self.growth.table
-        tk, gk = tab[:, 0], tab[:, 1]
+        tk, gk = self.table[:, 0], self.table[:, 1]
         dt = np.diff(tk)
         slope = np.diff(gk) / dt
         Gk = np.concatenate([[0.0], np.cumsum(0.5 * (gk[1:] + gk[:-1]) * dt)])
@@ -455,7 +418,7 @@ class NFunction:
         return tk, gk, Gk, Hk, slope
 
     def _table_segment(self, t):
-        tk = self.growth.table[:, 0]
+        tk = self.table[:, 0]
         if np.any(t > tk[-1] * (1 + 1e-12)):
             raise ValueError("argument outside the tabulated range")
         idx = np.clip(np.searchsorted(tk, t, side="right") - 1, 0, len(tk) - 2)
@@ -496,30 +459,37 @@ class NFunction:
             inside = (u > 0.0) & (u < np.tile(np.diff(tk)[1:], 2))
         start = np.tile(t0, 2)
         t = np.concatenate([tk[1:], start[inside] + u[inside]])
-        r = t * self.growth(t) / self._table_G(t)
+        r = t * self._g_unchecked(t) / self._table_G(t)
         p0 = min(2.0, float(r.min()))
         q0 = max(2.0, float(r.max()))
         if p0 <= 1.0 + 1e-9:
             raise ValueError("tabulated g has lower growth index <= 1")
         return p0, q0
 
-    def _sample_grid(self):
-        if self.growth.family == "table":
-            tab = self.growth.table
-            t1 = tab[1, 0]
-            tmax = tab[-1, 0]
-            return np.geomspace(t1, tmax, 600)
-        return np.geomspace(1e-6, 1e6, 61)
+    # -- validation ----------------------------------------------------
 
     def _validate(self):
-        t = self._sample_grid()
-        gv = self.g(t)
+        if self.table is not None:
+            t = np.geomspace(self.table[1, 0], self.t_max, 600)
+        else:
+            t = np.geomspace(1e-6, 1e6, 61)
+        td = t[2.0 * t <= self.t_max]
+        tn = t[self.ell * t <= self.t_max]
+        gv, Gv = self.g(t), self.G(t)
+        r = t * gv / Gv
+        mid = self.G(0.5 * (t[:-1] + t[1:]))
+        dbl = self.G(2.0 * td), self.kappa * self.G(td) * (1 + 1e-7)
+        rev = self.G(tn), self.G(self.ell * tn) / (2 * self.ell) * (1 + 1e-7)
+        # a sample past the float range would make a comparison below
+        # arbitrary
+        if not all(np.isfinite(x).all() for x in (gv, r, mid, *dbl, *rev)):
+            raise ValueError(
+                "the profile overflows the float range on its validation "
+                f"grid [{t[0]:g}, {t[-1]:g}] (p = {self.p:g}, q = {self.q:g})")
         if self.g(0.0) != 0.0:
             raise ValueError("g(0) must be 0")
         if np.any(np.diff(gv) <= 0):
             raise ValueError("g must be strictly increasing")
-        Gv = self.G(t)
-        r = t * gv / Gv
         slack = 1e-6 * self.q
         if r.min() < self.p - slack or r.max() > self.q + slack:
             raise ValueError(
@@ -527,51 +497,43 @@ class NFunction:
                 f"t*g/G in [{r.min():.6g}, {r.max():.6g}] vs [{self.p:g}, {self.q:g}]"
             )
         # midpoint convexity on neighbouring grid points
-        mid = self.G(0.5 * (t[:-1] + t[1:]))
         if np.any(mid > 0.5 * (Gv[:-1] + Gv[1:]) * (1 + 1e-9)):
             raise ValueError("G failed the midpoint convexity check")
         # doubling constants on the sampled grid
-        cap = self.growth.t_max
-        td = t[2.0 * t <= cap]
-        if np.any(self.G(2.0 * td) > self.kappa * self.G(td) * (1 + 1e-7)):
+        if np.any(dbl[0] > dbl[1]):
             raise ValueError("doubling constant kappa does not hold")
-        tn = t[self.ell * t <= cap]
-        if np.any(self.G(tn) > self.G(self.ell * tn) / (2 * self.ell) * (1 + 1e-7)):
+        if np.any(rev[0] > rev[1]):
             raise ValueError("reverse doubling constant ell does not hold")
 
     def __repr__(self):
-        fam = self.growth.family
-        return f"NFunction({fam}, p={self.p:g}, q={self.q:g})"
+        return f"NFunction({self.family}, p={self.p:g}, q={self.q:g})"
 
 
 # -- factory helpers ----------------------------------------------------
 
 def make_power(p):
     """g(t) = t**(p-1), G(t) = t**p / p."""
-    return NFunction(GrowthFunction("power", exponent=float(p)))
+    return NFunction("power", exponent=float(p))
 
 
 def make_power_log(p):
     """g(t) = t**(p-1) * log(1+t), indices (p, p+1)."""
-    return NFunction(GrowthFunction("power_log", exponent=float(p)))
+    return NFunction("power_log", exponent=float(p))
 
 
 def make_table(points, p=None, q=None):
     """Tabulated g from (t_i, g_i) samples."""
-    return NFunction(GrowthFunction("table", table=np.asarray(points, float)),
-                     p=p, q=q)
+    return NFunction("table", table=np.asarray(points, float), p=p, q=q)
 
 
 def from_config(cfg):
-    """Build from the JSON fragment used in problem configs."""
+    """Build from the JSON fragment used in problem configs: ``p`` is
+    the exponent of a power family and a declared lower index of a
+    table."""
     fam = cfg["family"]
-    if fam == "power":
-        return make_power(cfg["p"])
-    if fam == "power_log":
-        return make_power_log(cfg["p"])
     if fam == "table":
-        return make_table(cfg["points"], p=cfg.get("p"), q=cfg.get("q"))
-    raise ValueError(f"unknown growth family {fam!r}")
+        return make_table(cfg.get("points"), p=cfg.get("p"), q=cfg.get("q"))
+    return NFunction(fam, exponent=cfg.get("p"))
 
 
 # -- structural inequality checks ---------------------------------------
@@ -608,7 +570,7 @@ def check_young(nf, pairs, eps=0.5, tol=1e-8):
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    pairs = pairs[pairs[:, 1] <= nf.g(nf.growth.t_max)]
+    pairs = pairs[pairs[:, 1] <= nf.g(nf.t_max)]
     t, s = pairs[:, 0], pairs[:, 1]
     Gt = nf.G(t)
     Gs_conj = nf.conjugate(s)
@@ -657,7 +619,7 @@ def check_scaling(nf, samples, tol=1e-8):
     samples = np.asarray(samples, dtype=float).reshape(-1, 2)
     if np.any(samples[:, 0] <= 0):
         raise ValueError("scaling factors must be positive")
-    t_max = nf.growth.t_max
+    t_max = nf.t_max
     worst = 0.0
     witness = {}
     for label, F, cap, lo_ex, hi_ex in (
@@ -691,7 +653,7 @@ def check_doubling(nf, grid, tol=1e-8):
     """Doubling G(2t) <= kappa G(t) and reverse doubling
     G(t) <= G(ell t)/(2 ell) at the stored constants."""
     t = np.asarray(grid, dtype=float)
-    t = t[(t > 0) & (2.0 * t <= nf.growth.t_max) & (nf.ell * t <= nf.growth.t_max)]
+    t = t[(t > 0) & (2.0 * t <= nf.t_max) & (nf.ell * t <= nf.t_max)]
     Gt = nf.G(t)
     c_dbl = float(np.max(nf.G(2.0 * t) / (nf.kappa * Gt), initial=0.0))
     c_rev = float(np.max(Gt * 2.0 * nf.ell / nf.G(nf.ell * t), initial=0.0))

@@ -297,17 +297,25 @@ def _truncation_far_tail(u, x0, r, k, sign, s, nf):
                                  - np.asarray(model.center, float)))
     r_far = max(r, model.start_radius + shift)
 
+    def arg(rho):
+        return _truncation(model.signed_profile(rho), k, sign) / rho ** s
+
     def integrand(rho):
-        f = model.signed_profile(rho)
-        return nf.g(_truncation(f, k, sign) / rho ** s) * rho ** (-1.0 - s)
+        return nf.g(arg(rho)) * rho ** (-1.0 - s)
 
     # (f - k)_+ grows only if f -> +inf, (k - f)_+ only if f -> -inf;
-    # the radius where f crosses k is a breakpoint
+    # the radius where f crosses k is a breakpoint, and past it
+    # |c rho^a - k| rho^(-s) turns where c rho^a = s k / (s - a)
     a, c = model.growth_exponent, model.value
-    m = fsp.far_exponent(a if (c > 0) == (sign == "plus") else 0.0, s, nf.p)
+    grows = a if (c > 0) == (sign == "plus") else 0.0
     crossing = (k / c) ** (1.0 / a) if a and k / c > 0 else 0.0
+    turn = s * k / ((s - a) * c) if a and a != s else 0.0
+    turns = (crossing, turn ** (1.0 / a)) if turn > 0 else (crossing,)
+    breaks = fsp.knot_radii(arg, nf.knots, r_far, turns=turns,
+                            far=fsp.far_limit(c, grows, s))
+    m = fsp.far_exponent(grows, s, nf.p)
     return fsp.sphere_measure(u.lattice.dim) * integrate_radial(
-        integrand, r_far, m, breaks=(crossing,))
+        integrand, r_far, m, breaks=(crossing, *breaks))
 
 
 # -- logarithmic estimate --------------------------------------------------

@@ -260,8 +260,8 @@ class NonlocalProblem:
         and its derivative (1/m) int_0^T0 g(.) sign(w - f) tau^(s/m - 1)
         dtau; both integrands are integrable at 0.  The graded rule runs
         on the segments between 0, the zero tau* = (A/B)^(1/delta) of
-        the difference (when A B > 0), T0 and, for tables, the taus where
-        the difference crosses a knot.
+        the difference (when A B > 0), T0 and the taus where the
+        difference crosses a knot of g (``NFunction.knots``).
         """
         model = self.exterior_datum.exterior
         s, a = self.s, model.exponent
@@ -276,11 +276,9 @@ class NonlocalProblem:
         flip = -1.0 if a > 0 else 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             kink = np.where(A * B > 0, (A / B) ** (1.0 / delta), np.inf)
-        breaks = [np.zeros_like(w), np.minimum(kink, t0), np.full_like(w, t0)]
-        if self.nf.growth.family == "table":
-            breaks.append(_knot_crossings(self.nf.growth.table[1:-1, 0],
-                                          A, B, delta, kink, t0))
-        bp = np.sort(np.column_stack(breaks), axis=1)
+        bp = np.sort(np.column_stack([
+            np.zeros_like(w), np.minimum(kink, t0), np.full_like(w, t0),
+            _knot_crossings(self.nf.knots, A, B, delta, kink, t0)]), axis=1)
         lo, hi = bp[:, :-1], bp[:, 1:]
         owner = np.broadcast_to(np.arange(w.size)[:, None], lo.shape)
         keep = hi > lo
@@ -336,6 +334,8 @@ def _knot_crossings(knots, A, B, delta, kink, t0):
     every crossing is a root of an increasing function of the distance u
     from that zero (``bisect_increasing``).
     """
+    if not knots.size:
+        return np.empty((kink.size, 0))
     finite = np.isfinite(kink)
     zero = np.where(finite, kink, 0.0)
     peak = zero * (1.0 + delta) ** (-1.0 / delta)
@@ -536,7 +536,7 @@ def assemble_quadratic(prob):
     exterior model (f = c); used by the direct-solve oracle stage.
     """
     nf = prob.nf
-    if not (nf.growth.family == "power" and nf.p == 2.0 and nf.q == 2.0):
+    if not (nf.family == "power" and nf.p == 2.0 and nf.q == 2.0):
         raise ValueError("quadratic assembly needs the power profile with p = 2")
     if prob.exterior_datum.exterior.level is None:
         raise ValueError("quadratic assembly needs a level exterior model "

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fracglap import (ExteriorModel, GridFunction, Kernel, Lattice,
                       NonlocalProblem, make_power, make_power_log)
@@ -130,6 +131,30 @@ def scipy_radial(fn, r0, breaks=(), span=200.0):
 
     return sum(quad(density, lo, hi, epsabs=0, epsrel=1e-13, limit=400)[0]
                for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+# g with kinks at t = 0.5, 1, 2 and 8, the arguments a far field of
+# order 1 gives it
+KINKED_TABLE = [[0.5, 0.4], [1.0, 1.0], [2.0, 2.6], [8.0, 15.0],
+                [1e6, 3e6]]
+
+
+def scan_knot_radii(arg, knots, r0, span=200.0, points=200001):
+    """Radii past r0 where ``arg`` (an array of radii to the argument
+    of g) crosses one of ``knots``, located on a grid of ``points`` in
+    u = log(rho) over [log r0, log r0 + span] and refined by ``brentq``:
+    the breaks an oracle of a radial integral of g(arg) needs where g
+    has a kink."""
+    u = np.linspace(math.log(r0), math.log(r0) + span, points)
+    vals = arg(np.exp(u))
+    radii = []
+    for knot in knots:
+        side = np.sign(vals - knot)
+        for i in np.flatnonzero(side[:-1] != side[1:]):
+            root = brentq(lambda x: arg(np.exp(np.array([x])))[0] - knot,
+                          u[i], u[i + 1], xtol=1e-15, rtol=1e-15)
+            radii.append(math.exp(root))
+    return radii
 
 
 def coordinate_distance_blocks(xa, xb, rows=64):

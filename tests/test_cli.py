@@ -56,6 +56,22 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def run_subprocess(tmp_path, cfg):
+    """``fracglap run`` on ``cfg`` in a fresh interpreter, so that its
+    whole stderr, warnings included, is what a user sees."""
+    path = write_config(tmp_path, cfg)
+    env = dict(os.environ)
+    src = str(Path(fracglap.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys; from fracglap.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    return subprocess.run(
+        [sys.executable, "-c", code, "run", path, "--out",
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+
+
 def read_reports(out_dir):
     """All JSON artifacts with timestamps stripped, plus raw CSV bytes."""
     docs = {}
@@ -112,6 +128,48 @@ class TestConfigValidation:
         kind, _, name = stage.partition(":")
         prefix = "estimate" if kind == "verify" else "sweep"
         assert (out / f"{prefix}_{name}.json").exists()
+
+    @pytest.mark.parametrize("key, spec, missing", [
+        ("nfunction", {"family": "power"}, "p"),
+        ("nfunction", {"family": "power_log"}, "p"),
+        ("nfunction", {"family": "table"}, "points"),
+        ("datum", {"family": "constant"}, "value"),
+        ("datum", {"family": "power_cusp"}, "gamma"),
+        ("datum", {"family": "two_level", "low": -1.0}, "high"),
+    ], ids=["power-p", "power_log-p", "table-points", "constant-value",
+            "power_cusp-gamma", "two_level-high"])
+    def test_missing_family_key_is_config_error(self, tmp_path, capsys,
+                                                key, spec, missing):
+        # each family's keys without a default are required by the schema
+        cfg = base_config()
+        cfg["problem"][key] = spec
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(tmp_path / "out")) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: config schema violation: "
+            f"'{missing}' is a required property\n")
+
+    def test_unknown_datum_family_is_schema_violation(self, tmp_path,
+                                                      capsys):
+        cfg = base_config()
+        cfg["problem"]["datum"] = {"family": "cosine"}
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(tmp_path / "out")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config schema violation: "
+                              "'cosine' is not one of")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("family", ["power", "power_log"])
+    def test_overflowing_exponent_is_one_line(self, tmp_path, family):
+        # p = 60 takes the validation samples past the float range: one
+        # line that names the overflow, with no floating-point warning
+        cfg = base_config()
+        cfg["problem"]["nfunction"] = {"family": family, "p": 60.0}
+        res = run_subprocess(tmp_path, cfg)
+        assert res.returncode == EXIT_CONFIG, res.stderr
+        assert res.stderr.startswith("config error: the profile overflows")
+        assert res.stderr.count("\n") == 1
 
     def test_schema_violation_exit_code(self, tmp_path):
         cfg = base_config()
@@ -231,6 +289,28 @@ class TestRun:
         assert rep["passed"]
         assert rep["lhs"] < 1e-12
 
+    @pytest.mark.parametrize("exterior", [
+        {"kind": "constant", "value": 0.3},
+        {"kind": "power", "value": 0.3, "exponent": 0.25},
+        {"kind": "power", "value": 0.3, "exponent": -0.5},
+    ], ids=["constant", "power-growing", "power-decaying"])
+    def test_tail_closed_form_breaks_at_table_knots(self, tmp_path,
+                                                    exterior):
+        # from R = 1.25 * 1.5625 on, the tail argument 0.75 rho^(-1/2)
+        # falls from 0.54 past the knot 0.5 of g; without a break there
+        # the radial rule read 2.4e-6 against the closed form
+        cfg = base_config(pipeline=["verify:tail_closed_form"])
+        cfg["problem"]["nfunction"] = {"family": "table", "points": [
+            [0.5, 0.4], [1.0, 1.0], [2.0, 2.6], [8.0, 15.0], [1e6, 3e6]]}
+        cfg["problem"]["exterior"] = exterior
+        cfg["problem"]["truncation_radius"] = 1.0
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) == EXIT_OK
+        rep = json.loads((out / "estimate_tail_closed_form.json").read_text())
+        assert rep["passed"]
+        assert rep["lhs"] < 1e-12
+
     def test_nfunction_stage_on_random_tables(self, tmp_path):
         # the indices of a table are the exact extremes of t g/G, so the
         # growth sandwich, Young, scaling and doubling checks hold to
@@ -269,17 +349,7 @@ class TestRun:
     def test_unrepresentable_datum_is_config_error(self, tmp_path):
         cfg = base_config()
         cfg["problem"]["datum"]["amplitude"] = 1e30
-        path = write_config(tmp_path, cfg)
-        env = dict(os.environ)
-        src = str(Path(fracglap.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        code = ("import sys; from fracglap.cli import main; "
-                "sys.exit(main(sys.argv[1:]))")
-        res = subprocess.run(
-            [sys.executable, "-c", code, "run", path, "--out",
-             str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=300)
+        res = run_subprocess(tmp_path, cfg)
         assert res.returncode == EXIT_CONFIG, res.stderr
         assert "Traceback" not in res.stderr
         assert res.stderr.startswith("config error:")

@@ -10,7 +10,8 @@ from fracglap import (Ball, ExteriorModel, GridFunction, Kernel, Lattice,
                       membership_check, sphere_measure, tail)
 from fracglap.nfunction import make_power_log, make_table
 
-from helpers import csv_writer_reference, scipy_radial
+from helpers import (KINKED_TABLE, csv_writer_reference, scan_knot_radii,
+                     scipy_radial)
 
 
 @pytest.fixture
@@ -331,6 +332,35 @@ class TestTail:
         want = 2.0 * scipy_radial(fn, model.start_radius + shift)
         assert got == pytest.approx(want, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("c, a, x0", [
+        (0.75, 0.0, 0.0), (3.0, 0.25, 0.3), (3.0, -0.5, 0.3),
+        (1.7, 0.55, 0.45)],
+        ids=["level", "growing", "decaying", "turning"])
+    def test_table_tail_breaks_at_the_knots(self, c, a, x0):
+        # g has a kink at each interior knot: the radial rule breaks
+        # where |f| rho^(-s) crosses one.  With a > s the shifted
+        # profile falls from 2.10 to its minimum 1.93 at
+        # rho* = s shift / (a - s) = 4.5 and rises past it, crossing the
+        # knot 2 on both sides.
+        nf = make_table(KINKED_TABLE)
+        s, R = 0.5, 0.2
+        lat = Lattice.from_box([-0.5], [0.5], 0.25)
+        f = GridFunction(lat, np.zeros(lat.n_nodes),
+                         ExteriorModel(value=c, exponent=a))
+        got = tail(f, [x0], R, s, nf)
+        model = f.exterior
+        shift = abs(x0 - model.center[0])
+        r0 = model.start_radius + shift
+
+        def arg(rho):
+            return model.shifted_abs_profile(rho, shift) / rho ** s
+
+        breaks = scan_knot_radii(arg, nf.knots, r0)
+        assert breaks
+        want = 2.0 * scipy_radial(lambda rho: nf.g(arg(rho))
+                                  * rho ** (-1.0 - s), r0, breaks)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_divergence_is_decided_by_the_growth_exponent(self):
         # mu = s - (a - s)(p - 1): 0.6 - 0.6 * 1 = 0 diverges, and a zero
         # value has no growth at all
@@ -415,6 +445,36 @@ class TestMembership:
 
         want = 2.0 * scipy_radial(fn, 0.8, (1.2,))
         assert rep.weighted_integral == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("c, a", [(0.75, 0.0), (3.0, 0.25), (3.0, -0.5),
+                                      (1.82, 0.55)],
+                             ids=["level", "growing", "decaying", "turning"])
+    def test_table_weighted_integral_breaks_at_the_knots(self, c, a):
+        # the argument |f| base^(-s) of g crosses knots of the table on
+        # both sides of the weight's kink at rho = |center| = 1.2; with
+        # a > s it falls past the kink from 2.011 to its minimum 1.986 at
+        # rho* = a (|center| - 1) / (a - s) = 2.2, crossing the knot 2
+        # three times
+        nf = make_table(KINKED_TABLE)
+        s = 0.5
+        lat = Lattice.from_box([-0.5], [0.5], 0.25)
+        model = ExteriorModel(value=c, exponent=a, center=(1.2,),
+                              start_radius=0.8)
+        f = GridFunction(lat, np.zeros(5), model)
+        rep = membership_check(f, s, nf)
+
+        def base(rho):
+            return 1.0 + np.maximum(rho - 1.2, 0.0)
+
+        def arg(rho):
+            return model.shifted_abs_profile(rho, 0.0) / base(rho) ** s
+
+        breaks = scan_knot_radii(arg, nf.knots, 0.8)
+        assert breaks
+        want = 2.0 * scipy_radial(
+            lambda rho: nf.g(arg(rho)) * base(rho) ** (-1.0 - s), 0.8,
+            (1.2, *breaks))
+        assert rep.weighted_integral == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestSerialization:

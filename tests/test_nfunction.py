@@ -8,13 +8,101 @@ import fracglap.nfunction as nfm
 import fracglap.quadrature as quadm
 from fracglap import (check_doubling, check_growth_sandwich, check_scaling,
                       check_young, make_power, make_power_log, make_table)
-from fracglap.nfunction import GrowthFunction, NFunction
+from fracglap.nfunction import NFunction, from_config
 from fracglap.quadrature import integrate_zero_to
 
 
 @pytest.fixture(scope="module")
 def nf_plog():
     return make_power_log(2.0)
+
+
+TABLE = [[0.5, 0.4], [1.0, 1.0], [2.0, 2.6], [8.0, 15.0]]
+
+
+def _build_three_ways(table):
+    # the constructor, the factory and the config path
+    yield lambda: NFunction("table", table=table)
+    yield lambda: make_table(table)
+    yield lambda: from_config({"family": "table", "points": table})
+
+
+class TestConstruction:
+    """``NFunction(family, exponent, table, p, q)`` holds the whole
+    profile and validates its inputs on every path that builds one."""
+
+    def test_attributes(self):
+        nf = make_power(2.5)
+        assert (nf.family, nf.exponent, nf.table) == ("power", 2.5, None)
+        assert nf.t_max == nfm.REPRESENTABLE_MAX
+        nf = make_table(TABLE)
+        assert nf.family == "table" and nf.exponent is None
+        np.testing.assert_array_equal(nf.table, [[0.0, 0.0], *TABLE])
+        assert nf.t_max == 8.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: NFunction("cubic", exponent=2.0),
+        lambda: from_config({"family": "cubic", "p": 2.0}),
+    ], ids=["constructor", "config"])
+    def test_unknown_family(self, build):
+        with pytest.raises(ValueError, match="unknown growth family"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: NFunction("power"),
+        lambda: NFunction("power_log", exponent=1.0),
+        lambda: make_power(1.0),
+        lambda: make_power_log(0.5),
+        lambda: from_config({"family": "power"}),
+        lambda: from_config({"family": "power_log", "p": 1.0}),
+    ], ids=["missing", "power_log-one", "make_power-one",
+            "make_power_log-below-one", "config-missing", "config-one"])
+    def test_exponent_missing_or_at_most_one(self, build):
+        with pytest.raises(ValueError, match="exponent > 1"):
+            build()
+
+    @pytest.mark.parametrize("table, match", [
+        (None, "must be an"),
+        ([[1.0, 1.0]], "must be an"),
+        ([1.0, 2.0, 3.0], "must be an"),
+        (np.ones((3, 3)).tolist(), "must be an"),
+        ([[1.0, 1.0], [1.0, 2.0]], "strictly increasing"),
+        ([[1.0, 2.0], [2.0, 1.0]], "strictly increasing"),
+        ([[-1.0, 0.5], [1.0, 1.0]], "nonnegative"),
+        ([[0.5, -1.0], [1.0, 1.0]], "nonnegative"),
+        ([[0.0, 0.5], [1.0, 1.0]], r"g\(0\) must be 0"),
+    ], ids=["none", "one-row", "flat", "three-columns", "t-repeats",
+            "g-falls", "negative-t", "negative-g", "g0-nonzero"])
+    def test_bad_table(self, table, match):
+        for build in _build_three_ways(table):
+            with pytest.raises(ValueError, match=match):
+                build()
+
+    @pytest.mark.parametrize("nf, knots", [
+        (make_power(2.0), []),
+        (make_power_log(2.0), []),
+        (make_table(TABLE), [0.5, 1.0, 2.0]),
+        (make_table([[0.0, 0.0], [1.0, 1.0], [2.0, 3.0]]), [1.0]),
+    ], ids=["power", "power_log", "table", "table-anchored"])
+    def test_knots_are_the_interior_table_samples(self, nf, knots):
+        np.testing.assert_array_equal(nf.knots, knots)
+
+    @pytest.mark.parametrize("make", [make_power, make_power_log])
+    def test_large_exponents_overflow_by_name(self, make):
+        # past p of about 49 the validation samples leave the float
+        # range; the accepted exponents form one interval and every
+        # rejection says why
+        accepted = []
+        for p in np.arange(44.0, 61.01, 0.5):
+            try:
+                make(p)
+            except ValueError as exc:
+                assert "overflows the float range" in str(exc), (p, exc)
+            else:
+                accepted.append(p)
+        assert accepted and accepted[0] == 44.0
+        assert accepted == list(np.arange(44.0, accepted[-1] + 0.01, 0.5))
+        assert accepted[-1] < 61.0
 
 
 class TestEvalG:
@@ -216,6 +304,24 @@ class TestPowerLogQuadrature:
         assert accel.coef.shape == (25, 64)  # (degree + 1, intervals)
         assert accel.hcoef is not None
 
+    def test_accelerator_certifies_while_G_is_representable(self):
+        # G stays a normal float on the accelerator's range [1e-14, 1e14]
+        # up to p of about 21; every exponent there certifies its fit of
+        # log G at the one tier
+        for p in np.linspace(1.001, 20.0, 30):
+            assert make_power_log(p)._accel is not None, p
+
+    @pytest.mark.parametrize("p", [25.0, 40.0])
+    def test_unrepresentable_range_falls_back_to_quadrature(self, p):
+        # past p = 21 G overflows (or underflows) somewhere on
+        # [1e-14, 1e14]: the fit reads NaN, which fails the
+        # certification, and G is the quadrature itself
+        nf = make_power_log(p)
+        assert nf._accel is None
+        t = np.geomspace(1e-3, 1e3, 13)
+        np.testing.assert_array_equal(nf.G(t), nf._quad_exact(t))
+        assert np.all(np.isfinite(nf.G(t)))
+
 
 class TestInverses:
     def test_inv_G_quadratic(self):
@@ -400,12 +506,12 @@ class TestDoublingAndInvariants:
 
     def test_declared_indices_validated(self):
         # a declared band may widen the analytic one but not cut into it
-        nf = NFunction(GrowthFunction("power", exponent=2.0), p=1.5, q=3.0)
+        nf = NFunction("power", exponent=2.0, p=1.5, q=3.0)
         assert nf.p == 1.5 and nf.q == 3.0
         with pytest.raises(ValueError):
-            NFunction(GrowthFunction("power", exponent=2.0), p=2.5)
+            NFunction("power", exponent=2.0, p=2.5)
         with pytest.raises(ValueError):
-            NFunction(GrowthFunction("power", exponent=2.0), q=1.5)
+            NFunction("power", exponent=2.0, q=1.5)
 
     def test_table_indices_estimated(self):
         # the origin-anchored segment is linear (ratio exactly 2), the

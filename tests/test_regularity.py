@@ -7,12 +7,13 @@ from fracglap import funcspace, pairs, regularity
 from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Lattice,
                       boundedness_check, caccioppoli_check,
                       de_giorgi_iterate, holder_decay_fit, log_estimate_check,
-                      make_power, make_power_log, sobolev_poincare_check,
-                      solve)
+                      make_power, make_power_log, make_table,
+                      sobolev_poincare_check, solve)
 from fracglap.regularity import DecaySchedule, _truncation_far_tail
 
-from helpers import (caccioppoli_reference, gagliardo_modular_reference,
-                     line_problem, scipy_radial, square_problem)
+from helpers import (KINKED_TABLE, caccioppoli_reference,
+                     gagliardo_modular_reference, line_problem,
+                     scan_knot_radii, scipy_radial, square_problem)
 
 
 @pytest.fixture
@@ -236,8 +237,15 @@ class TestTruncationFarTail:
         (make_power_log(2.0), 1.0, 0.45, 0.1, "plus"),
         (make_power_log(2.0), 1.0, 0.45, 2.0, "minus"),
         (make_power(3.0), 0.3, -0.3, 0.1, "plus"),
+        # g(t) has kinks at the knots of the table, which the rule breaks
+        # at: (3 rho^0.4 - 2) rho^-0.5 rises to its maximum at rho = 20.3
+        # and falls again, crossing knot 1 twice
+        (make_table(KINKED_TABLE), 3.0, 0.4, 2.0, "plus"),
+        (make_table(KINKED_TABLE), 3.0, 0.25, 5.0, "minus"),
+        (make_table(KINKED_TABLE), 3.0, 0.0, 0.5, "plus"),
     ], ids=["p2-plus", "p2-minus", "p1.5-plus", "p1.5-negative-minus",
-            "power_log-plus", "power_log-minus", "p3-decaying-plus"])
+            "power_log-plus", "power_log-minus", "p3-decaying-plus",
+            "table-turning-plus", "table-minus", "table-level-plus"])
     def test_matches_scipy_oracle(self, nf, c, a, k, sign):
         s, r = 0.5, 0.25
         lat = Lattice.from_box([-0.5], [0.5], 0.25)
@@ -245,14 +253,17 @@ class TestTruncationFarTail:
                          ExteriorModel(value=c, exponent=a))
         got = _truncation_far_tail(u, [0.0], r, k, sign, s, nf)
 
-        def fn(rho):
+        def arg(rho):
             f = c * rho ** a
             wf = np.maximum(f - k, 0.0) if sign == "plus" \
                 else np.maximum(k - f, 0.0)
-            return nf.g(wf / rho ** s) * rho ** (-1.0 - s)
+            return wf / rho ** s
 
-        crossing = (k / c) ** (1.0 / a) if k / c > 0 else 0.0
-        want = 2.0 * scipy_radial(fn, u.exterior.start_radius, (crossing,))
+        r0 = u.exterior.start_radius
+        crossing = (k / c) ** (1.0 / a) if a and k / c > 0 else 0.0
+        want = 2.0 * scipy_radial(
+            lambda rho: nf.g(arg(rho)) * rho ** (-1.0 - s), r0,
+            (crossing, *scan_knot_radii(arg, nf.knots, r0)))
         assert want > 0.0
         assert got == pytest.approx(want, rel=1e-10, abs=0)
 

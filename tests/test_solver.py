@@ -493,7 +493,7 @@ def _scipy_far_terms(prob, w):
     u0 = math.log(r)
     # past u0 + 700 both integrands are below 1e-16 of their peak here
     u_end = u0 + 700.0
-    knots = nf.growth.table[1:-1, 0] if nf.growth.family == "table" else []
+    knots = nf.knots
     energies, gradients = [], []
     for wi in w:
         def arg(u):
