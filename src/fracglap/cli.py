@@ -263,7 +263,12 @@ def build_problem(cfg, rng=None):
         omega &= (x[:, d] >= om_lo[d] - 1e-12) & (x[:, d] <= om_hi[d] + 1e-12)
     if not omega.any():
         raise ConfigError("omega box contains no lattice nodes")
-    vals = _datum_values(p["datum"], lattice, rng)
+    # a datum past the float range is rejected by name, without a warning
+    with np.errstate(all="ignore"):
+        vals = _datum_values(p["datum"], lattice, rng)
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"the {p['datum']['family']} datum is not finite "
+                          "on the lattice")
     model = ExteriorModel.from_config(p.get("exterior"))
     datum = GridFunction(lattice, vals, model)
     try:
@@ -331,12 +336,15 @@ def _timestamp():
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating, np.integer)):
+    """``obj`` with numpy values as Python ones and a non-finite float as
+    the string "inf", "-inf" or "nan": strict JSON has neither."""
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, (np.bool_, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -348,7 +356,7 @@ def _write_json(out_dir, name, payload):
     doc = {"timestamp": _timestamp(), **_jsonable(payload)}
 
     def write(fh):
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
     write_atomic(os.path.join(out_dir, name), write)

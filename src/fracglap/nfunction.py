@@ -231,8 +231,16 @@ class NFunction:
             raise ValueError("indices must satisfy 1 < p <= q")
         self.p = float(p)
         self.q = float(q)
-        self.kappa = 2.0 ** self.q
-        self.ell = 2.0 ** (1.0 / (self.p - 1.0))
+        try:
+            self.kappa = 2.0 ** self.q
+        except OverflowError:
+            raise ValueError("doubling constant kappa = 2^q overflows at "
+                             f"q={self.q:g}") from None
+        try:
+            self.ell = 2.0 ** (1.0 / (self.p - 1.0))
+        except OverflowError:
+            raise ValueError("reverse doubling constant ell = 2^(1/(p-1)) "
+                             f"overflows at p={self.p:g}") from None
 
         # samples past the float range fail the certification or
         # ``_validate`` by name, without a warning first
@@ -285,7 +293,7 @@ class NFunction:
     @_checked
     def H(self, t):
         """H(t) = int_0^t G(tau)/tau dtau, the profile of the far tail
-        of a level exterior model (see ``NonlocalProblem._far_energy``).
+        of a level exterior model (see ``NonlocalProblem._far_tail``).
 
         t**p/p**2 for the power family, the exact piecewise closed form
         for tables, and for power_log a certified table in log t
@@ -529,11 +537,11 @@ def make_table(points, p=None, q=None):
 def from_config(cfg):
     """Build from the JSON fragment used in problem configs: ``p`` is
     the exponent of a power family and a declared lower index of a
-    table."""
+    table; ``q`` is a declared upper index of any family."""
     fam = cfg["family"]
     if fam == "table":
         return make_table(cfg.get("points"), p=cfg.get("p"), q=cfg.get("q"))
-    return NFunction(fam, exponent=cfg.get("p"))
+    return NFunction(fam, exponent=cfg.get("p"), q=cfg.get("q"))
 
 
 # -- structural inequality checks ---------------------------------------

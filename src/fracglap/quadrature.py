@@ -49,14 +49,18 @@ def integrate_graded(fn, lo, hi, panels, npts):
     ``graded_rule`` mapped onto it.
 
     ``fn`` receives the (segments, points) array of nodes and returns
-    integrand values of that shape; segments with hi_k = lo_k give 0.
-    Each segment is summed by numpy's row sum, so its integral has the
-    same bits whichever segments share the call.
+    integrand values of that shape, or a tuple of such arrays, several
+    integrands on the same nodes, for a tuple of integrals back; segments
+    with hi_k = lo_k give 0.  Each segment is summed by numpy's row sum,
+    so its integral has the same bits whichever segments share the call.
     """
     x, w = graded_rule(panels, npts)
     lo = np.asarray(lo, dtype=float)
     span = np.asarray(hi, dtype=float) - lo
-    return span * (fn(lo[:, None] + span[:, None] * x) * w).sum(axis=1)
+    vals = fn(lo[:, None] + span[:, None] * x)
+    if isinstance(vals, tuple):
+        return tuple(span * (v * w).sum(axis=1) for v in vals)
+    return span * (vals * w).sum(axis=1)
 
 
 def integrate_zero_to(fn, t):

@@ -16,7 +16,7 @@ tau = rho^(-m) with m = s - max(a, 0) maps [r, inf) onto [0, r^(-m)]
 with an integrand that is integrable at 0, and a Gauss-Legendre rule
 graded toward both ends of each segment between the zero of v(x) - f
 and, for tables, the knot crossings gives the tail and its derivative
-(``NonlocalProblem._far_power``).
+on the same nodes, in one walk (``NonlocalProblem._far_tail``).
 
 Pairs are counted with the symmetric convention (each unordered pair
 with a relevant end twice), the diagonal is excluded, and pairs closer
@@ -84,14 +84,8 @@ class SolveReport:
     energy_history: list = field(default_factory=list)
 
     def summary(self):
-        return {
-            "final_energy": self.final_energy,
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-            "line_search_failures": self.line_search_failures,
-            "converged": self.converged,
-            "details": self.details,
-        }
+        return {k: v for k, v in vars(self).items()
+                if k not in ("minimizer", "energy_history")}
 
 
 class NonlocalProblem:
@@ -130,7 +124,7 @@ class NonlocalProblem:
         if np.any(om <= lo + 1e-12) or np.any(om >= hi - 1e-12):
             raise ValueError("domain nodes must lie strictly inside the box")
         margin = float(min((om - lo).min(), (hi - om).min()))
-        diam = self._omega_diameter(om)
+        diam = float(np.linalg.norm(om.max(axis=0) - om.min(axis=0)))
         if truncation_radius is None:
             truncation_radius = min(8.0 * max(diam, lattice.h), margin)
         if truncation_radius > margin + 1e-12:
@@ -144,12 +138,6 @@ class NonlocalProblem:
 
         kernel.validate_on(coords)
         self._check_far_energy()
-
-    @staticmethod
-    def _omega_diameter(om):
-        lo = om.min(axis=0)
-        hi = om.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
 
     # -- cached pair structure ------------------------------------------
 
@@ -206,7 +194,7 @@ class NonlocalProblem:
 
     def _check_far_energy(self):
         try:
-            val = self._far_energy(np.array([1.0]))
+            val = self._far_tail(np.array([1.0]))
         except OverflowError as exc:
             raise ValueError(
                 "exterior model overflows the interaction tail") from exc
@@ -216,60 +204,46 @@ class NonlocalProblem:
                 "for this exterior model"
             )
 
-    def _far_level_T(self, w, level):
-        """(w - c, T) for the level c: T = |w - c| r^(-s) is the tail
-        argument at the truncation radius."""
-        dw = w - level
-        return dw, np.abs(dw) * self.truncation_radius ** (-self.s)
+    def _far_tail(self, w, derivative=False):
+        """Per-domain-node tail c_far int_r^inf G(|w - f(rho)| rho^(-s))
+        drho / rho for node values ``w``; with ``derivative``, the pair
+        (tail, its derivative in w), both from one walk.
 
-    def _far_energy(self, w):
-        """Per-domain-node tail energy for node values ``w``:
-        c_far int_r^inf G(|w - f(rho)| rho^(-s)) rho^(-1) drho.
-
-        For a level model c, tau = |w - c| rho^(-s) turns the integral
-        into H(T)/s (``NFunction.H``); any other model goes through
-        ``_far_power``.
-        """
-        level = self.exterior_datum.exterior.level
-        if level is None:
-            return self._far_power(w, derivative=False)
-        _, T = self._far_level_T(w, level)
-        return self._far_coef * self.nf.H(T) / self.s
-
-    def _far_gradient(self, w):
-        """Derivative of ``_far_energy``; for a level model H'(T) = G(T)/T
-        gives c_far sign(w - c) G(T) r^(-s) / (s T), which is 0 at T = 0."""
-        level = self.exterior_datum.exterior.level
-        if level is None:
-            return self._far_power(w, derivative=True)
-        dw, T = self._far_level_T(w, level)
-        ratio = np.divide(self.nf.G(T), T, out=np.zeros_like(T), where=T > 0)
-        return self._far_coef * np.sign(dw) * ratio \
-            * self.truncation_radius ** (-self.s) / self.s
-
-    def _far_power(self, w, derivative):
-        """Tail energy (or its derivative in w) of the power model
-        f(rho) = c rho^a, a != 0 and c != 0, after the substitution
-        tau = rho^(-m), m = s - max(a, 0); the tail diverges (inf) when
-        m <= 0.
-
-        With delta = |a|/m and (A, B) = (c, w) for a > 0, (w, c) for
-        a < 0, |w - f(rho)| rho^(-s) = tau |A - B tau^delta| and
-        drho/rho = -dtau/(m tau), so the tail is
-        (1/m) int_0^T0 G(tau |A - B tau^delta|) / tau dtau, T0 = r^(-m),
-        and its derivative (1/m) int_0^T0 g(.) sign(w - f) tau^(s/m - 1)
-        dtau; both integrands are integrable at 0.  The graded rule runs
-        on the segments between 0, the zero tau* = (A/B)^(1/delta) of
-        the difference (when A B > 0), T0 and the taus where the
-        difference crosses a knot of g (``NFunction.knots``).
+        A level model c takes tau = |w - c| rho^(-s): the tail is
+        c_far H(T)/s, T = |w - c| r^(-s) (``NFunction.H``), and H'(T) =
+        G(T)/T gives the derivative c_far sign(w - c) G(T) r^(-s) / (s T),
+        0 at T = 0.  Any other model f = c rho^a takes tau = rho^(-m),
+        m = s - max(a, 0); the tail diverges (inf) when m <= 0.  With
+        delta = |a|/m and (A, B) = (c, w) for a > 0, (w, c) for a < 0,
+        |w - f(rho)| rho^(-s) = tau |A - B tau^delta| and drho/rho =
+        -dtau/(m tau), so the tail is (1/m) int_0^T0 G(tau |A - B
+        tau^delta|) / tau dtau, T0 = r^(-m), and its derivative
+        (1/m) int_0^T0 g(.) sign(w - f) tau^(s/m - 1) dtau; both
+        integrands are integrable at 0.  The segments between 0, the
+        zero tau* = (A/B)^(1/delta) of the difference (when A B > 0), T0
+        and the taus where the difference crosses a knot of g
+        (``NFunction.knots``) are laid out once, and the graded rule
+        evaluates both integrands on the same nodes.
         """
         model = self.exterior_datum.exterior
-        s, a = self.s, model.exponent
+        s, r = self.s, self.truncation_radius
+        if model.level is not None:
+            dw = w - model.level
+            T = np.abs(dw) * r ** (-s)
+            energy = self._far_coef * self.nf.H(T) / s
+            if not derivative:
+                return energy
+            ratio = np.divide(self.nf.G(T), T, out=np.zeros_like(T),
+                              where=T > 0)
+            return energy, self._far_coef * np.sign(dw) * ratio \
+                * r ** (-s) / s
+        a = model.exponent
         m = s - max(a, 0.0)
         if m <= 0.0:
-            return np.full_like(w, np.inf)
+            inf = np.full_like(w, np.inf)
+            return (inf, inf.copy()) if derivative else inf
         delta = abs(a) / m
-        t0 = self.truncation_radius ** (-m)
+        t0 = r ** (-m)
         c = np.full_like(w, model.value)
         A, B = (c, w) if a > 0 else (w, c)
         # sign(w - f(rho)) = flip * sign(A - B tau^delta)
@@ -286,23 +260,26 @@ class NonlocalProblem:
 
         def fn(tau, Ao, Bo):
             d = flip * tau * (Ao - Bo * tau ** delta)
-            if derivative:
-                return self.nf.g(np.abs(d)) * np.sign(d) * tau ** (s / m - 1.0)
-            return self.nf.G(np.abs(d)) / tau
+            ad = np.abs(d)
+            if not derivative:
+                return self.nf.G(ad) / tau
+            return (self.nf.G(ad) / tau,
+                    self.nf.g(ad) * np.sign(d) * tau ** (s / m - 1.0))
 
-        # segments in blocks of at most BLOCK_NODES quadrature nodes, so a
-        # stack of candidates costs no more memory than one; a segment's
-        # integral has the same bits in any block
-        vals = np.empty(owner.size)
+        # segments in blocks of at most BLOCK_NODES quadrature nodes per
+        # integrand, so a stack of candidates costs no more memory than
+        # one; a segment's integral has the same bits in any block
+        vals = np.empty((1 + derivative, owner.size))
         rows = max(1, BLOCK_NODES // (2 * FAR_PANELS * FAR_POINTS))
         for start in range(0, owner.size, rows):
             seg = slice(start, start + rows)
             Ao, Bo = A[owner[seg], None], B[owner[seg], None]
-            vals[seg] = integrate_graded(lambda tau: fn(tau, Ao, Bo),
-                                         lo[seg], hi[seg], FAR_PANELS,
-                                         FAR_POINTS)
-        return self._far_coef / m * np.bincount(owner, vals,
-                                                minlength=w.size)
+            vals[:, seg] = integrate_graded(lambda tau: fn(tau, Ao, Bo),
+                                            lo[seg], hi[seg], FAR_PANELS,
+                                            FAR_POINTS)
+        tails = [self._far_coef / m * np.bincount(owner, v, minlength=w.size)
+                 for v in vals]
+        return tuple(tails) if derivative else tails[0]
 
     # -- admissibility ---------------------------------------------------
 
@@ -386,7 +363,7 @@ def _energies(prob, V):
     """
     n_cand = V.shape[0]
     out = _pair_energies(prob, np.ascontiguousarray(V.T))
-    far = prob._far_energy(V[:, prob.omega_mask].ravel())
+    far = prob._far_tail(V[:, prob.omega_mask].ravel())
     return out + far.reshape(n_cand, -1).sum(axis=1)
 
 
@@ -463,8 +440,8 @@ def _local_energies(prob, vals, nodes, eps):
         stack[i] = vals[i] + eps, vals[i] - eps
         out[:, k] = _pair_energies(prob, stack, near[(ian == i) | (jan == i)])
         stack[i] = vals[i]
-    far = prob._far_energy(np.concatenate([vals[nodes] + eps,
-                                           vals[nodes] - eps]))
+    far = prob._far_tail(np.concatenate([vals[nodes] + eps,
+                                         vals[nodes] - eps]))
     return out + far.reshape(2, -1)
 
 
@@ -505,11 +482,10 @@ def _energy_gradient(prob, vals):
         pair += w @ G(t)
         start, stop = stop, stop + w.size
         deriv[start:stop] = g(t[:, 0]) * sign[:, 0] * inv_ds * w
-    om = vals[prob.omega_mask]
-    energy_val = float(pair[0] + prob._far_energy(om).sum())
+    far, far_grad = prob._far_tail(vals[prob.omega_mask], derivative=True)
     grad = _node_sums(prob, deriv, -1.0)
-    grad += prob._far_gradient(om)
-    return energy_val, grad
+    grad += far_grad
+    return float(pair[0] + far.sum()), grad
 
 
 def _gradient_omega(prob, vals):
@@ -532,11 +508,12 @@ def weak_residual(prob, v):
 def assemble_quadratic(prob):
     """Assemble E(v) = 0.5 v'Av - b'v + c over the domain unknowns.
 
-    Exact for the quadratic power profile (p = q = 2) with a level
-    exterior model (f = c); used by the direct-solve oracle stage.
+    Exact for the quadratic power profile G(t) = t^2/2 (exponent 2,
+    whatever indices it declares) with a level exterior model (f = c);
+    used by the direct-solve oracle stage.
     """
     nf = prob.nf
-    if not (nf.family == "power" and nf.p == 2.0 and nf.q == 2.0):
+    if not (nf.family == "power" and nf.exponent == 2.0):
         raise ValueError("quadratic assembly needs the power profile with p = 2")
     if prob.exterior_datum.exterior.level is None:
         raise ValueError("quadratic assembly needs a level exterior model "
@@ -589,7 +566,9 @@ def _assemble_surrogate(prob):
         np.add.at(diag, i, c)
         fh = fvals[j]
         np.add.at(b, i, c * fh)
-        const += float(np.sum(0.5 * c * fh ** 2))
+        # inf, without a warning, for data past the root of the float range
+        with np.errstate(over="ignore"):
+            const += float(np.sum(0.5 * c * fh ** 2))
     A[np.diag_indices(no)] = diag
     # far tail of the quadratic profile, radial closed form; a genuine
     # power model takes level 0

@@ -207,7 +207,7 @@ def energy_reference(prob, vals):
     ia, ja, dist, w = prob._pairs
     t = np.abs(vals[ia] - vals[ja]) * prob._inv_ds
     pair_part = float(np.dot(prob.nf.G(t), w))
-    far = float(np.sum(prob._far_energy(vals[prob.omega_mask])))
+    far = float(np.sum(prob._far_tail(vals[prob.omega_mask])))
     return pair_part + far
 
 
@@ -225,8 +225,81 @@ def gradient_reference(prob, vals):
     both = prob.omega_mask[ja]
     np.add.at(acc, ja[both], -gval[both])
     out = acc[prob.omega_mask]
-    out += prob._far_gradient(vals[prob.omega_mask])
+    out += prob._far_tail(vals[prob.omega_mask], derivative=True)[1]
     return out
+
+
+def far_terms_reference(prob, w):
+    """(tail energy, its derivative) per node for node values ``w`` by
+    two walks, one per term, each laying out its own segments: the route
+    before ``NonlocalProblem._far_tail`` gave both from one walk, kept as
+    its oracle."""
+    from fracglap import solver as sl
+    from fracglap.quadrature import (BLOCK_NODES, FAR_PANELS, FAR_POINTS,
+                                     integrate_graded)
+
+    def far_level_T(w, level):
+        dw = w - level
+        return dw, np.abs(dw) * prob.truncation_radius ** (-prob.s)
+
+    def far_energy(w):
+        level = prob.exterior_datum.exterior.level
+        if level is None:
+            return far_power(w, derivative=False)
+        _, T = far_level_T(w, level)
+        return prob._far_coef * prob.nf.H(T) / prob.s
+
+    def far_gradient(w):
+        level = prob.exterior_datum.exterior.level
+        if level is None:
+            return far_power(w, derivative=True)
+        dw, T = far_level_T(w, level)
+        ratio = np.divide(prob.nf.G(T), T, out=np.zeros_like(T), where=T > 0)
+        return prob._far_coef * np.sign(dw) * ratio \
+            * prob.truncation_radius ** (-prob.s) / prob.s
+
+    def far_power(w, derivative):
+        model = prob.exterior_datum.exterior
+        s, a = prob.s, model.exponent
+        m = s - max(a, 0.0)
+        if m <= 0.0:
+            return np.full_like(w, np.inf)
+        delta = abs(a) / m
+        t0 = prob.truncation_radius ** (-m)
+        c = np.full_like(w, model.value)
+        A, B = (c, w) if a > 0 else (w, c)
+        # sign(w - f(rho)) = flip * sign(A - B tau^delta)
+        flip = -1.0 if a > 0 else 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kink = np.where(A * B > 0, (A / B) ** (1.0 / delta), np.inf)
+        bp = np.sort(np.column_stack([
+            np.zeros_like(w), np.minimum(kink, t0), np.full_like(w, t0),
+            sl._knot_crossings(prob.nf.knots, A, B, delta, kink, t0)]),
+            axis=1)
+        lo, hi = bp[:, :-1], bp[:, 1:]
+        owner = np.broadcast_to(np.arange(w.size)[:, None], lo.shape)
+        keep = hi > lo
+        owner, lo, hi = owner[keep], lo[keep], hi[keep]
+
+        def fn(tau, Ao, Bo):
+            d = flip * tau * (Ao - Bo * tau ** delta)
+            if derivative:
+                return prob.nf.g(np.abs(d)) * np.sign(d) \
+                    * tau ** (s / m - 1.0)
+            return prob.nf.G(np.abs(d)) / tau
+
+        vals = np.empty(owner.size)
+        rows = max(1, BLOCK_NODES // (2 * FAR_PANELS * FAR_POINTS))
+        for start in range(0, owner.size, rows):
+            seg = slice(start, start + rows)
+            Ao, Bo = A[owner[seg], None], B[owner[seg], None]
+            vals[seg] = integrate_graded(lambda tau: fn(tau, Ao, Bo),
+                                         lo[seg], hi[seg], FAR_PANELS,
+                                         FAR_POINTS)
+        return prob._far_coef / m * np.bincount(owner, vals,
+                                                minlength=w.size)
+
+    return far_energy(w), far_gradient(w)
 
 
 def csv_writer_reference(f, path):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -833,7 +834,86 @@ class TestFailureTable:
         assert err.startswith("config error:") and one_line(err)
 
 
+def strict_json(text):
+    """``json.loads`` that rejects Infinity, -Infinity and NaN, which are
+    not JSON (RFC 8259)."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+# configs that each end in one config error line: a datum that is
+# infinite at its cusp, a datum whose square overflows in the surrogate,
+# and profiles whose constants ell = 2^(1/(p-1)) and kappa = 2^q overflow
+CONFIG_ERRORS = {
+    "cusp_datum": ({"datum": {"family": "power_cusp", "gamma": -0.4}},
+                   "power_cusp datum"),
+    "huge_sin_datum": ({"datum": {"family": "sin", "amplitude": 1e200}},
+                       "representable range"),
+    "p_near_one": ({"nfunction": {"family": "power", "p": 1.0001}},
+                   "ell = 2^(1/(p-1)) overflows at p=1.0001"),
+    "table_q_2000": ({"nfunction": {"family": "table",
+                                    "points": [[0.5, 0.4], [1, 1], [2, 2.6],
+                                               [8, 15], [1e6, 3e6]],
+                                    "q": 2000}},
+                     "kappa = 2^q overflows at q=2000"),
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+    def test_one_line_and_no_warning(self, tmp_path, case):
+        edit, phrase = CONFIG_ERRORS[case]
+        cfg = base_config()
+        cfg["problem"].update(edit)
+        res = run_subprocess(tmp_path, cfg)
+        assert res.returncode == EXIT_CONFIG, res.stderr
+        assert one_line(res.stderr), res.stderr
+        assert res.stderr.startswith("config error:")
+        assert phrase in res.stderr
+        assert "(34," not in res.stderr
+
+    def test_power_q_is_declared(self):
+        cfg = base_config()
+        cfg["problem"]["nfunction"] = {"family": "power", "p": 2.0, "q": 3.0}
+        prob = build_problem(cfg)
+        assert (prob.nf.p, prob.nf.q, prob.nf.kappa) == (2.0, 3.0, 8.0)
+        # the profile is still t^2/2, which the linear oracle solves
+        sl.assemble_quadratic(prob)
+
+    def test_power_q_below_p_is_config_error(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["problem"]["nfunction"] = {"family": "power", "p": 2.0, "q": 1.5}
+        assert main(["run", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: declared upper index q=1.5")
+        assert one_line(err)
+
+
 class TestArtifacts:
+    def test_non_finite_floats_are_strings(self, tmp_path):
+        from fracglap.cli import _write_json
+        _write_json(str(tmp_path), "x.json",
+                    {"a": [math.inf, -math.inf, math.nan, 1.5],
+                     "b": np.array([np.inf, 2.0]), "c": np.float64(-np.inf),
+                     "d": {"e": np.nan}})
+        doc = strict_json((tmp_path / "x.json").read_text())
+        assert doc["a"] == ["inf", "-inf", "nan", 1.5]
+        assert doc["b"] == ["inf", 2.0]
+        assert doc["c"] == "-inf"
+        assert doc["d"] == {"e": "nan"}
+
+    def test_full_pipeline_writes_strict_json(self, tmp_path):
+        path = write_config(tmp_path, base_config(pipeline=FULL_PIPELINE))
+        out = tmp_path / "out"
+        assert run(path, out_override=str(out)) == EXIT_OK
+        docs = {p.name: strict_json(p.read_text())
+                for p in out.glob("*.json")}
+        assert len(docs) == 1 + len(cli.VERIFY_STAGES) + len(cli.SWEEP_STAGES)
+        # verify stages without a declared tolerance accept any constant
+        assert docs["estimate_boundedness.json"]["tolerance"] == "inf"
+
     def test_failed_json_write_leaves_no_file(self, tmp_path):
         from fracglap.cli import _write_json
         with pytest.raises(TypeError):

@@ -15,7 +15,8 @@ from fracglap.cli import FD_ROUNDING, build_problem, run
 from fracglap.quadrature import integrate_graded, integrate_radial
 from fracglap.solver import _energy_values, _gradient_omega
 
-from helpers import (central_differences_full, energy_reference,
+from helpers import (KINKED_TABLE, central_differences_full,
+                     energy_reference, far_terms_reference,
                      gradient_reference, line_problem, oracle_energy,
                      quadratic_oracle, square_problem,
                      surrogate_add_at_reference)
@@ -569,15 +570,15 @@ class TestFarTail:
     def test_substitution_matches_radial_quadrature(self, profile, model):
         prob = _far_problem(FAR_PROFILES[profile](), LEVEL_MODELS[model])
         want_e, want_g = _scipy_far_terms(prob, self.w)
-        np.testing.assert_allclose(prob._far_energy(self.w), want_e,
-                                   rtol=1e-10, atol=0)
-        np.testing.assert_allclose(prob._far_gradient(self.w), want_g,
-                                   rtol=1e-10, atol=0)
+        got_e, got_g = prob._far_tail(self.w, derivative=True)
+        np.testing.assert_allclose(got_e, want_e, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(got_g, want_g, rtol=1e-10, atol=0)
 
     def test_gradient_vanishes_at_the_level(self):
         prob = _far_problem(make_power_log(2.0), LEVEL_MODELS["constant"])
-        assert prob._far_gradient(np.array([0.3]))[0] == 0.0
-        assert prob._far_energy(np.array([0.3]))[0] == 0.0
+        e, g = prob._far_tail(np.array([0.3]), derivative=True)
+        assert g[0] == 0.0
+        assert e[0] == 0.0
 
     def test_failed_certification_falls_back_to_quadrature(self,
                                                            monkeypatch):
@@ -587,10 +588,9 @@ class TestFarTail:
         prob = _far_problem(nf, LEVEL_MODELS["constant"])
         w = self.w[[1, 3, 5]]
         want_e, want_g = _scipy_far_terms(prob, w)
-        np.testing.assert_allclose(prob._far_energy(w), want_e,
-                                   rtol=1e-10, atol=0)
-        np.testing.assert_allclose(prob._far_gradient(w), want_g,
-                                   rtol=1e-10, atol=0)
+        got_e, got_g = prob._far_tail(w, derivative=True)
+        np.testing.assert_allclose(got_e, want_e, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(got_g, want_g, rtol=1e-10, atol=0)
 
     def test_power_exterior_matches_closed_form(self):
         # p = 2, s = 0.5, r = 1, f = 0.3 rho^0.25: the per-node tail is
@@ -600,10 +600,11 @@ class TestFarTail:
         prob = _far_problem(make_power(2.0), model)
         w = np.linspace(-2.0, 2.0, 41)
         cfar = prob._far_coef
-        np.testing.assert_allclose(prob._far_energy(w),
+        got_e, got_g = prob._far_tail(w, derivative=True)
+        np.testing.assert_allclose(got_e,
                                    cfar * 0.5 * (w * w - 0.8 * w + 0.18),
                                    rtol=1e-12, atol=0)
-        np.testing.assert_allclose(prob._far_gradient(w), cfar * (w - 0.4),
+        np.testing.assert_allclose(got_g, cfar * (w - 0.4),
                                    rtol=1e-12, atol=1e-12 * cfar)
 
     @pytest.mark.parametrize("exponent", POWER_EXPONENTS)
@@ -612,10 +613,9 @@ class TestFarTail:
         model = ExteriorModel(value=0.3, exponent=exponent)
         prob = _far_problem(POWER_EXTERIOR_PROFILES[profile](), model)
         want_e, want_g = _scipy_far_terms(prob, self.w_power)
-        np.testing.assert_allclose(prob._far_energy(self.w_power), want_e,
-                                   rtol=1e-10, atol=0)
-        np.testing.assert_allclose(prob._far_gradient(self.w_power), want_g,
-                                   rtol=1e-10, atol=0)
+        got_e, got_g = prob._far_tail(self.w_power, derivative=True)
+        np.testing.assert_allclose(got_e, want_e, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(got_g, want_g, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("profile", sorted(FAR_PROFILES))
     def test_zero_exponent_is_the_constant_model(self, profile):
@@ -624,9 +624,9 @@ class TestFarTail:
                                            exponent=0.0))
         level = _far_problem(FAR_PROFILES[profile](),
                              LEVEL_MODELS["constant"])
-        for fn in ("_far_energy", "_far_gradient"):
-            assert np.array_equal(getattr(power, fn)(self.w_power),
-                                  getattr(level, fn)(self.w_power))
+        for got, want in zip(power._far_tail(self.w_power, derivative=True),
+                             level._far_tail(self.w_power, derivative=True)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("exponent", [-0.3, 0.25])
     @pytest.mark.parametrize("profile", sorted(POWER_EXTERIOR_PROFILES))
@@ -634,11 +634,10 @@ class TestFarTail:
                                                 monkeypatch):
         model = ExteriorModel(value=0.3, exponent=exponent)
         prob = _far_problem(POWER_EXTERIOR_PROFILES[profile](), model)
-        e, g = prob._far_energy(self.w_power), prob._far_gradient(self.w_power)
+        e, g = prob._far_tail(self.w_power, derivative=True)
         monkeypatch.setattr(sl, "FAR_PANELS", 2 * sl.FAR_PANELS)
         monkeypatch.setattr(sl, "FAR_POINTS", 4 * sl.FAR_POINTS)
-        e_fine = prob._far_energy(self.w_power)
-        g_fine = prob._far_gradient(self.w_power)
+        e_fine, g_fine = prob._far_tail(self.w_power, derivative=True)
         np.testing.assert_allclose(e, e_fine, rtol=1e-13, atol=0)
         np.testing.assert_allclose(g, g_fine, rtol=0,
                                    atol=1e-13 * np.abs(g_fine).max())
@@ -833,11 +832,60 @@ class TestLocalEnergies:
         assert np.all((0.0 < lp) & (lp < fp) & (0.0 < lm) & (lm < fm))
 
 
+ORACLE_PROFILES = {**{k: STACK_PROFILES[k]
+                      for k in ("power1.5", "power2", "power3", "power_log2")},
+                   "kinked_table": lambda: make_table(KINKED_TABLE)}
+ORACLE_MODELS = {**LEVEL_MODELS,
+                 **{f"power{a}": ExteriorModel(value=0.3, exponent=a)
+                    for a in POWER_EXPONENTS}}
+
+
+class TestFarTailOneWalk:
+    """``_far_tail`` gives the tail energy and its derivative from one
+    walk: bitwise the two walks it replaced (``far_terms_reference``),
+    and an energy-only call is bitwise the energy half."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
+    def test_matches_the_two_walks(self, profile, model, dim):
+        prob = _stack_problem(dim, ORACLE_PROFILES[profile](),
+                              ORACLE_MODELS[model])
+        # a noisy stack, plus values at the far level 0.3 and next to it
+        w = np.concatenate([
+            _noisy_stack(prob, 7, np.random.default_rng(dim))[
+                :, prob.omega_mask].ravel(), TestFarTail.w_power])
+        want = far_terms_reference(prob, w)
+        got = prob._far_tail(w, derivative=True)
+        assert isinstance(got, tuple) and len(got) == 2
+        for g, wnt in zip(got, want):
+            np.testing.assert_array_equal(g, wnt, strict=True)
+        np.testing.assert_array_equal(prob._far_tail(w), want[0],
+                                      strict=True)
+
+    @pytest.mark.parametrize("model", ["power0.25", "power-0.3"])
+    def test_one_layout_per_energy_gradient(self, model, monkeypatch):
+        prob = _stack_problem(1, make_table(KINKED_TABLE),
+                              STACK_MODELS[model])
+        real = sl._knot_crossings
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(sl, "_knot_crossings", spy)
+        vals = _noisy_stack(prob, 1, np.random.default_rng(4))[0]
+        sl._energy_gradient(prob, vals)
+        assert len(calls) == 1
+
+
 class TestFarBlocks:
     """The power-exterior tail walks its segments in blocks of at most
-    ``BLOCK_NODES`` quadrature nodes, so a stack of candidates never
-    builds a larger quadrature array than one block; a segment's integral
-    has the same bits in any block."""
+    ``BLOCK_NODES`` quadrature nodes per integrand, so a stack of
+    candidates never builds a larger quadrature array than one block; a
+    segment's integral has the same bits in any block.  A walk for the
+    energy and its derivative maps the rule onto a block once."""
 
     @pytest.mark.parametrize("model", ["power0.25", "power-0.3"])
     @pytest.mark.parametrize("profile", ["power2", "table"])
@@ -857,18 +905,20 @@ class TestFarBlocks:
 
         monkeypatch.setattr(sl, "integrate_graded", spy)
         monkeypatch.setattr(sl, "BLOCK_NODES", 2**40)
-        whole = prob._far_energy(w), prob._far_gradient(w)
+        whole = prob._far_tail(w, derivative=True)
         n_seg = sizes[0]
-        assert sizes == [n_seg, n_seg]
+        assert sizes == [n_seg]
         # several blocks per call, the last one partial
         rows = next(k for k in range(3, 12) if n_seg % k)
         per_rule = 2 * sl.FAR_PANELS * sl.FAR_POINTS
         monkeypatch.setattr(sl, "BLOCK_NODES", rows * per_rule)
         sizes.clear()
-        blocked = prob._far_energy(w), prob._far_gradient(w)
-        assert sizes == 2 * ([rows] * (n_seg // rows) + [n_seg % rows])
+        blocked = prob._far_tail(w, derivative=True)
+        assert sizes == [rows] * (n_seg // rows) + [n_seg % rows]
         for got, want in zip(blocked, whole):
             np.testing.assert_array_equal(got, want, strict=True)
+        np.testing.assert_array_equal(prob._far_tail(w), whole[0],
+                                      strict=True)
 
 
 class TestSurrogateAssembly:
