@@ -7,8 +7,11 @@ patterns:
 
 * ``truncated_pairs`` builds the solver's pair set (pairs with an end in
   the domain, within the truncation radius): the table offsets within
-  the radius are flat-index shifts, each pair gathers the distance of its
-  offset, and no distance matrix is formed.
+  the radius are flat-index shifts, and it returns the pair ends and the
+  distance of each shift.  No pair stores its distance: a value that
+  depends only on the offset is kept once per shift and gathered onto the
+  pairs through j - i (``shift_values``), so no distance matrix or
+  per-pair distance array is formed.
 * the O(m^2) ball sums of the estimate checks raise the table to the
   powers they need once per call and gather them with row blocks of
   integer table indices for two node sets (``OffsetTable.blocks``).
@@ -30,19 +33,25 @@ BALL_ROWS = 512
 
 
 def truncated_pairs(lattice, omega_mask, radius):
-    """(ia, ja, dist) of the unordered node pairs with an end in the
-    domain and 0 < h |k| <= radius, in (i, j) order; a pair of two domain
-    nodes appears once, with j > i.
+    """(ia, ja, dist): the unordered node pairs with an end in the
+    domain and 0 < h |k| <= radius, in (i, j) order (a pair of two domain
+    nodes appears once, with j > i), and the distance h |k| of each flat
+    shift j - i of the stencil, the ``OffsetTable`` offsets within the
+    radius.  ``dist`` is centred on shift 0, the values that
+    ``shift_values`` gathers onto the pairs; a shift outside the stencil
+    holds inf.
 
-    The stencil is the ``OffsetTable`` offsets within the radius (the
-    zero offset holds inf, so it drops out), and each pair's distance is
-    that of its offset.  Flat indices are shifted without wrapping around
-    the box: the caller guarantees that every domain node has lattice
-    nodes up to ``radius`` in each direction (``NonlocalProblem`` checks
-    this margin), so i + shift is the node at offset k for every stencil
-    offset.  The same margin gives |k_d| <= (counts_d - 1) / 2, under
-    which the flat shifts rise with the table codes, so the pairs of a
-    node come in increasing j.
+    The stencil is symmetric (-k is in it with k, and the zero offset
+    holds inf, so it drops out).  Flat indices are shifted without
+    wrapping around the box: the caller guarantees that every domain node
+    has lattice nodes up to ``radius`` in each direction
+    (``NonlocalProblem`` checks this margin), so i + shift is the node at
+    offset k for every stencil offset.  The same margin gives |k_d| <=
+    (counts_d - 1) / 2, under which the flat shifts rise with the table
+    codes: a pair's shift j - i names its offset, and the pairs of a node
+    come in increasing j.  The pairs are counted in a first walk over
+    row blocks, which keeps only each block's mask, and written into
+    their arrays in a second, so no list of blocks is concatenated.
     """
     table = OffsetTable(lattice)
     codes = np.flatnonzero(table.dist <= radius + 1e-12)
@@ -54,16 +63,41 @@ def truncated_pairs(lattice, omega_mask, radius):
     halo = ~omega_mask
     omega_idx = np.flatnonzero(omega_mask)
     rows = max(1, CHUNK_ELEMENTS // shifts.size)
-    ia_list, ja_list, d_list = [], [], []
+    # one byte per candidate pair, against 16 for the kept ends
+    keeps = []
     for start in range(0, omega_idx.size, rows):
         ib = omega_idx[start:start + rows, None]
         j = ib + shifts
-        keep = halo[j] | (j > ib)
-        ia_list.append(np.broadcast_to(ib, j.shape)[keep])
-        ja_list.append(j[keep])
-        d_list.append(np.broadcast_to(dsel, j.shape)[keep])
-    return (np.concatenate(ia_list), np.concatenate(ja_list),
-            np.concatenate(d_list))
+        keeps.append(halo[j] | (j > ib))
+    n_pairs = sum(int(np.count_nonzero(keep)) for keep in keeps)
+    ia = np.empty(n_pairs, dtype=omega_idx.dtype)
+    ja = np.empty(n_pairs, dtype=shifts.dtype)
+    stop = 0
+    for k, keep in enumerate(keeps):
+        ib = omega_idx[k * rows:(k + 1) * rows, None]
+        kept = (ib + shifts)[keep]
+        start, stop = stop, stop + kept.size
+        ja[start:stop] = kept
+        ia[start:stop] = np.broadcast_to(ib, keep.shape)[keep]
+    dist = np.full(2 * int(shifts[-1]) + 1, np.inf)
+    dist[shifts + shifts[-1]] = dsel
+    return ia, ja, dist
+
+
+def shift_values(table, ia, ja):
+    """The per-shift values ``table`` on the pairs (ia, ja): the value of
+    a pair is table[ja - ia + table.size // 2], the table holding shift k
+    at k + table.size // 2, as the ``dist`` of ``truncated_pairs`` does.
+    Gathered in blocks of ``CHUNK_ELEMENTS`` pairs, so the only
+    pair-length array is the result; a value reads the same bits as the
+    table entry."""
+    out = np.empty(ia.size, dtype=table.dtype)
+    for start in range(0, ia.size, CHUNK_ELEMENTS):
+        sl = slice(start, start + CHUNK_ELEMENTS)
+        code = ja[sl] - ia[sl]
+        code += table.size // 2
+        np.take(table, code, out=out[sl])
+    return out
 
 
 class OffsetTable:

@@ -22,25 +22,28 @@ Pairs are counted with the symmetric convention (each unordered pair
 with a relevant end twice), the diagonal is excluded, and pairs closer
 than one spacing do not occur on a lattice, so no principal-value
 handling is needed: G(0) = 0 kills the diagonal singularity.  The pair
-arrays are built once per problem from the lattice offset table: the
-offsets within the truncation radius and their distances h |k|
-(``pairs.truncated_pairs``).  Every energy then gathers over them in
-one blocked walk (``_pair_blocks``), and every per-node pair sum (the
-gradient, the stopping scale) scatters onto the nodes in one order
+arrays are built once per problem from the lattice offset table
+(``pairs.truncated_pairs``): the pair ends and, per pair, the weight
+and d^(-s); the distance h |k| is kept once per flat shift, not per
+pair.  Every energy then gathers over them in one blocked walk
+(``_pair_blocks``), and every per-node pair sum (the gradient, the
+stopping scale) scatters onto the nodes in one order, block by block
 (``_node_sums``).  The descent scores each trial point by one walk that
 gives both its energy and its gradient (``_energy_gradient``), so an
-accepted trial's gradient is the next iteration's.
+accepted trial's gradient is the next iteration's; a caller that needs
+only the gradient skips the energy.
 
 Strict convexity of the energy (g strictly increasing) makes the
 minimizer unique; descent with Armijo backtracking therefore converges
 to the same function from any admissible start, whatever the number of
 domain nodes.  The descent measures steps in the metric of the p = 2
 operator on the same pairs (the quadratic surrogate A of
-``_assemble_surrogate``, a Sobolev gradient): A is factored once by
-Cholesky, the diagonal blocks of the factor are inverted once, and each
-direction A^(-1) grad E is then matrix-vector products only; the
-iteration count does not grow as h shrinks.  The dense factor costs N^2
-floats for N domain nodes.
+``_assemble_surrogate``, a Sobolev gradient): A is factored once, in
+its own storage, by blocked Cholesky, which inverts the diagonal blocks
+of the factor as it goes (``_cholesky``), and each direction
+A^(-1) grad E is then matrix-vector products only; the iteration count
+does not grow as h shrinks.  A solve holds one N x N array, A and then
+its factor, for N domain nodes.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import numpy as np
 
 from .funcspace import GridFunction, sphere_measure
 from .nfunction import REPRESENTABLE_MAX
-from .pairs import truncated_pairs
+from .pairs import shift_values, truncated_pairs
 from .quadrature import (BLOCK_NODES, FAR_PANELS, FAR_POINTS,
                          bisect_increasing, integrate_graded)
 
@@ -144,23 +147,32 @@ class NonlocalProblem:
     @cached_property
     def _pairs(self):
         """(ia, ja, dist, weight): unordered pairs with at least one end
-        in the domain, within the truncation radius; weight carries the
-        symmetric double counting 2 K h^(2n)."""
+        in the domain, within the truncation radius, and their weights
+        2 K h^(2n) (the symmetric double counting).  ``dist`` is kept per
+        flat shift, not per pair (``pairs.truncated_pairs``): a pair's
+        distance is the entry of its shift ja - ia
+        (``pairs.shift_values``).  The pure kernel's weight depends on the
+        offset alone, so it is computed per shift and gathered."""
         lat = self.lattice
         ia, ja, dist = truncated_pairs(lat, self.omega_mask,
                                        self.truncation_radius)
+        hn2 = lat.h ** (2 * lat.dim)
         if self.kernel.coefficient is None:
-            # the pure kernel reads only the distance: no coordinate gathers
-            kvals = dist ** (-float(lat.dim))
-        else:
-            kvals = self.kernel.pair_values(lat.coords[ia], lat.coords[ja],
-                                            dist)
-        weight = 2.0 * kvals * lat.h ** (2 * lat.dim)
+            return ia, ja, dist, shift_values(
+                2.0 * dist ** (-float(lat.dim)) * hn2, ia, ja)
+        weight = np.empty(ia.size)
+        for start in range(0, ia.size, ENERGY_BLOCK):
+            sl = slice(start, start + ENERGY_BLOCK)
+            kvals = self.kernel.pair_values(
+                lat.coords[ia[sl]], lat.coords[ja[sl]],
+                shift_values(dist, ia[sl], ja[sl]))
+            weight[sl] = 2.0 * kvals * hn2
         return ia, ja, dist, weight
 
     @cached_property
     def _inv_ds(self):
-        return self._pairs[2] ** (-self.s)
+        ia, ja, dist, _ = self._pairs
+        return shift_values(dist ** (-self.s), ia, ja)
 
     @cached_property
     def _inv_ds_max(self):
@@ -174,14 +186,28 @@ class NonlocalProblem:
 
     @cached_property
     def _gradient_scale(self):
-        """Dimensionless stopping scale: the largest per-node sum of
-        K d^(-s) g(osc(f)/d^s) h^(2n) over interacting pairs."""
+        """Dimensionless stopping scale: the largest per-node sum
+        (``_node_sums``) of K d^(-s) g(osc(f)/d^s) h^(2n) over
+        interacting pairs, walked in blocks of ``ENERGY_BLOCK`` pairs.
+        Data whose oscillation puts the argument of g past the profile's
+        range are rejected by name."""
         osc = self.data_oscillation()
         if osc == 0.0:
             return 0.0
-        inv_ds = self._inv_ds
-        contrib = self._pairs[3] * inv_ds * self.nf.g(osc * inv_ds)
-        return float(_node_sums(self, contrib, 1.0).max())
+        w, inv_ds = self._pairs[3], self._inv_ds
+        contrib = np.empty(w.size)
+        try:
+            for start in range(0, w.size, ENERGY_BLOCK):
+                blk = slice(start, start + ENERGY_BLOCK)
+                contrib[blk] = w[blk] * inv_ds[blk] \
+                    * self.nf.g(osc * inv_ds[blk])
+        except OverflowError as exc:
+            raise ValueError(
+                f"the datum's oscillation {osc:g} overflows the growth "
+                f"profile: osc max d^(-s) = {osc * self._inv_ds_max:g} "
+                f"exceeds the representable range [0, "
+                f"{REPRESENTABLE_MAX:g}]") from exc
+        return float(_node_sums(self, contrib, np.add).max())
 
     def data_oscillation(self):
         datum = self.exterior_datum
@@ -204,10 +230,11 @@ class NonlocalProblem:
                 "for this exterior model"
             )
 
-    def _far_tail(self, w, derivative=False):
+    def _far_tail(self, w, derivative=False, energy=True):
         """Per-domain-node tail c_far int_r^inf G(|w - f(rho)| rho^(-s))
         drho / rho for node values ``w``; with ``derivative``, the pair
-        (tail, its derivative in w), both from one walk.
+        (tail, its derivative in w), both from one walk, or the
+        derivative alone when ``energy`` is False.
 
         A level model c takes tau = |w - c| rho^(-s): the tail is
         c_far H(T)/s, T = |w - c| r^(-s) (``NFunction.H``), and H'(T) =
@@ -223,25 +250,28 @@ class NonlocalProblem:
         zero tau* = (A/B)^(1/delta) of the difference (when A B > 0), T0
         and the taus where the difference crosses a knot of g
         (``NFunction.knots``) are laid out once, and the graded rule
-        evaluates both integrands on the same nodes.
+        evaluates the asked-for integrands on the same nodes; each
+        integral has the same bits whichever others share the walk.
         """
         model = self.exterior_datum.exterior
         s, r = self.s, self.truncation_radius
+        out = []
         if model.level is not None:
             dw = w - model.level
             T = np.abs(dw) * r ** (-s)
-            energy = self._far_coef * self.nf.H(T) / s
-            if not derivative:
-                return energy
-            ratio = np.divide(self.nf.G(T), T, out=np.zeros_like(T),
-                              where=T > 0)
-            return energy, self._far_coef * np.sign(dw) * ratio \
-                * r ** (-s) / s
+            if energy:
+                out.append(self._far_coef * self.nf.H(T) / s)
+            if derivative:
+                ratio = np.divide(self.nf.G(T), T, out=np.zeros_like(T),
+                                  where=T > 0)
+                out.append(self._far_coef * np.sign(dw) * ratio
+                           * r ** (-s) / s)
+            return tuple(out) if len(out) > 1 else out[0]
         a = model.exponent
         m = s - max(a, 0.0)
         if m <= 0.0:
-            inf = np.full_like(w, np.inf)
-            return (inf, inf.copy()) if derivative else inf
+            out = [np.full_like(w, np.inf) for _ in range(energy + derivative)]
+            return tuple(out) if len(out) > 1 else out[0]
         delta = abs(a) / m
         t0 = r ** (-m)
         c = np.full_like(w, model.value)
@@ -261,15 +291,17 @@ class NonlocalProblem:
         def fn(tau, Ao, Bo):
             d = flip * tau * (Ao - Bo * tau ** delta)
             ad = np.abs(d)
-            if not derivative:
-                return self.nf.G(ad) / tau
-            return (self.nf.G(ad) / tau,
-                    self.nf.g(ad) * np.sign(d) * tau ** (s / m - 1.0))
+            terms = ()
+            if energy:
+                terms += (self.nf.G(ad) / tau,)
+            if derivative:
+                terms += (self.nf.g(ad) * np.sign(d) * tau ** (s / m - 1.0),)
+            return terms
 
         # segments in blocks of at most BLOCK_NODES quadrature nodes per
         # integrand, so a stack of candidates costs no more memory than
         # one; a segment's integral has the same bits in any block
-        vals = np.empty((1 + derivative, owner.size))
+        vals = np.empty((energy + derivative, owner.size))
         rows = max(1, BLOCK_NODES // (2 * FAR_PANELS * FAR_POINTS))
         for start in range(0, owner.size, rows):
             seg = slice(start, start + rows)
@@ -277,9 +309,9 @@ class NonlocalProblem:
             vals[:, seg] = integrate_graded(lambda tau: fn(tau, Ao, Bo),
                                             lo[seg], hi[seg], FAR_PANELS,
                                             FAR_POINTS)
-        tails = [self._far_coef / m * np.bincount(owner, v, minlength=w.size)
-                 for v in vals]
-        return tuple(tails) if derivative else tails[0]
+        out = [self._far_coef / m * np.bincount(owner, v, minlength=w.size)
+               for v in vals]
+        return tuple(out) if len(out) > 1 else out[0]
 
     # -- admissibility ---------------------------------------------------
 
@@ -377,7 +409,7 @@ def _pair_energies(prob, Vt, sub=None):
     """
     G, _ = _profile(prob, Vt)
     out = np.zeros(Vt.shape[1])
-    for w, _, t, _ in _pair_blocks(prob, Vt, sub):
+    for w, _, t in _pair_blocks(prob, Vt, sub):
         out += w @ G(t)
     return out
 
@@ -399,13 +431,13 @@ def _profile(prob, Vt):
 def _pair_blocks(prob, Vt, sub=None, signed=False):
     """Walk the stored pairs, or the pairs ``sub`` only, for the
     node-major stack Vt (nodes, B) in blocks of at most ``ENERGY_BLOCK``
-    pair-by-candidate entries, yielding (w, d^(-s), t, sign) of a block:
-    its pair weights and inverse distance powers, t = |v(x) - v(y)|
-    d^(-s) of shape (pairs, B), and sign(v(x) - v(y)) when ``signed``
-    (else None).  Node-major, one pair index gathers the B values of a
-    node at once.  The block height depends on B only, so a stack of one
-    is walked in the same blocks by ``_energy_values`` and
-    ``_energy_gradient``."""
+    pair-by-candidate entries, yielding (w, d^(-s), t) of a block: its
+    pair weights and inverse distance powers, and t = |v(x) - v(y)|
+    d^(-s) of shape (pairs, B), or (v(x) - v(y)) d^(-s) when ``signed``
+    (the same bits up to the sign, as d^(-s) > 0).  Node-major, one pair
+    index gathers the B values of a node at once.  The block height
+    depends on B only, so a stack of one is walked in the same blocks by
+    ``_energy_values`` and ``_energy_gradient``."""
     ia, ja, _, w = prob._pairs
     inv_ds = prob._inv_ds
     if sub is not None:
@@ -415,10 +447,10 @@ def _pair_blocks(prob, Vt, sub=None, signed=False):
         blk = slice(start, start + rows)
         t = np.take(Vt, ia[blk], axis=0)
         t -= np.take(Vt, ja[blk], axis=0)
-        sign = np.sign(t) if signed else None
-        np.abs(t, out=t)
         t *= inv_ds[blk, None]
-        yield w[blk], inv_ds[blk], t, sign
+        if not signed:
+            np.abs(t, out=t)
+        yield w[blk], inv_ds[blk], t
 
 
 def _local_energies(prob, vals, nodes, eps):
@@ -453,45 +485,64 @@ def gradient(prob, v):
     return GridFunction(prob.lattice, full, v.exterior)
 
 
-def _node_sums(prob, contrib, sign):
+def _node_sums(prob, contrib, second):
     """Per-domain-node sums of the pair values ``contrib``: a pair adds
-    its value to its first end and ``sign`` times it to its second end
-    when that end lies in the domain, the first ends in pair order, then
-    the second ends.  ``np.bincount`` adds in index order from 0, as
-    ``np.add.at`` into zeros would."""
+    its value to its first end and, by the ufunc ``second`` (``np.add``
+    or ``np.subtract``), to its second end when that end lies in the
+    domain, the first ends in pair order, then the second ends.
+    ``np.bincount`` adds in index order from 0, as ``np.add.at`` into
+    zeros would, and makes no pair-length temporary; the second ends go
+    by ``second.at`` over blocks of ``ENERGY_BLOCK`` pairs, so their
+    selection does not grow with the pair count."""
     ia, ja = prob._pairs[:2]
+    omega = prob.omega_mask
     acc = np.bincount(ia, contrib, minlength=prob.lattice.n_nodes)
-    both = prob.omega_mask[ja]
-    np.add.at(acc, ja[both], sign * contrib[both])
-    return acc[prob.omega_mask]
+    for start in range(0, ja.size, ENERGY_BLOCK):
+        blk = slice(start, start + ENERGY_BLOCK)
+        j = ja[blk]
+        both = omega[j]
+        second.at(acc, j[both], contrib[blk][both])
+    return acc[omega]
 
 
-def _energy_gradient(prob, vals):
+def _energy_gradient(prob, vals, energy=True):
     """(energy, domain gradient) of the node values ``vals`` in one walk
     over the stored pairs: each block of ``_pair_blocks`` (a stack of
     one) adds w G(t) to the energy, as ``_energy_values`` sums it, and
     stores the pair derivative w d^(-s) g(t) sign(v(x) - v(y)), which
-    ``_node_sums`` scatters onto the nodes.  g(0) = 0 makes the
-    integrand differentiable at coincident values."""
+    ``_node_sums`` scatters onto the nodes.  g(0) = 0 makes the integrand
+    differentiable at coincident values.  With ``energy`` False the walk
+    skips G and the far energy and the energy is None; the gradient has
+    the same bits."""
     Vt = vals[:, None]
     G, g = _profile(prob, Vt)
     pair = np.zeros(1)
     deriv = np.empty(prob._pairs[0].size)
     stop = 0
-    for w, inv_ds, t, sign in _pair_blocks(prob, Vt, signed=True):
-        pair += w @ G(t)
+    for w, inv_ds, t in _pair_blocks(prob, Vt, signed=True):
         start, stop = stop, stop + w.size
-        deriv[start:stop] = g(t[:, 0]) * sign[:, 0] * inv_ds * w
-    far, far_grad = prob._far_tail(vals[prob.omega_mask], derivative=True)
-    grad = _node_sums(prob, deriv, -1.0)
+        # sign, then |t|, then the product in place: a pass holds two
+        # pair-length temporaries besides ``deriv``
+        d = deriv[start:stop]
+        np.sign(t[:, 0], out=d)
+        np.abs(t, out=t)
+        if energy:
+            pair += w @ G(t)
+        d *= g(t[:, 0])
+        d *= inv_ds
+        d *= w
+    far = prob._far_tail(vals[prob.omega_mask], derivative=True,
+                         energy=energy)
+    far_energy, far_grad = far if energy else (None, far)
+    grad = _node_sums(prob, deriv, np.subtract)
     grad += far_grad
-    return float(pair[0] + far.sum()), grad
+    return (float(pair[0] + far_energy.sum()) if energy else None), grad
 
 
 def _gradient_omega(prob, vals):
-    """Domain gradient at the node values ``vals``: the gradient half of
-    ``_energy_gradient``."""
-    return _energy_gradient(prob, vals)[1]
+    """Domain gradient at the node values ``vals``: ``_energy_gradient``
+    without the energy."""
+    return _energy_gradient(prob, vals, energy=False)[1]
 
 
 def weak_residual(prob, v):
@@ -525,7 +576,8 @@ def _assemble_surrogate(prob):
     """Quadratic-growth surrogate system on the same pair structure.
 
     The pairs are walked in blocks of ``ENERGY_BLOCK``, so no temporary
-    grows with the pair count.  Every pair has its first end in the
+    grows with the pair count; d^(-2s) is raised once per shift and
+    gathered (``pairs.shift_values``).  Every pair has its first end in the
     domain, and a pair of two domain nodes is stored once
     (``truncated_pairs``), so each off-diagonal entry is assigned its one
     term.  A diagonal entry sums its node's terms in pair order: as the
@@ -540,7 +592,7 @@ def _assemble_surrogate(prob):
     ia, ja, dist, w = prob._pairs
     no = omega_idx.size
     fvals = prob.exterior_datum.values
-    two_s = 2.0 * prob.s
+    inv_d2s = dist ** (-2.0 * prob.s)
 
     def blocks(domain):
         """(first-end positions, second ends, w d^(-2s)) of each block's
@@ -548,8 +600,8 @@ def _assemble_surrogate(prob):
         for start in range(0, ia.size, ENERGY_BLOCK):
             blk = slice(start, start + ENERGY_BLOCK)
             sel = omega[ja[blk]] == domain
-            yield (pos[ia[blk][sel]], ja[blk][sel],
-                   w[blk][sel] * dist[blk][sel] ** (-two_s))
+            i, j = ia[blk][sel], ja[blk][sel]
+            yield pos[i], j, w[blk][sel] * shift_values(inv_d2s, i, j)
 
     A = np.zeros((no, no))
     diag = np.zeros(no)
@@ -584,13 +636,31 @@ def _assemble_surrogate(prob):
 # -- minimization ----------------------------------------------------------
 
 def _cholesky(A):
-    """Factor of the SPD matrix A for ``_cholesky_solve``: its Cholesky
-    factor L and the inverses of L's diagonal blocks of width
-    ``SUBST_BLOCK``, each computed once."""
-    L = np.linalg.cholesky(A)
-    inverses = [np.linalg.inv(L[i0:i0 + SUBST_BLOCK, i0:i0 + SUBST_BLOCK])
-                for i0 in range(0, L.shape[0], SUBST_BLOCK)]
-    return L, inverses
+    """Factor the SPD matrix A in its own storage for ``_cholesky_solve``:
+    (A, inverses), A's lower triangle now the Cholesky factor L and
+    ``inverses`` the inverses of L's diagonal blocks of width
+    ``SUBST_BLOCK``.  The factor consumes A: past the diagonal blocks its
+    upper triangle is left stale, and ``_cholesky_solve`` never reads it.
+
+    Right-looking and blocked: each diagonal block is factored by LAPACK
+    (``np.linalg.cholesky``) and inverted, the panel below it becomes
+    A21 L11^(-T), and the trailing lower block columns are updated one at
+    a time, so no temporary is larger than N x ``SUBST_BLOCK``.  A matrix
+    of one block (N <= ``SUBST_BLOCK``) gets LAPACK's factor bit for bit.
+    """
+    n = A.shape[0]
+    inverses = []
+    for k0 in range(0, n, SUBST_BLOCK):
+        k1 = k0 + SUBST_BLOCK
+        L = np.linalg.cholesky(A[k0:k1, k0:k1])
+        inverses.append(np.linalg.inv(L))
+        A[k0:k1, k0:k1] = L
+        panel = A[k1:, k0:k1] @ inverses[-1].T
+        A[k1:, k0:k1] = panel
+        for j0 in range(k1, n, SUBST_BLOCK):
+            rows = panel[j0 - k1:]
+            A[j0:, j0:j0 + SUBST_BLOCK] -= rows @ rows[:SUBST_BLOCK].T
+    return A, inverses
 
 
 def _cholesky_solve(factor, g):
@@ -651,14 +721,15 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
                            details={"stop_scale": 0.0, "threshold": tol,
                                     "initial": initial})
 
+    # the stopping scale does not depend on the start, and it rejects data
+    # past the profile's range before any N x N array exists
+    threshold = tol * (1.0 + prob._gradient_scale)
     A, b, _, _ = _assemble_surrogate(prob)
-    # A is SPD (positive weights, strictly diagonally dominant); only its
-    # factor is kept
+    # A is SPD (positive weights, strictly diagonally dominant); its
+    # storage becomes the factor
     factor = _cholesky(A)
-    del A
     vals[omega] = _cholesky_solve(factor, b) if harmonic else 0.0
 
-    threshold = tol * (1.0 + prob._gradient_scale)
     v_om = vals[omega].copy()
     e_now, g_now = _energy_gradient(prob, vals)
     history = [e_now]

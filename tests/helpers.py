@@ -167,6 +167,13 @@ def coordinate_distance_blocks(xa, xb, rows=64):
         yield sl, np.linalg.norm(xa[sl, None, :] - xb[None, :, :], axis=2)
 
 
+def pair_distances(prob):
+    """Each stored pair's distance, expanded from the per-shift table of
+    ``prob._pairs`` by direct indexing."""
+    ia, ja, dist, _ = prob._pairs
+    return dist[ja - ia + dist.size // 2]
+
+
 def surrogate_add_at_reference(prob):
     """(A, b, const) of ``solver._assemble_surrogate`` with every entry of
     A and b accumulated by ``np.add.at`` in pair order: the assembly
@@ -175,8 +182,8 @@ def surrogate_add_at_reference(prob):
     omega_idx = np.flatnonzero(prob.omega_mask)
     pos = -np.ones(prob.lattice.n_nodes, dtype=int)
     pos[omega_idx] = np.arange(omega_idx.size)
-    ia, ja, dist, w = prob._pairs
-    cw = w * dist ** (-2.0 * prob.s)
+    ia, ja, _, w = prob._pairs
+    cw = w * pair_distances(prob) ** (-2.0 * prob.s)
     no = omega_idx.size
     A = np.zeros((no, no))
     b = np.zeros(no)
@@ -204,7 +211,7 @@ def energy_reference(prob, vals):
     """Energy of the node values ``vals`` by one unblocked pair sum: the
     single-candidate route before ``solver._energies``, kept as its
     oracle."""
-    ia, ja, dist, w = prob._pairs
+    ia, ja, _, w = prob._pairs
     t = np.abs(vals[ia] - vals[ja]) * prob._inv_ds
     pair_part = float(np.dot(prob.nf.G(t), w))
     far = float(np.sum(prob._far_tail(vals[prob.omega_mask])))
@@ -216,7 +223,7 @@ def gradient_reference(prob, vals):
     over the pairs, scattered by ``np.add.at``: the route before the
     gradient became the second half of ``solver._energy_gradient``, kept
     as its oracle."""
-    ia, ja, dist, w = prob._pairs
+    ia, ja, _, w = prob._pairs
     dv = vals[ia] - vals[ja]
     t = np.abs(dv) * prob._inv_ds
     gval = prob.nf.g(t) * np.sign(dv) * prob._inv_ds * w

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -872,6 +873,33 @@ class TestConfigErrors:
         assert res.stderr.startswith("config error:")
         assert phrase in res.stderr
         assert "(34," not in res.stderr
+
+    def test_huge_datum_fails_before_the_surrogate(self, tmp_path):
+        # 2-D, h = 1/16: N = 289 domain nodes.  The stopping scale rejects
+        # the datum by name before the N x N surrogate is assembled.
+        cfg = base_config()
+        cfg["problem"].update({
+            "dim": 2, "omega": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]},
+            "truncation_radius": 0.25,
+            "datum": {"family": "sin", "amplitude": 1e200}})
+        res = run_subprocess(tmp_path, cfg)
+        assert res.returncode == EXIT_CONFIG, res.stderr
+        assert one_line(res.stderr), res.stderr
+        assert res.stderr.startswith("config error: the datum's oscillation")
+        assert "overflows the growth profile" in res.stderr
+        assert "representable range" in res.stderr
+        prob = build_problem(cfg)
+        n = int(prob.omega_mask.sum())
+        assert n == 289
+        prob._inv_ds_max
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="oscillation"):
+                sl.solve(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
     def test_power_q_is_declared(self):
         cfg = base_config()

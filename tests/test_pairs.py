@@ -3,6 +3,7 @@ replaced, the ball sums' offset table against coordinate norms, and the
 chunk budget as a pure memory knob."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Kernel,
                       make_power)
 from fracglap.regularity import _truncation_far_tail
 
-from helpers import coordinate_distance_blocks
+from helpers import coordinate_distance_blocks, pair_distances
 
 
 def dense_pairs(prob):
@@ -62,6 +63,13 @@ def box_problem(dim, h, rext, kernel=None, half=0.5):
                            truncation_radius=rext)
 
 
+def pair_layout(prob):
+    """(ia, ja, dist, weight) with each pair's distance expanded from the
+    per-shift table, the layout of ``dense_pairs``."""
+    ia, ja, _, weight = prob._pairs
+    return ia, ja, pair_distances(prob), weight
+
+
 def assert_bitwise(got, want):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
@@ -79,7 +87,7 @@ def assert_bitwise(got, want):
 ])
 def test_offset_build_matches_dense(dim, h, rext, kernel):
     prob = box_problem(dim, h, rext, kernel)
-    assert_bitwise(prob._pairs, dense_pairs(prob))
+    assert_bitwise(pair_layout(prob), dense_pairs(prob))
 
 
 def test_offset_build_matches_dense_irregular_domain():
@@ -90,7 +98,7 @@ def test_offset_build_matches_dense_irregular_domain():
     prob = NonlocalProblem(lat, omega, make_power(2.0), Kernel(), 0.3,
                            GridFunction(lat, f, ExteriorModel()),
                            truncation_radius=0.55)
-    assert_bitwise(prob._pairs, dense_pairs(prob))
+    assert_bitwise(pair_layout(prob), dense_pairs(prob))
 
 
 def test_stencil_is_sorted_and_within_radius():
@@ -100,10 +108,16 @@ def test_stencil_is_sorted_and_within_radius():
     centre = 8 * stride + 6
     omega = np.zeros(lat.n_nodes, dtype=bool)
     omega[centre] = True
-    ia, ja, dist = pairs.truncated_pairs(lat, omega, 0.6)
+    ia, ja, table = pairs.truncated_pairs(lat, omega, 0.6)
     assert np.all(ia == centre)
     shifts = ja - ia
     assert np.all(np.diff(shifts) > 0)
+    # the stencil is symmetric, and its shifts are the finite entries of
+    # the per-shift table, centred on shift 0
+    np.testing.assert_array_equal(shifts, -shifts[::-1])
+    np.testing.assert_array_equal(
+        np.flatnonzero(np.isfinite(table)) - table.size // 2, shifts)
+    dist = pairs.shift_values(table, ia, ja)
     # 0.6 / 0.25 = 2.4: every k != 0 with |k| <= 2.4 (20 offsets)
     assert shifts.size == 20
     k0, k1 = np.divmod(shifts + 2 * stride + 2, stride)
@@ -122,7 +136,7 @@ def test_non_dyadic_spacing(dim, h, rext, kernel):
     # coordinate differences round at these spacings; the offset table
     # gives every offset one distance
     prob = box_problem(dim, h, rext, kernel)
-    ia, ja, dist, weight = prob._pairs
+    ia, ja, dist, weight = pair_layout(prob)
     dia, dja, ddist, dweight = dense_pairs(prob)
     assert_bitwise((ia, ja), (dia, dja))
     shift, first = np.unique(ja - ia, return_inverse=True)
@@ -151,6 +165,38 @@ def test_tiny_chunk_budget_changes_nothing(monkeypatch, dim, h, rext):
     tiny = box_problem(dim, h, rext)
     assert_bitwise(tiny._pairs, ref_pairs)
     assert _checks(tiny) == ref_checks
+
+
+def test_build_writes_the_pairs_in_place(monkeypatch):
+    # the pair ends are counted first and written into their arrays, so
+    # the build holds them once, plus a byte per candidate pair for the
+    # block masks and blocks of CHUNK_ELEMENTS entries
+    monkeypatch.setattr(pairs, "CHUNK_ELEMENTS", 2**12)
+    prob = box_problem(2, 1 / 32, 0.5)
+    tracemalloc.start()
+    try:
+        ia, ja, _ = pairs.truncated_pairs(
+            prob.lattice, prob.omega_mask, prob.truncation_radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ia.size > 100 * 2**12
+    assert peak < 1.2 * (ia.nbytes + ja.nbytes)
+    assert_bitwise((ia, ja), prob._pairs[:2])
+
+
+def test_shift_values_gather_in_blocks(monkeypatch):
+    # a value per shift reads the same bits on every pair of that shift,
+    # in any block size
+    prob = box_problem(2, 1 / 8, 0.5, WEIGHTED)
+    ia, ja, dist, _ = prob._pairs
+    table = np.sin(np.arange(dist.size) * 0.37)
+    want = table[ja - ia + dist.size // 2]
+    monkeypatch.setattr(pairs, "CHUNK_ELEMENTS", 37)
+    assert ia.size % 37
+    np.testing.assert_array_equal(pairs.shift_values(table, ia, ja), want,
+                                  strict=True)
+    assert np.all(np.isinf(dist[dist.size // 2]))
 
 
 def test_offset_blocks_bounded(monkeypatch):

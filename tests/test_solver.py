@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,105 @@ class TestSurrogateMetric:
         got = sl._cholesky_solve(sl._cholesky(A), g)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
+
+
+class TestCholesky:
+    """``_cholesky`` factors A in its own storage by right-looking block
+    columns of width ``SUBST_BLOCK``: LAPACK's factor up to rounding, bit
+    for bit in one block, with temporaries of at most N x SUBST_BLOCK."""
+
+    @staticmethod
+    def _spd(n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        return m @ m.T + n * np.eye(n)
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_factor_is_lapack_in_the_storage_of_a(self, n):
+        A = self._spd(n)
+        want = np.linalg.cholesky(A)
+        L, inverses = sl._cholesky(A)
+        assert L is A
+        got = np.tril(L)
+        if n <= sl.SUBST_BLOCK:
+            np.testing.assert_array_equal(got, want, strict=True)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert len(inverses) == -(-n // sl.SUBST_BLOCK)
+        for k, inv in enumerate(inverses):
+            blk = slice(k * sl.SUBST_BLOCK, (k + 1) * sl.SUBST_BLOCK)
+            np.testing.assert_array_equal(inv, np.linalg.inv(L[blk, blk]),
+                                          strict=True)
+
+    @pytest.mark.parametrize("n", [129, 300])
+    def test_substitution_never_reads_the_stale_upper_triangle(self, n):
+        A = self._spd(n)
+        g = np.random.default_rng(n + 1).standard_normal(n)
+        want = np.linalg.solve(A, g)
+        factor = sl._cholesky(A)
+        clean = sl._cholesky_solve(factor, g)
+        factor[0][np.triu_indices(n, 1)] = np.nan
+        np.testing.assert_array_equal(sl._cholesky_solve(factor, g), clean,
+                                      strict=True)
+        np.testing.assert_allclose(clean, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_temporaries_stay_below_a_quarter_of_a(self):
+        # N = 1089, the 2-D h = 1/32 benchmark domain: nine block columns
+        A = self._spd(1089)
+        tracemalloc.start()
+        try:
+            sl._cholesky(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes / 4
+
+
+class TestPairStorage:
+    """A problem keeps two float arrays per pair, the weights and d^(-s);
+    the distances are kept per shift.  The per-node scatters walk the
+    pairs in blocks, so a pass adds one pair-length array, the stored
+    pair derivatives, to them."""
+
+    def test_no_per_pair_distance(self):
+        prob = square_problem(h=1 / 8, rext=0.5)
+        solve(prob, tol=1e-9)
+        n = prob._pairs[0].size
+        found = []
+
+        def visit(x):
+            if isinstance(x, (tuple, list)):
+                for y in x:
+                    visit(y)
+            elif isinstance(x, np.ndarray) and x.dtype.kind == "f" \
+                    and x.size == n:
+                found.append(id(x))
+
+        for x in vars(prob).values():
+            visit(x)
+        assert sorted(found) == sorted([id(prob._pairs[3]),
+                                        id(prob._inv_ds)])
+        assert prob._pairs[2].size < n / 10
+
+    @pytest.mark.parametrize("what", ["scale", "energy_gradient", "gradient"])
+    def test_scatter_temporaries_are_blocks(self, what, monkeypatch):
+        prob = square_problem(h=1 / 32, rext=0.5)
+        monkeypatch.setattr(sl, "ENERGY_BLOCK", 2**12)
+        vals = prob.datum_extension(0.1).values
+        prob._inv_ds_max
+        calls = {"scale": lambda: prob._gradient_scale,
+                 "energy_gradient": lambda: sl._energy_gradient(prob, vals),
+                 "gradient": lambda: _gradient_omega(prob, vals)}
+        tracemalloc.start()
+        try:
+            calls[what]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = prob._pairs[0].size
+        assert n > 100 * 2**12
+        # one float per pair, plus the node sums and the blocks
+        assert peak < 1.1 * 8 * n
 
 
 class TestWeakResidual:
@@ -763,6 +863,35 @@ class TestEnergyGradient:
                                           strict=True)
 
 
+class TestGradientOnly:
+    """Gradient-only callers skip G on the pairs and the far energy; the
+    gradient keeps the bits of ``_energy_gradient``'s."""
+
+    @pytest.mark.parametrize("model", ["constant", "power0.25"])
+    @pytest.mark.parametrize("profile", sorted(STACK_PROFILES))
+    def test_skips_the_energy(self, profile, model, monkeypatch):
+        prob = _stack_problem(2, STACK_PROFILES[profile](),
+                              STACK_MODELS[model])
+        vals = _noisy_stack(prob, 1, np.random.default_rng(9))[0]
+        e, want = sl._energy_gradient(prob, vals)
+        assert e == _energy_values(prob, vals)
+
+        def boom(*args):
+            raise AssertionError("energy evaluated")
+
+        # the pairs evaluate G unchecked, the level tail's energy is H;
+        # a level tail's derivative reads G(T), a power tail's only g
+        monkeypatch.setattr(prob.nf, "_G_unchecked", boom)
+        monkeypatch.setattr(prob.nf, "H", boom)
+        if model != "constant":
+            monkeypatch.setattr(prob.nf, "G", boom)
+        e, got = sl._energy_gradient(prob, vals, energy=False)
+        assert e is None
+        np.testing.assert_array_equal(got, want, strict=True)
+        np.testing.assert_array_equal(_gradient_omega(prob, vals), want,
+                                      strict=True)
+
+
 class TestDomainCheck:
     """A pair pass bounds every argument t = |v(x) - v(y)| d^(-s) once, by
     (max V - min V) max d^(-s).  Within the profile's domain the blocks
@@ -862,6 +991,9 @@ class TestFarTailOneWalk:
             np.testing.assert_array_equal(g, wnt, strict=True)
         np.testing.assert_array_equal(prob._far_tail(w), want[0],
                                       strict=True)
+        np.testing.assert_array_equal(
+            prob._far_tail(w, derivative=True, energy=False), want[1],
+            strict=True)
 
     @pytest.mark.parametrize("model", ["power0.25", "power-0.3"])
     def test_one_layout_per_energy_gradient(self, model, monkeypatch):
