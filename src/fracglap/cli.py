@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import numpy as np
@@ -257,10 +256,7 @@ def build_problem(cfg, rng=None):
                         8.0 * float(np.linalg.norm(om_hi - om_lo))))
     pad = math.ceil(r_ext / h + 1e-9) * h
     lattice = Lattice.from_box(om_lo - pad, om_hi + pad, h)
-    x = lattice.coords
-    omega = np.ones(lattice.n_nodes, dtype=bool)
-    for d in range(dim):
-        omega &= (x[:, d] >= om_lo[d] - 1e-12) & (x[:, d] <= om_hi[d] + 1e-12)
+    omega = lattice.select((om_lo, om_hi))
     if not omega.any():
         raise ConfigError("omega box contains no lattice nodes")
     # a datum past the float range is rejected by name, without a warning
@@ -281,11 +277,10 @@ def build_problem(cfg, rng=None):
 # -- stage driver -----------------------------------------------------------
 
 class RunContext:
-    def __init__(self, config, out_dir, seed, jobs=1):
+    def __init__(self, config, out_dir, seed):
         self.config = config
         self.out_dir = out_dir
         self.seed = seed
-        self.jobs = max(1, int(jobs))
         self.tolerances = dict(config.get("tolerances", {}))
         self._rng_counter = 0
         self.problem = build_problem(config, self.stage_rng())
@@ -306,7 +301,7 @@ class RunContext:
             opts = self.config.get("solver", {})
             self.solve_report = sl.solve(
                 self.problem,
-                tol=self.tol("solve", opts.get("tol", 1e-9)),
+                tol=float(opts.get("tol", 1e-9)),
                 max_iter=int(opts.get("max_iter", 20000)),
                 initial=opts.get("initial", "zero"),
             )
@@ -320,14 +315,15 @@ class RunContext:
 
     def checked(self, name, check, points):
         """One result per point, each distinct (name, point) computed
-        once per run: check(batch) -> one result per point takes the
-        misses through ``_parallel_map``, and the memo is filled here
-        after the batches join.  A check scores each point on its own,
-        so a hit is the result a fresh call would give."""
+        once per run: check(batch), one result per point of the batch,
+        is called once, on the points the memo misses.  A check scores
+        each point on its own, so a hit is the result a fresh call would
+        give."""
         missed = [p for p in dict.fromkeys(points)
                   if (name, p) not in self._checked]
-        for p, result in zip(missed, _parallel_map(self, check, missed)):
-            self._checked[name, p] = result
+        if missed:
+            self._checked.update(((name, p), result)
+                                 for p, result in zip(missed, check(missed)))
         return [self._checked[name, p] for p in points]
 
 
@@ -399,7 +395,7 @@ def _sample_grid(nf, rng, count):
 
 # -- shared checks -----------------------------------------------------------
 # One helper per estimate, on a list of points; a verify stage is its
-# sweep's default point.  The minimizer is solved before any batch thread.
+# sweep's default point.
 
 def _corpus(ctx, rng, count):
     """``count`` random-smooth functions on the problem lattice."""
@@ -449,8 +445,8 @@ def _sobolev_poincare(ctx, fs):
     theta = 0.5 * (1.0 + n / (n - s / 2.0))
     ball = _default_ball(ctx)
     bound = ctx.tol("sobolev_poincare", math.inf)
-    return _parallel_map(ctx, lambda batch: rg.sobolev_poincare_check(
-        batch, ball, s, ctx.problem.nf, theta, bound=bound), fs)
+    return rg.sobolev_poincare_check(fs, ball, s, ctx.problem.nf, theta,
+                                     bound=bound)
 
 
 def _decay_sigma(ctx, r0):
@@ -464,10 +460,9 @@ def _holder_decay(ctx, sigmas):
     ball's radius, one per ratio of ``sigmas``."""
     u = ctx.ensure_solved().minimizer
     ball = _default_ball(ctx)
-    return ctx.checked("holder_decay", lambda batch: [
-        rg.holder_decay_fit(u, ball.center, 0.5 * ball.radius, sg, 10,
-                            ctx.problem.s, ctx.problem.nf) for sg in batch],
-        sigmas)
+    return ctx.checked("holder_decay", lambda batch: rg.holder_decay_fit(
+        u, ball.center, 0.5 * ball.radius, batch, 10, ctx.problem.s,
+        ctx.problem.nf), sigmas)
 
 
 # -- verify stages -----------------------------------------------------------
@@ -739,22 +734,6 @@ def _sweep_holder_decay(ctx, rng, params):
         for sg, res in zip(sigmas, _holder_decay(ctx, sigmas))]
 
 
-def _parallel_map(ctx, fn, items):
-    """fn(batch) -> one result per item of the batch, over the items in
-    ``ctx.jobs`` contiguous batches, one thread each, concatenated in
-    order.  A check scores each point on its own, so the results do not
-    depend on the split."""
-    if not items:
-        return []
-    if ctx.jobs == 1 or len(items) == 1:
-        return fn(items)
-    parts = min(ctx.jobs, len(items))
-    bounds = [len(items) * i // parts for i in range(parts + 1)]
-    batches = [items[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    with ThreadPoolExecutor(max_workers=len(batches)) as pool:
-        return [rep for part in pool.map(fn, batches) for rep in part]
-
-
 # -- stage table -------------------------------------------------------------
 # A verify stage is called as fn(ctx, rng) and a sweep as
 # fn(ctx, rng, params), params = config["sweeps"][name] (default {});
@@ -797,7 +776,7 @@ SEEDED_STAGES = frozenset({
 
 # Keys of the config's ``tolerances``: the names ``RunContext.tol`` reads.
 TOLERANCE_KEYS = frozenset(
-    "solve linear_oracle gradient_fd nfunction luxemburg tail_closed_form "
+    "linear_oracle gradient_fd nfunction luxemburg tail_closed_form "
     "boundedness caccioppoli logarithmic sobolev_poincare".split())
 
 
@@ -824,11 +803,19 @@ def _schema_validator():
 
 
 def validate_config(config):
+    _check_schema(config)
+    _check_rules(config)
+
+
+def _check_schema(config):
     # best_match picks the same error jsonschema.validate would raise
     err = jsonschema.exceptions.best_match(
         _schema_validator().iter_errors(config))
     if err is not None:
         raise ConfigError(f"config schema violation: {err.message}")
+
+
+def _check_rules(config):
     for stage in config["pipeline"]:
         if stage == "solve":
             continue
@@ -853,10 +840,14 @@ def run(config_path, out_override=None, seed_override=None,
         tol_override=None, jobs=1, stage_filter=None):
     """Execute the config's pipeline; returns the process exit code.  A
     failure listed in ``FAILURES`` ends the run with its exit code and
-    a one-line message on stderr."""
+    a one-line message on stderr.  Every stage runs on one thread:
+    ``jobs`` must be 1; the keyword stays until the benchmark harness
+    stops passing it."""
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, not {jobs!r}")
     try:
         return _run(config_path, out_override, seed_override, tol_override,
-                    jobs, stage_filter)
+                    stage_filter)
     except tuple(row[0] for row in FAILURES) as exc:
         code, prefix = next((code, prefix) for cls, code, prefix in FAILURES
                             if isinstance(exc, cls))
@@ -864,18 +855,19 @@ def run(config_path, out_override=None, seed_override=None,
         return code
 
 
-def _run(config_path, out_override, seed_override, tol_override, jobs,
+def _run(config_path, out_override, seed_override, tol_override,
          stage_filter):
     with open(config_path) as fh:
         config = json.load(fh)
+    _check_schema(config)   # the overrides write into a checked shape
     if seed_override is not None:
         config["seed"] = seed_override
     if tol_override is not None:
-        config.setdefault("tolerances", {})["solve"] = tol_override
+        config.setdefault("solver", {})["tol"] = tol_override
+    _check_rules(config)
     out_dir = (out_override or config.get("output_dir")
                or os.environ.get(OUTPUT_DIR_ENV) or ".")
-    validate_config(config)
-    ctx = RunContext(config, out_dir, config.get("seed"), jobs=jobs)
+    ctx = RunContext(config, out_dir, config.get("seed"))
     os.makedirs(out_dir, exist_ok=True)
 
     all_passed = True
@@ -923,10 +915,8 @@ def main(argv=None):
         sp.add_argument("--out", default=None,
                         help=f"output directory (default: config, then "
                              f"${OUTPUT_DIR_ENV}, then cwd)")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel sweep points")
         sp.add_argument("--tol", type=float, default=None,
-                        help="override the solver tolerance")
+                        help="override the solver tolerance (solver.tol)")
 
     add_common(sub.add_parser("run", help="execute the full pipeline"))
     add_common(sub.add_parser("solve", help="run only the solve stage"))
@@ -945,8 +935,7 @@ def main(argv=None):
         def stage_filter(stage):
             return stage.partition(":")[0] in ("solve", args.command)
     return run(args.config, out_override=args.out, seed_override=args.seed,
-               tol_override=args.tol, jobs=args.jobs,
-               stage_filter=stage_filter)
+               tol_override=args.tol, stage_filter=stage_filter)
 
 
 if __name__ == "__main__":

@@ -18,10 +18,12 @@ BISECT_REL_TOL = 1e-12
 FAR_PANELS = 40
 FAR_POINTS = 8
 # nodes per block of ``integrate_zero_to`` and of the solver's
-# power-exterior tail: their temporaries stay below 128 KiB, which malloc
-# serves from its heap (larger ones took fresh pages every block and
-# doubled the time of a power_log build)
-BLOCK_NODES = 2**14
+# power-exterior tail, whose temporaries (at most 64 KiB each) malloc
+# serves from its heap.  At 2^14 nodes (128 KiB each) freeing a block's
+# temporaries could return the heap's top to the system, depending on
+# the heap's layout, for the next block to fault in again: a power_log
+# build then took twice as long.
+BLOCK_NODES = 2**13
 
 
 @functools.lru_cache(maxsize=8)

@@ -444,74 +444,77 @@ class HolderDecayResult:
     boundedness: EstimateReport
 
 
-def holder_decay_fit(u, x0, r0, sigma, levels, s, nf):
-    """Measure oscillations over the nested balls B(sigma^i r0), fit the
-    decay exponent by least squares in log-log, and compare against the
-    schedule built from the empirical boundedness constant.
+def holder_decay_fit(u, x0, r0, sigmas, levels, s, nf):
+    """One result per ratio of ``sigmas``: measure oscillations over the
+    nested balls B(sigma^i r0), fit the decay exponent by least squares
+    in log-log, and compare against the schedule built from the
+    empirical boundedness constant on B(x0, 2 r0), checked once for all
+    ratios.
 
     Also evaluates the Holder-seminorm form: the largest discrete
     quotient |u(x)-u(y)| / |x-y|^alpha on the half ball against the
     bracket of local term plus tail at the full radius.
     """
-    if not 0.0 < sigma < 1.0:
+    if not all(0.0 < sigma < 1.0 for sigma in sigmas):
         raise ValueError("sigma must lie in (0, 1)")
     if levels < 3:
         raise ValueError("need at least three levels")
     lat = u.lattice
     x0 = np.asarray(x0, float)
     dist = np.linalg.norm(lat.coords - x0, axis=1)
-    radii, oscs = [], []
-    for i in range(levels):
-        ri = sigma ** i * r0
-        if 2.0 * ri < 4.0 * lat.h:  # fewer than four spacings across
-            break
-        sel = dist <= ri + 1e-12
-        if sel.sum() < 2:
-            break
-        vals = u.values[sel]
-        radii.append(ri)
-        oscs.append(float(vals.max() - vals.min()))
-    if len(radii) < 3:
-        raise ValueError("lattice resolves fewer than three levels")
-    radii_a = np.array(radii)
-    oscs_a = np.array(oscs)
-    keep = oscs_a > 1e-12 * max(oscs_a[0], 1e-300)
-    if keep.sum() >= 2 and oscs_a[0] > 0:
-        alpha_hat = float(np.polyfit(np.log(radii_a[keep]),
-                                     np.log(oscs_a[keep]), 1)[0])
-    else:
-        alpha_hat = 0.0  # flat function: any exponent fits trivially
-    osc_monotone = bool(np.all(np.diff(oscs_a) <= 1e-12 * max(oscs_a[0], 1.0)))
-
     r = 2.0 * r0
     brep = boundedness_check(u, Ball(tuple(x0), r), s, nf)
     # base oscillation: the sup estimate with its empirical constant on
     # the local term and unit constant on the tail term
     omega0 = 2.0 * (brep.empirical_constant * brep.rhs_terms["local"]
                     + brep.rhs_terms["tail"])
-    schedule = DecaySchedule.evaluate(alpha_hat, sigma, r0, omega0,
-                                      s, nf.p, nf.q)
-    slack = 1.0 + 1e-9
-    schedule_ok = all(
-        osc <= schedule.omega(i) * slack for i, osc in enumerate(oscs_a))
-
     # discrete Holder seminorm on the half ball, bracket with tail at r
     half = np.flatnonzero(dist <= r0 + 1e-12)
     vh = u.values[half]
     table = OffsetTable(lat)
-    da = table.dist ** max(alpha_hat, 0.0)
-    seminorm = 0.0
-    for sl, kc in table.blocks(half, half):
-        quot = np.abs(vh[sl, None] - vh[None, :]) / da.take(kc)
-        seminorm = max(seminorm, float(quot.max(initial=0.0)))
     tl = fsp.tail(u, x0, r, s, nf)
     bracket = brep.rhs_terms["local"] + (
         r ** s * nf.inv_g(r ** s * tl) if math.isfinite(tl) else math.inf)
-    c_holder = seminorm * r ** alpha_hat / bracket if bracket > 0 else 0.0
 
-    return HolderDecayResult(
-        schedule=schedule, alpha_hat=alpha_hat, radii=radii, oscillations=oscs,
-        resolved_levels=len(radii), osc_monotone=osc_monotone,
-        schedule_ok=schedule_ok, holder_seminorm=seminorm, c_holder=c_holder,
-        boundedness=brep)
-
+    results = []
+    for sigma in sigmas:
+        radii, oscs = [], []
+        for i in range(levels):
+            ri = sigma ** i * r0
+            if 2.0 * ri < 4.0 * lat.h:  # fewer than four spacings across
+                break
+            sel = dist <= ri + 1e-12
+            if sel.sum() < 2:
+                break
+            vals = u.values[sel]
+            radii.append(ri)
+            oscs.append(float(vals.max() - vals.min()))
+        if len(radii) < 3:
+            raise ValueError("lattice resolves fewer than three levels")
+        radii_a = np.array(radii)
+        oscs_a = np.array(oscs)
+        keep = oscs_a > 1e-12 * max(oscs_a[0], 1e-300)
+        if keep.sum() >= 2 and oscs_a[0] > 0:
+            alpha_hat = float(np.polyfit(np.log(radii_a[keep]),
+                                         np.log(oscs_a[keep]), 1)[0])
+        else:
+            alpha_hat = 0.0  # flat function: any exponent fits trivially
+        osc_monotone = bool(np.all(np.diff(oscs_a)
+                                   <= 1e-12 * max(oscs_a[0], 1.0)))
+        schedule = DecaySchedule.evaluate(alpha_hat, sigma, r0, omega0,
+                                          s, nf.p, nf.q)
+        slack = 1.0 + 1e-9
+        schedule_ok = all(osc <= schedule.omega(i) * slack
+                          for i, osc in enumerate(oscs_a))
+        da = table.dist ** max(alpha_hat, 0.0)
+        seminorm = 0.0
+        for sl, kc in table.blocks(half, half):
+            quot = np.abs(vh[sl, None] - vh[None, :]) / da.take(kc)
+            seminorm = max(seminorm, float(quot.max(initial=0.0)))
+        c_holder = seminorm * r ** alpha_hat / bracket if bracket > 0 else 0.0
+        results.append(HolderDecayResult(
+            schedule=schedule, alpha_hat=alpha_hat, radii=radii,
+            oscillations=oscs, resolved_levels=len(radii),
+            osc_monotone=osc_monotone, schedule_ok=schedule_ok,
+            holder_seminorm=seminorm, c_holder=c_holder, boundedness=brep))
+    return results

@@ -248,7 +248,7 @@ def test_criterion_08_holder_recovery():
     for gamma in (0.25, 0.5, 0.75):
         u = GridFunction(lat, np.abs(x) ** gamma,
                          ExteriorModel(value=0.5 ** gamma))
-        res = holder_decay_fit(u, [0.0], 0.25, 0.5, 6, s=0.5, nf=nf)
+        [res] = holder_decay_fit(u, [0.0], 0.25, [0.5], 6, s=0.5, nf=nf)
         rel = abs(res.alpha_hat - gamma) / gamma
         fit_ok &= res.resolved_levels >= 5 and rel <= 0.02
         detail.append(f"g={gamma}:{rel:.3%}")
@@ -257,8 +257,8 @@ def test_criterion_08_holder_recovery():
         prob = _omega32_problem(0.5, p=p, h=1 / 128, rext=1.0)
         rep = solve(prob, tol=1e-10)
         assert rep.converged
-        res = holder_decay_fit(rep.minimizer, [0.0], 0.25, 0.5, 7,
-                               s=0.5, nf=prob.nf)
+        [res] = holder_decay_fit(rep.minimizer, [0.0], 0.25, [0.5], 7,
+                                 s=0.5, nf=prob.nf)
         solved_ok &= res.osc_monotone and res.alpha_hat > 0.0
         detail.append(f"p={p}:a={res.alpha_hat:.3f}")
     _report(8, "holder exponent recovery", fit_ok and solved_ok,
@@ -310,7 +310,7 @@ def test_criterion_10_determinism(tmp_path):
         "pipeline": ["solve", "verify:gradient_fd", "verify:nfunction",
                      "verify:minimality", "sweep:boundedness"],
         "seed": 1234,
-        "tolerances": {"solve": 1e-9},
+        "solver": {"tol": 1e-9},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -38,7 +38,7 @@ def base_config(**overrides):
         },
         "pipeline": ["solve"],
         "seed": 11,
-        "tolerances": {"solve": 1e-9},
+        "solver": {"tol": 1e-9},
     }
     cfg.update(overrides)
     return cfg
@@ -119,6 +119,29 @@ class TestConfigValidation:
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_CONFIG
 
+    def test_seed_override_satisfies_the_seed_rule(self, tmp_path):
+        cfg = base_config(pipeline=["solve", "verify:gradient_fd"])
+        del cfg["seed"]
+        assert main(["run", write_config(tmp_path, cfg), "--seed", "3",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    # each override writes into the config, so it must not run before the
+    # schema has checked the config's shape
+    @pytest.mark.parametrize("case", ["tolerances", "solver", "not_object"])
+    def test_override_of_malformed_config_is_one_line(self, tmp_path, capsys,
+                                                      case):
+        if case == "not_object":
+            cfg, flag = [1, 2], ["--seed", "3"]
+        else:
+            cfg, flag = base_config(**{case: []}), ["--tol", "1e-9"]
+        code = main(["solve", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "out")] + flag)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: config schema violation:")
+        assert one_line(err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "stage", [st for st in FULL_PIPELINE[1:] if st not in SEEDED])
     def test_unseeded_stage_runs_without_seed(self, tmp_path, stage):
@@ -189,13 +212,14 @@ class TestConfigValidation:
     def test_unreadable_config_is_io_error(self, tmp_path):
         assert run(str(tmp_path / "missing.json")) == EXIT_IO
 
-    # the last four are verify stages without a tolerance
+    # the solve's tolerance is solver.tol; the last four are verify
+    # stages without a tolerance
     @pytest.mark.parametrize("key", ["sovle", "nfunction_samples",
-                                     "de_giorgi_cases", "minimality",
-                                     "membership", "de_giorgi",
-                                     "holder_decay"])
+                                     "de_giorgi_cases", "solve",
+                                     "minimality", "membership",
+                                     "de_giorgi", "holder_decay"])
     def test_unknown_tolerance_rejected(self, tmp_path, capsys, key):
-        cfg = base_config(tolerances={"solve": 1e-9, key: 1e-12})
+        cfg = base_config(tolerances={"boundedness": 1e-9, key: 1e-12})
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_CONFIG
         assert capsys.readouterr().err == (
@@ -205,7 +229,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", ["1e-9", True, None])
     def test_non_numeric_tolerance_rejected(self, value):
         with pytest.raises(cli.ConfigError, match="must be a number"):
-            validate_config(base_config(tolerances={"solve": value}))
+            validate_config(base_config(tolerances={"boundedness": value}))
 
     def test_sweeps_schema_names_the_sweep_stages(self):
         assert set(SCHEMA["properties"]["sweeps"]["properties"]) \
@@ -250,7 +274,6 @@ class TestRun:
         cfg = base_config(pipeline=["solve", "verify:minimality"],
                           solver={"tol": 1e-12})
         cfg["problem"]["datum"] = {"family": "constant", "value": 0.3}
-        del cfg["tolerances"]
         out = tmp_path / "out"
         assert run(write_config(tmp_path, cfg),
                    out_override=str(out)) == EXIT_OK
@@ -258,6 +281,30 @@ class TestRun:
         assert solved["details"]["threshold"] == 1e-12
         rep = json.loads((out / "estimate_minimality.json").read_text())
         assert rep["details"]["threshold"] == 1e-12
+
+    def test_tol_flag_beats_solver_tol(self, tmp_path):
+        cfg = base_config(solver={"tol": 1e-12})
+        cfg["problem"]["datum"] = {"family": "constant", "value": 0.3}
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, cfg), "--tol", "1e-7",
+                     "--out", str(out)]) == EXIT_OK
+        solved = json.loads((out / "SolveReport.json").read_text())
+        assert solved["details"]["threshold"] == 1e-7
+
+    def test_jobs_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", write_config(tmp_path, base_config()), "--jobs",
+                  "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_run_takes_one_job(self, tmp_path):
+        path = write_config(tmp_path, base_config())
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            run(path, out_override=str(tmp_path / "o2"), jobs=2)
+        assert not (tmp_path / "o2").exists()
+        assert run(path, out_override=str(tmp_path / "o1"),
+                   jobs=1) == EXIT_OK
 
     @pytest.mark.parametrize("points", [
         [[0.5, 0.4], [1.0, 1.1], [2.0, 2.5], [4.0, 6.0], [8.0, 13.0]],
@@ -332,7 +379,7 @@ class TestRun:
 
     def test_linear_oracle_stage(self, tmp_path):
         cfg = base_config(pipeline=["solve", "verify:linear_oracle"])
-        cfg["tolerances"]["solve"] = 1e-10
+        cfg["solver"]["tol"] = 1e-10
         out = tmp_path / "out"
         assert run(write_config(tmp_path, cfg),
                    out_override=str(out)) == EXIT_OK
@@ -344,7 +391,6 @@ class TestRun:
         # step converges
         cfg = base_config(solver={"max_iter": 1, "tol": 1e-14})
         cfg["problem"]["nfunction"]["p"] = 3.0
-        cfg["tolerances"] = {}
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_SOLVER
 
@@ -385,7 +431,7 @@ class TestRun:
 
     def test_estimate_failure_exit(self, tmp_path):
         cfg = base_config(pipeline=["solve", "verify:boundedness"],
-                          tolerances={"solve": 1e-9, "boundedness": 1e-9})
+                          tolerances={"boundedness": 1e-9})
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_ESTIMATE
 
@@ -412,58 +458,46 @@ class TestRun:
         assert "compactly contained in the domain" in capsys.readouterr().err
         assert not (out / "sweep_boundedness.csv").exists()
 
-    def test_jobs_flag_deterministic(self, tmp_path, monkeypatch):
-        # jobs > 1 splits every sweep's points into that many batches, a
-        # Caccioppoli batch scored in one call of its check; every sweep
-        # artifact is byte-identical to the one of a single batch
+    def test_each_sweep_scores_its_points_in_one_batch(self, tmp_path,
+                                                      monkeypatch):
+        # every sweep passes all its points to one call of its check, a
+        # Caccioppoli batch included
         cfg = base_config(pipeline=["solve"] + [f"sweep:{n}" for n in
                                                 cli.SWEEP_STAGES])
-        p = write_config(tmp_path, cfg)
-        check = cli.rg.caccioppoli_check
-        parallel_map = cli._parallel_map
-        calls, splits = [], []
+        cacc, sp = cli.rg.caccioppoli_check, cli.rg.sobolev_poincare_check
+        checked = cli.RunContext.checked
+        calls, batches = [], {}
 
         def counted(u, ball, points, *args, **kw):
             calls.append(len(points))
-            return check(u, ball, points, *args, **kw)
+            return cacc(u, ball, points, *args, **kw)
 
-        def recorded(ctx, fn, items):
-            sizes = []
-            splits.append(sizes)
+        def sobolev_poincare(fs, *args, **kw):
+            batches.setdefault("sobolev_poincare", []).append(len(fs))
+            return sp(fs, *args, **kw)
 
+        def recorded(ctx, name, check, points):
             def batch_fn(batch):
-                sizes.append(len(batch))
-                return fn(batch)
+                batches.setdefault(name, []).append(len(batch))
+                return check(batch)
 
-            return parallel_map(ctx, batch_fn, items)
+            return checked(ctx, name, batch_fn, points)
 
         monkeypatch.setattr(cli.rg, "caccioppoli_check", counted)
-        monkeypatch.setattr(cli, "_parallel_map", recorded)
-        reports, batches, sweeps = {}, {}, {}
-        for jobs in (1, 2, 4):
-            calls.clear()
-            splits.clear()
-            out = tmp_path / f"o{jobs}"
-            assert run(p, out_override=str(out), jobs=jobs) == EXIT_OK
-            reports[jobs] = read_reports(out)
-            batches[jobs] = sorted(calls)
-            sweeps[jobs] = dict(zip(cli.SWEEP_STAGES, map(sorted, splits)))
-        assert reports[1] == reports[2] == reports[4]
-        assert batches == {1: [6], 2: [3, 3], 4: [1, 1, 2, 2]}
-        assert sweeps == {
-            1: {"boundedness": [4], "caccioppoli": [6],
-                "sobolev_poincare": [6], "holder_decay": [2]},
-            2: {"boundedness": [2, 2], "caccioppoli": [3, 3],
-                "sobolev_poincare": [3, 3], "holder_decay": [1, 1]},
-            4: {"boundedness": [1, 1, 1, 1], "caccioppoli": [1, 1, 2, 2],
-                "sobolev_poincare": [1, 1, 2, 2], "holder_decay": [1, 1]},
-        }
+        monkeypatch.setattr(cli.rg, "sobolev_poincare_check",
+                            sobolev_poincare)
+        monkeypatch.setattr(cli.RunContext, "checked", recorded)
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(tmp_path / "out")) == EXIT_OK
+        assert calls == [6]
+        assert batches == {"boundedness": [4], "caccioppoli": [6],
+                           "sobolev_poincare": [6], "holder_decay": [2]}
 
     @pytest.mark.parametrize("name", ["caccioppoli", "boundedness",
                                       "sobolev_poincare"])
     def test_sweep_reads_its_bound(self, tmp_path, name):
         cfg = base_config(pipeline=["solve", f"sweep:{name}"],
-                          tolerances={"solve": 1e-9, name: 1e-6})
+                          tolerances={name: 1e-6})
         out = tmp_path / "out"
         assert run(write_config(tmp_path, cfg),
                    out_override=str(out)) == EXIT_ESTIMATE
@@ -631,7 +665,7 @@ class TestMinimality:
                                                  monkeypatch):
         cfg = small_component_config()
         cfg["pipeline"] = ["solve", "verify:minimality"]
-        cfg["tolerances"] = {"solve": 1e-11}
+        cfg["solver"] = {"tol": 1e-11}
         path = write_config(tmp_path, cfg)
         assert run(path, out_override=str(tmp_path / "new")) == EXIT_OK
         monkeypatch.setitem(cli.VERIFY_STAGES, "minimality",
@@ -691,8 +725,7 @@ class TestDeterminism:
         assert r1 == r2
 
     def test_full_pipeline_reruns_byte_identical(self, tmp_path):
-        cfg = base_config(pipeline=FULL_PIPELINE,
-                          tolerances={"solve": 1e-10})
+        cfg = base_config(pipeline=FULL_PIPELINE, solver={"tol": 1e-10})
         path = write_config(tmp_path, cfg)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run(path, out_override=str(out1)) == EXIT_OK
@@ -723,11 +756,9 @@ SHARED = ["boundedness", "caccioppoli", "holder_decay"]
 
 
 class TestEstimateMemo:
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("sweep_first", [False, True])
     @pytest.mark.parametrize("name", SHARED)
-    def test_pair_matches_separate_runs(self, tmp_path, name, sweep_first,
-                                        jobs):
+    def test_pair_matches_separate_runs(self, tmp_path, name, sweep_first):
         # a verify stage is its sweep's default point, read from the memo
         # when the sweep ran first, and vice versa
         stages = [f"verify:{name}", f"sweep:{name}"]
@@ -737,21 +768,21 @@ class TestEstimateMemo:
         for stage in stages:
             out = tmp_path / stage.replace(":", "_")
             cfg = base_config(pipeline=["solve", stage])
-            assert run(write_config(tmp_path, cfg), out_override=str(out),
-                       jobs=jobs) == EXIT_OK
+            assert run(write_config(tmp_path, cfg),
+                       out_override=str(out)) == EXIT_OK
             separate.update(read_reports(out))
         out = tmp_path / "pair"
         cfg = base_config(pipeline=["solve"] + stages)
-        assert run(write_config(tmp_path, cfg), out_override=str(out),
-                   jobs=jobs) == EXIT_OK
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) == EXIT_OK
         assert read_reports(out) == separate
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("sweep_first", [False, True])
     def test_each_check_point_computed_once(self, tmp_path, monkeypatch,
-                                            jobs):
+                                            sweep_first):
         # points that reach each check through its rg name; every
-        # holder_decay_fit calls boundedness_check once itself, without
-        # the kernel the stages pass, at its own point
+        # holder_decay_fit calls boundedness_check once itself, for all
+        # its ratios, without the kernel the stages pass
         seen = {"caccioppoli": [], "boundedness": [], "holder_decay": [],
                 "boundedness_in_fit": []}
         cacc, bnd, fit = (cli.rg.caccioppoli_check, cli.rg.boundedness_check,
@@ -766,22 +797,26 @@ class TestEstimateMemo:
             seen[key].append(ball.radius)
             return bnd(u, ball, *args, **kw)
 
-        def holder_decay(u, x0, r0, sigma, *args, **kw):
-            seen["holder_decay"].append(sigma)
-            return fit(u, x0, r0, sigma, *args, **kw)
+        def holder_decay(u, x0, r0, sigmas, *args, **kw):
+            seen["holder_decay"] += sigmas
+            return fit(u, x0, r0, sigmas, *args, **kw)
 
         monkeypatch.setattr(cli.rg, "caccioppoli_check", caccioppoli)
         monkeypatch.setattr(cli.rg, "boundedness_check", boundedness)
         monkeypatch.setattr(cli.rg, "holder_decay_fit", holder_decay)
+        kinds = ("sweep", "verify") if sweep_first else ("verify", "sweep")
         cfg = base_config(pipeline=["solve"] + [
-            f"{kind}:{n}" for kind in ("verify", "sweep") for n in SHARED])
+            f"{kind}:{n}" for kind in kinds for n in SHARED])
         assert run(write_config(tmp_path, cfg),
-                   out_override=str(tmp_path / "out"), jobs=jobs) == EXIT_OK
+                   out_override=str(tmp_path / "out")) == EXIT_OK
         counts = {key: len(points) for key, points in seen.items()}
         # the verify points are the sweeps' defaults: 6 Caccioppoli
-        # points, not 7; 4 balls, not 5; 2 fits, not 3
+        # points, not 7; 4 balls, not 5; 2 fits, not 3.  The fits take
+        # one call when the sweep comes first, and otherwise one for the
+        # verify stage's ratio and one for the sweep's other ratio
         assert counts == {"caccioppoli": 6, "boundedness": 4,
-                          "holder_decay": 2, "boundedness_in_fit": 2}
+                          "holder_decay": 2,
+                          "boundedness_in_fit": 1 if sweep_first else 2}
         for key in ("caccioppoli", "boundedness", "holder_decay"):
             assert len(set(seen[key])) == counts[key]
 

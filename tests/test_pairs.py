@@ -335,7 +335,7 @@ def test_log_estimate_matches_coordinate_oracle(dim):
 def test_holder_seminorm_matches_coordinate_oracle(dim):
     u = grid_function(dim, 1.0)
     x0, r0 = np.asarray(CENTER[dim]), 0.45
-    res = holder_decay_fit(u, x0, r0, 0.8, 6, 0.5, make_power(2.0))
+    [res] = holder_decay_fit(u, x0, r0, [0.8], 6, 0.5, make_power(2.0))
     assert res.alpha_hat > 0
     half = np.flatnonzero(np.linalg.norm(u.lattice.coords - x0, axis=1)
                           <= r0 + 1e-12)
