@@ -45,120 +45,6 @@ EXIT_IO = 5
 OUTPUT_DIR_ENV = "FRACGLAP_OUT"
 
 
-def _family_keys(required):
-    """Schema clauses that require, for each family, the keys its
-    builder reads without a default."""
-    return [{"if": {"required": ["family"],
-                    "properties": {"family": {"const": fam}}},
-             "then": {"required": keys}}
-            for fam, keys in required.items()]
-
-
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["problem", "pipeline"],
-    "properties": {
-        "problem": {
-            "type": "object",
-            "required": ["dim", "h", "omega", "s", "nfunction", "datum"],
-            "properties": {
-                "dim": {"type": "integer", "minimum": 1, "maximum": 3},
-                "h": {"type": "number", "exclusiveMinimum": 0},
-                "omega": {
-                    "type": "object",
-                    "required": ["lo", "hi"],
-                    "properties": {
-                        "lo": {"type": "array", "items": {"type": "number"}},
-                        "hi": {"type": "array", "items": {"type": "number"}},
-                    },
-                },
-                "s": {"type": "number", "exclusiveMinimum": 0,
-                      "exclusiveMaximum": 1},
-                "nfunction": {
-                    "type": "object",
-                    "required": ["family"],
-                    "properties": {
-                        "family": {"enum": ["power", "power_log", "table"]},
-                        "p": {"type": "number"},
-                        "q": {"type": "number"},
-                        "points": {"type": "array"},
-                    },
-                    "allOf": _family_keys({"power": ["p"],
-                                           "power_log": ["p"],
-                                           "table": ["points"]}),
-                },
-                "kernel": {
-                    "type": "object",
-                    "properties": {
-                        "form": {"enum": ["pure", "weighted"]},
-                        "lambda": {"type": "number"},
-                        "Lambda": {"type": "number"},
-                        "kind": {"type": "string"},
-                        "frequency": {"type": "number"},
-                    },
-                },
-                "datum": {
-                    "type": "object",
-                    "required": ["family"],
-                    "properties": {"family": {"enum": [
-                        "constant", "linear", "sin", "power_cusp",
-                        "two_level", "random_smooth"]}},
-                    "allOf": _family_keys({"constant": ["value"],
-                                           "power_cusp": ["gamma"],
-                                           "two_level": ["low", "high"]}),
-                },
-                "exterior": {
-                    "type": "object",
-                    "required": ["kind"],
-                    "properties": {
-                        "kind": {"enum": ["zero", "constant", "power"]},
-                        "value": {"type": "number"},
-                        "exponent": {"type": "number"},
-                    },
-                },
-                "truncation_radius": {"type": "number",
-                                      "exclusiveMinimum": 0},
-            },
-        },
-        "pipeline": {"type": "array", "items": {"type": "string"},
-                     "minItems": 1},
-        "seed": {"type": "integer"},
-        "output_dir": {"type": "string"},
-        "tolerances": {"type": "object"},
-        # one object per sweep stage, holding only that sweep's params
-        "sweeps": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                name: {"type": "object", "additionalProperties": False,
-                       "properties": {param: spec}}
-                for name, param, spec in (
-                    ("boundedness", "fractions",
-                     {"type": "array", "items": {"type": "number"},
-                      "minItems": 1}),
-                    ("caccioppoli", "signs",
-                     {"type": "array", "items": {"enum": ["plus", "minus"]},
-                      "minItems": 1}),
-                    ("sobolev_poincare", "count",
-                     {"type": "integer", "minimum": 1}),
-                    ("holder_decay", "sigmas",
-                     {"type": "array", "items": {"type": "number"},
-                      "minItems": 1}),
-                )},
-        },
-        "solver": {
-            "type": "object",
-            "properties": {
-                "tol": {"type": "number"},
-                "max_iter": {"type": "integer"},
-                "initial": {"enum": ["zero", "harmonic"]},
-            },
-        },
-    },
-}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -457,12 +343,12 @@ def _decay_sigma(ctx, r0):
 
 def _holder_decay(ctx, sigmas):
     """Oscillation decay fits over ten levels from half the default
-    ball's radius, one per ratio of ``sigmas``."""
+    ball's radius, one per ratio of ``sigmas``, on the run's boundedness
+    report for the default ball."""
     u = ctx.ensure_solved().minimizer
-    ball = _default_ball(ctx)
+    brep = _boundedness(ctx, [1.0])[0]
     return ctx.checked("holder_decay", lambda batch: rg.holder_decay_fit(
-        u, ball.center, 0.5 * ball.radius, batch, 10, ctx.problem.s,
-        ctx.problem.nf), sigmas)
+        u, brep, batch, 10, ctx.problem.s, ctx.problem.nf), sigmas)
 
 
 # -- verify stages -----------------------------------------------------------
@@ -780,6 +666,111 @@ TOLERANCE_KEYS = frozenset(
     "boundedness caccioppoli logarithmic sobolev_poincare".split())
 
 
+# -- config schema -----------------------------------------------------------
+# The one validator of a config.  Its stage names, tolerance keys and seed
+# rule are read from the tables above; every object but ``datum``, whose
+# keys depend on its family, names all its keys, so a misspelled key is
+# an error rather than a default.
+
+def _family_keys(required):
+    """Schema clauses that require, for each family, the keys its
+    builder reads without a default."""
+    return [{"if": {"required": ["family"],
+                    "properties": {"family": {"const": fam}}},
+             "then": {"required": keys}}
+            for fam, keys in required.items()]
+
+
+def _strict(required=(), **properties):
+    """An object schema that allows exactly the keys of ``properties``."""
+    return {"type": "object", "additionalProperties": False,
+            "properties": properties,
+            **({"required": list(required)} if required else {})}
+
+
+SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    **_strict(
+        ["problem", "pipeline"],
+        problem=_strict(
+            ["dim", "h", "omega", "s", "nfunction", "datum"],
+            dim={"type": "integer", "minimum": 1, "maximum": 3},
+            h={"type": "number", "exclusiveMinimum": 0},
+            omega=_strict(
+                ["lo", "hi"],
+                lo={"type": "array", "items": {"type": "number"}},
+                hi={"type": "array", "items": {"type": "number"}}),
+            s={"type": "number", "exclusiveMinimum": 0,
+               "exclusiveMaximum": 1},
+            nfunction={
+                **_strict(["family"],
+                          family={"enum": ["power", "power_log", "table"]},
+                          p={"type": "number"}, q={"type": "number"},
+                          points={"type": "array"}),
+                "allOf": _family_keys({"power": ["p"], "power_log": ["p"],
+                                       "table": ["points"]}),
+            },
+            kernel=_strict(**{
+                "form": {"enum": ["pure", "weighted"]},
+                "lambda": {"type": "number"},
+                "Lambda": {"type": "number"},
+                "kind": {"enum": ["oscillating"]},
+                "frequency": {"type": "number"},
+            }),
+            datum={
+                "type": "object",
+                "required": ["family"],
+                "properties": {"family": {"enum": [
+                    "constant", "linear", "sin", "power_cusp", "two_level",
+                    "random_smooth"]}},
+                "allOf": _family_keys({"constant": ["value"],
+                                       "power_cusp": ["gamma"],
+                                       "two_level": ["low", "high"]}),
+            },
+            exterior=_strict(
+                ["kind"],
+                kind={"enum": ["zero", "constant", "power"]},
+                value={"type": "number"},
+                exponent={"type": "number"},
+                center={"type": "array", "items": {"type": "number"}},
+                start_radius={"type": "number"}),
+            truncation_radius={"type": "number", "exclusiveMinimum": 0},
+        ),
+        pipeline={"type": "array", "minItems": 1, "items": {"enum": [
+            "solve", *(f"{kind}:{name}" for kind, table in STAGES.items()
+                       for name in table)]}},
+        seed={"type": "integer"},
+        output_dir={"type": "string"},
+        tolerances=_strict(**{key: {"type": "number"}
+                              for key in sorted(TOLERANCE_KEYS)}),
+        # one object per sweep stage, holding only that sweep's params
+        sweeps=_strict(
+            boundedness=_strict(fractions={
+                "type": "array", "items": {"type": "number"}, "minItems": 1}),
+            caccioppoli=_strict(signs={
+                "type": "array", "items": {"enum": ["plus", "minus"]},
+                "minItems": 1}),
+            sobolev_poincare=_strict(count={"type": "integer", "minimum": 1}),
+            holder_decay=_strict(sigmas={
+                "type": "array", "items": {"type": "number"}, "minItems": 1}),
+        ),
+        solver=_strict(tol={"type": "number"}, max_iter={"type": "integer"},
+                       initial={"enum": ["zero", "harmonic"]}),
+    ),
+    # a seeded stage or a random datum needs a seed; each branch checks
+    # its key's type first, so that a malformed key gets its own message
+    "if": {"anyOf": [
+        {"required": ["pipeline"], "properties": {"pipeline": {
+            "type": "array", "contains": {"enum": sorted(SEEDED_STAGES)}}}},
+        {"required": ["problem"], "properties": {"problem": {
+            "type": "object", "required": ["datum"], "properties": {"datum": {
+                "type": "object", "required": ["family"],
+                "properties": {"family": {"const": "random_smooth"}}}}}}},
+    ]},
+    "then": {"required": ["seed"]},
+}
+
+
 # Exception class -> exit code and stderr prefix of the one-line message.
 # The first matching row wins, so a subclass comes before its base.
 FAILURES = (
@@ -803,37 +794,12 @@ def _schema_validator():
 
 
 def validate_config(config):
-    _check_schema(config)
-    _check_rules(config)
-
-
-def _check_schema(config):
+    """Raise ConfigError on the first violation of ``SCHEMA``."""
     # best_match picks the same error jsonschema.validate would raise
     err = jsonschema.exceptions.best_match(
         _schema_validator().iter_errors(config))
     if err is not None:
         raise ConfigError(f"config schema violation: {err.message}")
-
-
-def _check_rules(config):
-    for stage in config["pipeline"]:
-        if stage == "solve":
-            continue
-        kind, _, name = stage.partition(":")
-        if kind not in STAGES:
-            raise ConfigError(f"unknown pipeline stage {stage!r}")
-        if name not in STAGES[kind]:
-            raise ConfigError(f"unknown {kind} stage {name!r}")
-    for key, value in config.get("tolerances", {}).items():
-        if key not in TOLERANCE_KEYS:
-            raise ConfigError(f"unknown tolerance {key!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"tolerance {key!r} must be a number")
-    needs_seed = (
-        config["problem"].get("datum", {}).get("family") == "random_smooth"
-        or any(stage in SEEDED_STAGES for stage in config["pipeline"]))
-    if needs_seed and "seed" not in config:
-        raise ConfigError("pipeline samples randomly: a seed is mandatory")
 
 
 def run(config_path, out_override=None, seed_override=None,
@@ -859,12 +825,12 @@ def _run(config_path, out_override, seed_override, tol_override,
          stage_filter):
     with open(config_path) as fh:
         config = json.load(fh)
-    _check_schema(config)   # the overrides write into a checked shape
-    if seed_override is not None:
+    # the seed rule reads --seed; --tol writes into a checked shape
+    if seed_override is not None and isinstance(config, dict):
         config["seed"] = seed_override
+    validate_config(config)
     if tol_override is not None:
         config.setdefault("solver", {})["tol"] = tol_override
-    _check_rules(config)
     out_dir = (out_override or config.get("output_dir")
                or os.environ.get(OUTPUT_DIR_ENV) or ".")
     ctx = RunContext(config, out_dir, config.get("seed"))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import funcspace as fsp
-from .funcspace import Ball, GridFunction
+from .funcspace import GridFunction
 from .pairs import BALL_ROWS, OffsetTable
 from .quadrature import integrate_radial
 from .reports import EstimateReport
@@ -444,26 +444,28 @@ class HolderDecayResult:
     boundedness: EstimateReport
 
 
-def holder_decay_fit(u, x0, r0, sigmas, levels, s, nf):
+def holder_decay_fit(u, brep, sigmas, levels, s, nf):
     """One result per ratio of ``sigmas``: measure oscillations over the
     nested balls B(sigma^i r0), fit the decay exponent by least squares
     in log-log, and compare against the schedule built from the
-    empirical boundedness constant on B(x0, 2 r0), checked once for all
-    ratios.
+    empirical boundedness constant of ``brep``, the boundedness report
+    on B(x0, 2 r0), shared by all ratios.
 
     Also evaluates the Holder-seminorm form: the largest discrete
     quotient |u(x)-u(y)| / |x-y|^alpha on the half ball against the
     bracket of local term plus tail at the full radius.
     """
+    if brep.name != "boundedness":
+        raise ValueError(f"need a boundedness report, not {brep.name!r}")
     if not all(0.0 < sigma < 1.0 for sigma in sigmas):
         raise ValueError("sigma must lie in (0, 1)")
     if levels < 3:
         raise ValueError("need at least three levels")
     lat = u.lattice
-    x0 = np.asarray(x0, float)
+    x0 = np.asarray(brep.witnesses["center"], float)
+    r = brep.witnesses["radius"]
+    r0 = 0.5 * r
     dist = np.linalg.norm(lat.coords - x0, axis=1)
-    r = 2.0 * r0
-    brep = boundedness_check(u, Ball(tuple(x0), r), s, nf)
     # base oscillation: the sup estimate with its empirical constant on
     # the local term and unit constant on the tail term
     omega0 = 2.0 * (brep.empirical_constant * brep.rhs_terms["local"]

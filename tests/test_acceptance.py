@@ -248,7 +248,8 @@ def test_criterion_08_holder_recovery():
     for gamma in (0.25, 0.5, 0.75):
         u = GridFunction(lat, np.abs(x) ** gamma,
                          ExteriorModel(value=0.5 ** gamma))
-        [res] = holder_decay_fit(u, [0.0], 0.25, [0.5], 6, s=0.5, nf=nf)
+        brep = boundedness_check(u, Ball((0.0,), 2 * 0.25), 0.5, nf)
+        [res] = holder_decay_fit(u, brep, [0.5], 6, s=0.5, nf=nf)
         rel = abs(res.alpha_hat - gamma) / gamma
         fit_ok &= res.resolved_levels >= 5 and rel <= 0.02
         detail.append(f"g={gamma}:{rel:.3%}")
@@ -257,8 +258,10 @@ def test_criterion_08_holder_recovery():
         prob = _omega32_problem(0.5, p=p, h=1 / 128, rext=1.0)
         rep = solve(prob, tol=1e-10)
         assert rep.converged
-        [res] = holder_decay_fit(rep.minimizer, [0.0], 0.25, [0.5], 7,
-                                 s=0.5, nf=prob.nf)
+        brep = boundedness_check(rep.minimizer, Ball((0.0,), 2 * 0.25),
+                                 0.5, prob.nf)
+        [res] = holder_decay_fit(rep.minimizer, brep, [0.5], 7, s=0.5,
+                                 nf=prob.nf)
         solved_ok &= res.osc_monotone and res.alpha_hat > 0.0
         detail.append(f"p={p}:a={res.alpha_hat:.3f}")
     _report(8, "holder exponent recovery", fit_ok and solved_ok,

@@ -1,16 +1,24 @@
+import contextlib
 import copy
 import dataclasses
+import functools
+import io
 import json
 import math
 import os
 import re
+import string
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracglap
 from fracglap import GridFunction, Lattice
@@ -50,6 +58,65 @@ SEEDED = ["verify:gradient_fd", "verify:minimality", "verify:nfunction",
           "verify:luxemburg", "verify:de_giorgi", "sweep:sobolev_poincare"]
 FULL_PIPELINE = (["solve"] + [f"verify:{n}" for n in cli.VERIFY_STAGES]
                  + [f"sweep:{n}" for n in cli.SWEEP_STAGES])
+
+
+@functools.cache
+def printed_schema():
+    """The schema that ``fracglap schema`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["schema"]) == EXIT_OK
+    return json.loads(out.getvalue())
+
+
+def _set(path, value):
+    """A config edit that sets the key at ``path``."""
+    def edit(cfg):
+        *parents, key = path
+        for p in parents:
+            cfg = cfg[p]
+        cfg[key] = value
+    return edit
+
+
+def _without_seed(pipeline):
+    def edit(cfg):
+        cfg["pipeline"] = pipeline
+        del cfg["seed"]
+    return edit
+
+
+# configs that the stage and tolerance tables, the seed rule and the
+# strict objects reject: case -> (edit, phrase of the one error line)
+SCHEMA_REJECTS = {
+    "unknown-stage": (_set(["pipeline"], ["solve", "verify:boundednes"]),
+                      "'verify:boundednes' is not one of ['solve', "),
+    "unknown-tolerance": (_set(["tolerances"], {"boundednes": 1.0}),
+                          "('boundednes' was unexpected)"),
+    "string-tolerance": (_set(["tolerances"], {"boundedness": "1e-3"}),
+                         "'1e-3' is not of type 'number'"),
+    "seeded-stage-without-seed": (_without_seed(["solve",
+                                                 "verify:minimality"]),
+                                  "'seed' is a required property"),
+    "top-level-key": (_set(["pipline"], ["solve"]),
+                      "('pipline' was unexpected)"),
+    "problem-key": (_set(["problem", "truncaton_radius"], 1.0),
+                    "('truncaton_radius' was unexpected)"),
+    "omega-key": (_set(["problem", "omega", "high"], [0.5]),
+                  "('high' was unexpected)"),
+    "nfunction-key": (_set(["problem", "nfunction", "exponent"], 2.0),
+                      "('exponent' was unexpected)"),
+    "kernel-key": (_set(["problem", "kernel", "lamda"], 0.5),
+                   "('lamda' was unexpected)"),
+    "kernel-kind": (_set(["problem", "kernel", "kind"], "smooth"),
+                    "'smooth' is not one of ['oscillating']"),
+    "exterior-key": (_set(["problem", "exterior", "valeu"], 0.3),
+                     "('valeu' was unexpected)"),
+    "exterior-center": (_set(["problem", "exterior", "center"], "origin"),
+                        "'origin' is not of type 'array'"),
+    "solver-key": (_set(["solver", "max_iters"], 1),
+                   "('max_iters' was unexpected)"),
+}
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -94,9 +161,10 @@ class TestConfigValidation:
         assert json.loads(out)["required"] == SCHEMA["required"]
 
     def test_valid_config_passes(self):
-        validate_config(base_config())
-        validate_config(base_config(
-            tolerances={n: 1 for n in cli.TOLERANCE_KEYS}))
+        for cfg in (base_config(), base_config(
+                tolerances={n: 1 for n in cli.TOLERANCE_KEYS})):
+            validate_config(cfg)
+            jsonschema.validate(cfg, printed_schema())
 
     def test_tolerance_keys_are_the_names_read(self):
         source = open(cli.__file__).read()
@@ -124,6 +192,15 @@ class TestConfigValidation:
         del cfg["seed"]
         assert main(["run", write_config(tmp_path, cfg), "--seed", "3",
                      "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    def test_seed_override_replaces_a_malformed_seed(self, tmp_path):
+        # --seed is written before the one check, so the check reads it
+        cfg = base_config(pipeline=["solve", "verify:gradient_fd"],
+                          seed="eleven")
+        path = write_config(tmp_path, cfg)
+        assert run(path, out_override=str(tmp_path / "a")) == EXIT_CONFIG
+        assert main(["run", path, "--seed", "3", "--out",
+                     str(tmp_path / "b")]) == EXIT_OK
 
     # each override writes into the config, so it must not run before the
     # schema has checked the config's shape
@@ -223,12 +300,15 @@ class TestConfigValidation:
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"config error: unknown tolerance {key!r}\n")
+            "config error: config schema violation: Additional properties "
+            f"are not allowed ({key!r} was unexpected)\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["1e-9", True, None])
     def test_non_numeric_tolerance_rejected(self, value):
-        with pytest.raises(cli.ConfigError, match="must be a number"):
+        with pytest.raises(cli.ConfigError, match=re.escape(
+                f"config schema violation: {value!r} is not of type "
+                "'number'")):
             validate_config(base_config(tolerances={"boundedness": value}))
 
     def test_sweeps_schema_names_the_sweep_stages(self):
@@ -255,6 +335,133 @@ class TestConfigValidation:
         assert err.startswith("config error: config schema violation:")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    # the stage, tolerance and seed rules, and a misspelled key at each
+    # strict level: each edit, the phrase the one error line must hold
+    @pytest.mark.parametrize("case", sorted(SCHEMA_REJECTS))
+    def test_printed_schema_rejects_what_run_rejects(self, tmp_path, capsys,
+                                                     case):
+        edit, phrase = SCHEMA_REJECTS[case]
+        cfg = base_config()
+        edit(cfg)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(cfg, printed_schema())
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out",
+                     str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config schema violation: ")
+        assert one_line(err), err
+        assert phrase in err
+        assert not out.exists()
+
+
+def _node(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+# keys the builders read without a default, by parent object
+REQUIRED_KEYS = [
+    ((), "problem"), ((), "pipeline"),
+    *((("problem",), k) for k in ("dim", "h", "omega", "s", "nfunction",
+                                  "datum")),
+    (("problem", "omega"), "lo"), (("problem", "omega"), "hi"),
+    (("problem", "nfunction"), "family"), (("problem", "nfunction"), "p"),
+    (("problem", "datum"), "family"), (("problem", "exterior"), "kind"),
+]
+# the objects that name all their keys
+STRICT_LEVELS = [(), ("problem",), ("problem", "omega"),
+                 ("problem", "nfunction"), ("problem", "kernel"),
+                 ("problem", "exterior"), ("solver",), ("tolerances",)]
+# declared keys and values of a type the key does not take
+NOT_NUMBER = ["0.5", None, True, [0.5], {}]
+NOT_INTEGER = [0.5, "1", None, True]
+NOT_NAME = [1, None, ["pure"]]
+NOT_ARRAY = ["solve", 1, {}]
+NOT_OBJECT = ["x", 1, []]
+WRONG_TYPES = {
+    ("problem",): NOT_OBJECT, ("problem", "dim"): NOT_INTEGER,
+    ("problem", "h"): NOT_NUMBER, ("problem", "s"): NOT_NUMBER,
+    ("problem", "truncation_radius"): NOT_NUMBER,
+    ("problem", "omega"): NOT_OBJECT, ("problem", "omega", "lo"): NOT_ARRAY,
+    ("problem", "nfunction"): NOT_OBJECT,
+    ("problem", "nfunction", "family"): NOT_NAME,
+    ("problem", "nfunction", "p"): NOT_NUMBER,
+    ("problem", "kernel"): NOT_OBJECT, ("problem", "kernel", "form"): NOT_NAME,
+    ("problem", "datum"): NOT_OBJECT,
+    ("problem", "datum", "family"): NOT_NAME,
+    ("problem", "exterior"): NOT_OBJECT,
+    ("problem", "exterior", "kind"): NOT_NAME,
+    ("problem", "exterior", "value"): NOT_NUMBER,
+    ("pipeline",): NOT_ARRAY, ("seed",): NOT_INTEGER,
+    ("output_dir",): NOT_NAME, ("solver",): NOT_OBJECT,
+    ("solver", "tol"): NOT_NUMBER, ("solver", "initial"): NOT_NAME,
+    ("tolerances",): NOT_OBJECT, ("tolerances", "boundedness"): NOT_NUMBER,
+}
+NAMES = st.text(string.ascii_lowercase + "_", min_size=1, max_size=12)
+
+
+@st.composite
+def broken_configs(draw):
+    """A tiny valid 1-D config with one rule broken at a single key."""
+    cfg = base_config(tolerances={"boundedness": 1.0})
+    how = draw(st.sampled_from(["drop", "unknown_key", "wrong_type",
+                                "unknown_stage", "unknown_tolerance",
+                                "no_seed"]))
+    if how == "drop":
+        path, key = draw(st.sampled_from(REQUIRED_KEYS))
+        del _node(cfg, path)[key]
+    elif how == "unknown_key":
+        path = draw(st.sampled_from(STRICT_LEVELS))
+        declared = _node(printed_schema(), [
+            part for key in path for part in ("properties", key)])
+        key = draw(NAMES.filter(lambda k: k not in declared["properties"]))
+        _node(cfg, path)[key] = 1.0
+    elif how == "wrong_type":
+        path = draw(st.sampled_from(sorted(WRONG_TYPES)))
+        *parents, key = path
+        _node(cfg, parents)[key] = draw(st.sampled_from(WRONG_TYPES[path]))
+    elif how == "unknown_stage":
+        kind = draw(st.sampled_from(["verify:", "sweep:", "solve:", ""]))
+        cfg["pipeline"].append(draw(NAMES.map(kind.__add__).filter(
+            lambda stage: stage not in FULL_PIPELINE)))
+    elif how == "unknown_tolerance":
+        key = draw(NAMES.filter(lambda k: k not in cli.TOLERANCE_KEYS))
+        cfg["tolerances"][key] = 1e-6
+    else:
+        del cfg["seed"]
+        if draw(st.booleans()):
+            cfg["pipeline"].append(draw(st.sampled_from(SEEDED)))
+        else:
+            cfg["problem"]["datum"] = {"family": "random_smooth"}
+    return cfg
+
+
+class TestSchemaFuzz:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(broken_configs())
+    def test_one_break_is_one_config_error(self, cfg):
+        # the printed schema and validate_config agree, and the run stops
+        # at the check: exit 2, one line, no output directory
+        schema = printed_schema()
+        printed_ok = jsonschema.validators.validator_for(schema)(
+            schema).is_valid(cfg)
+        with pytest.raises(cli.ConfigError):
+            validate_config(cfg)
+        assert not printed_ok
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", path, "--out", os.path.join(tmp, "out")])
+            assert code == EXIT_CONFIG
+            assert err.getvalue().startswith("config error: ")
+            assert one_line(err.getvalue()), err.getvalue()
+            assert not os.path.exists(os.path.join(tmp, "out"))
 
 
 class TestRun:
@@ -780,9 +987,9 @@ class TestEstimateMemo:
     @pytest.mark.parametrize("sweep_first", [False, True])
     def test_each_check_point_computed_once(self, tmp_path, monkeypatch,
                                             sweep_first):
-        # points that reach each check through its rg name; every
-        # holder_decay_fit calls boundedness_check once itself, for all
-        # its ratios, without the kernel the stages pass
+        # points that reach each check through its rg name; a
+        # boundedness_check without the kernel the stages pass would be
+        # one a holder_decay_fit made itself
         seen = {"caccioppoli": [], "boundedness": [], "holder_decay": [],
                 "boundedness_in_fit": []}
         cacc, bnd, fit = (cli.rg.caccioppoli_check, cli.rg.boundedness_check,
@@ -797,9 +1004,9 @@ class TestEstimateMemo:
             seen[key].append(ball.radius)
             return bnd(u, ball, *args, **kw)
 
-        def holder_decay(u, x0, r0, sigmas, *args, **kw):
+        def holder_decay(u, brep, sigmas, *args, **kw):
             seen["holder_decay"] += sigmas
-            return fit(u, x0, r0, sigmas, *args, **kw)
+            return fit(u, brep, sigmas, *args, **kw)
 
         monkeypatch.setattr(cli.rg, "caccioppoli_check", caccioppoli)
         monkeypatch.setattr(cli.rg, "boundedness_check", boundedness)
@@ -811,12 +1018,10 @@ class TestEstimateMemo:
                    out_override=str(tmp_path / "out")) == EXIT_OK
         counts = {key: len(points) for key, points in seen.items()}
         # the verify points are the sweeps' defaults: 6 Caccioppoli
-        # points, not 7; 4 balls, not 5; 2 fits, not 3.  The fits take
-        # one call when the sweep comes first, and otherwise one for the
-        # verify stage's ratio and one for the sweep's other ratio
+        # points, not 7; 4 balls, not 5; 2 fits, not 3.  Every fit reads
+        # the run's report for the default ball, the boundedness point 1.0
         assert counts == {"caccioppoli": 6, "boundedness": 4,
-                          "holder_decay": 2,
-                          "boundedness_in_fit": 1 if sweep_first else 2}
+                          "holder_decay": 2, "boundedness_in_fit": 0}
         for key in ("caccioppoli", "boundedness", "holder_decay"):
             assert len(set(seen[key])) == counts[key]
 

@@ -10,9 +10,9 @@ import pytest
 
 import fracglap.pairs as pairs
 from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Kernel,
-                      Lattice, NonlocalProblem, caccioppoli_check,
-                      gagliardo_modular, holder_decay_fit, log_estimate_check,
-                      make_power)
+                      Lattice, NonlocalProblem, boundedness_check,
+                      caccioppoli_check, gagliardo_modular, holder_decay_fit,
+                      log_estimate_check, make_power)
 from fracglap.regularity import _truncation_far_tail
 
 from helpers import coordinate_distance_blocks, pair_distances
@@ -335,7 +335,9 @@ def test_log_estimate_matches_coordinate_oracle(dim):
 def test_holder_seminorm_matches_coordinate_oracle(dim):
     u = grid_function(dim, 1.0)
     x0, r0 = np.asarray(CENTER[dim]), 0.45
-    [res] = holder_decay_fit(u, x0, r0, [0.8], 6, 0.5, make_power(2.0))
+    nf = make_power(2.0)
+    brep = boundedness_check(u, Ball(tuple(x0), 2 * r0), 0.5, nf)
+    [res] = holder_decay_fit(u, brep, [0.8], 6, 0.5, nf)
     assert res.alpha_hat > 0
     half = np.flatnonzero(np.linalg.norm(u.lattice.coords - x0, axis=1)
                           <= r0 + 1e-12)

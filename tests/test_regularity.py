@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fracglap import funcspace, pairs, regularity
-from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Lattice,
-                      boundedness_check, caccioppoli_check,
-                      de_giorgi_iterate, holder_decay_fit, log_estimate_check,
-                      make_power, make_power_log, make_table,
-                      sobolev_poincare_check, solve)
+from fracglap import (Ball, Cutoff, EstimateReport, ExteriorModel,
+                      GridFunction, Lattice, boundedness_check,
+                      caccioppoli_check, de_giorgi_iterate, holder_decay_fit,
+                      log_estimate_check, make_power, make_power_log,
+                      make_table, sobolev_poincare_check, solve)
 from fracglap.regularity import DecaySchedule, _truncation_far_tail
 
 from helpers import (KINKED_TABLE, caccioppoli_reference,
@@ -348,7 +348,8 @@ class TestHolderDecay:
         c = lat.coords[:, 0]
         u = GridFunction(lat, np.abs(c) ** gamma,
                          ExteriorModel(value=0.5 ** gamma))
-        [res] = holder_decay_fit(u, [0.0], 0.25, [0.5], 6, s=0.5, nf=nf2)
+        brep = boundedness_check(u, Ball((0.0,), 2 * 0.25), 0.5, nf2)
+        [res] = holder_decay_fit(u, brep, [0.5], 6, s=0.5, nf=nf2)
         assert res.resolved_levels >= 5
         assert abs(res.alpha_hat - gamma) / gamma < 0.02
         assert res.osc_monotone
@@ -356,7 +357,8 @@ class TestHolderDecay:
     def test_solved_instance_positive_exponent(self, nf2):
         prob = line_problem(h=1 / 128, s=0.5, p=2.0, datum="sin", rext=1.0)
         u = solve(prob, tol=1e-10).minimizer
-        [res] = holder_decay_fit(u, [0.0], 0.25, [0.5], 7, s=0.5, nf=nf2)
+        brep = boundedness_check(u, Ball((0.0,), 2 * 0.25), 0.5, nf2)
+        [res] = holder_decay_fit(u, brep, [0.5], 7, s=0.5, nf=nf2)
         assert res.alpha_hat > 0
         assert res.osc_monotone
 
@@ -364,7 +366,8 @@ class TestHolderDecay:
         lat = Lattice.from_box([-1.0], [1.0], 1 / 64)
         u = GridFunction(lat, np.full(lat.n_nodes, 0.7),
                          ExteriorModel(value=0.7))
-        [res] = holder_decay_fit(u, [0.0], 0.25, [0.5], 5, s=0.5, nf=nf2)
+        brep = boundedness_check(u, Ball((0.0,), 2 * 0.25), 0.5, nf2)
+        [res] = holder_decay_fit(u, brep, [0.5], 5, s=0.5, nf=nf2)
         assert all(o == 0.0 for o in res.oscillations)
         assert res.schedule_ok
 
@@ -372,8 +375,18 @@ class TestHolderDecay:
         lat = Lattice.from_box([-1.0], [1.0], 0.125)
         u = GridFunction(lat, lat.coords[:, 0] ** 2,
                          ExteriorModel(value=1.0))
+        brep = boundedness_check(u, Ball((0.0,), 2 * 0.3), 0.5, nf2)
         with pytest.raises(ValueError, match="levels"):
-            holder_decay_fit(u, [0.0], 0.3, [0.5], 8, s=0.5, nf=nf2)
+            holder_decay_fit(u, brep, [0.5], 8, s=0.5, nf=nf2)
+
+    def test_fit_takes_a_boundedness_report(self, nf2):
+        lat = Lattice.from_box([-1.0], [1.0], 1 / 64)
+        u = GridFunction(lat, lat.coords[:, 0] ** 2,
+                         ExteriorModel(value=1.0))
+        rep = EstimateReport.from_sides("caccioppoli", 1.0, {"local": 1.0},
+                                        math.inf)
+        with pytest.raises(ValueError, match="boundedness report"):
+            holder_decay_fit(u, rep, [0.5], 5, s=0.5, nf=nf2)
 
     def test_schedule_constraints_recorded(self):
         sched = DecaySchedule.evaluate(alpha=0.3, sigma=0.2, r0=0.25,
