@@ -794,12 +794,14 @@ def _schema_validator():
 
 
 def validate_config(config):
-    """Raise ConfigError on the first violation of ``SCHEMA``."""
+    """Raise ConfigError on the first violation of ``SCHEMA``, naming the
+    offending key by its JSON path."""
     # best_match picks the same error jsonschema.validate would raise
     err = jsonschema.exceptions.best_match(
         _schema_validator().iter_errors(config))
     if err is not None:
-        raise ConfigError(f"config schema violation: {err.message}")
+        raise ConfigError(
+            f"config schema violation at {err.json_path}: {err.message}")
 
 
 def run(config_path, out_override=None, seed_override=None,

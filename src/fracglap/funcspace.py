@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .pairs import BALL_ROWS, OffsetTable
+from .pairs import OffsetTable
 from .quadrature import bisect_increasing, integrate_radial
 from .reports import write_atomic
 
@@ -365,10 +365,10 @@ def gagliardo_modular(fs, region, s, nf):
     """Double Riemann sum of G(|f(x)-f(y)| / |x-y|^s) |x-y|^(-n) over
     ordered node pairs of the region, diagonal excluded, with pair
     measure h^(2n), for each function f of ``fs`` (all on one lattice),
-    in order.  The functions share one walk over the region's
-    ``BALL_ROWS`` row blocks: a block's d^s and d^n are gathered once,
-    and each function sums its own terms over the same blocks, so its
-    value does not depend on the others."""
+    in order.  The functions share one walk over the region's tiles
+    (``OffsetTable.tiles``, each unordered pair once): a tile's d^s and
+    d^n are gathered once, and each function sums its own terms over the
+    same tiles, so its value does not depend on the others."""
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
     lat = fs[0].lattice
@@ -384,12 +384,12 @@ def gagliardo_modular(fs, region, s, nf):
     ds = table.dist ** s
     dn = table.dist ** n
     totals = [0.0] * len(fs)
-    for sl, kc in table.blocks(idx, idx, BALL_ROWS):
+    for rows, cols, kc, mult in table.tiles(idx):
         dds = ds.take(kc)
         ddn = dn.take(kc)
         for j, v in enumerate(vs):
-            dv = np.abs(v[sl, None] - v[None, :])
-            totals[j] += float(np.sum(nf.G(dv / dds) / ddn)) * w_pair
+            dv = np.abs(v[rows, None] - v[None, cols])
+            totals[j] += mult * float(np.sum(nf.G(dv / dds) / ddn)) * w_pair
     return totals
 
 

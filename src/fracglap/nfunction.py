@@ -379,15 +379,17 @@ class NFunction:
 
     def _accelerated(self, t, fast_fn, exact_fn, series_fn):
         """``series_fn`` on t < SERIES_MAX (where t = 0 gives 0),
-        ``fast_fn`` on the rest of the accelerator's range and
-        ``exact_fn`` past it.  The range of t classifies a call whose
+        ``fast_fn`` on the accelerator's range and ``exact_fn`` on the
+        rest.  The range of t classifies a call whose
         arguments share one piece, which then gets them whole; any other
         call classifies its arguments once, by ``searchsorted``."""
         edges = [SERIES_MAX]
         fns = [series_fn]
         if fast_fn is not None:
-            edges.append(math.nextafter(self._accel.hi, math.inf))
-            fns.append(fast_fn)
+            # ``exact_fn`` below the accelerator's range too, an empty
+            # piece unless the range starts above SERIES_MAX
+            edges += [self._accel.lo, math.nextafter(self._accel.hi, math.inf)]
+            fns += [exact_fn, fast_fn]
         fns.append(exact_fn)
         lo = t.min(initial=math.inf)
         first = bisect.bisect_right(edges, lo)
@@ -404,11 +406,25 @@ class NFunction:
         return out
 
     def _build_accelerator(self):
-        """64 intervals of degree 24 on [SERIES_MAX, 1e14], or None (direct
-        quadrature on every call) when they miss the certification."""
+        """64 intervals of degree 24 on the part of [SERIES_MAX, 1e14]
+        where G is a normal float, or None (direct quadrature on every
+        call) when they miss the certification.
+
+        On [0, t], tau / 2 <= log1p(tau) for t <= 1 and log1p(tau) <=
+        log1p(t), so t^(p+1) / (2 (p+1)) <= G(t) <= t^p log1p(t) / p;
+        the ends solve these bounds for the smallest and the largest
+        normal float (p up to about 21 keeps the whole range).
+        """
+        p = self.exponent
+        fi = np.finfo(float)
+        lo = math.exp((math.log(2.0 * (p + 1.0)) + math.log(fi.tiny))
+                      / (p + 1.0))
+        hi = math.exp((math.log(fi.max) + math.log(p)
+                       - math.log(math.log1p(1e14))) / p)
         try:
-            return _ChebLogG(self._quad_exact, SERIES_MAX, 1e14, 64, 24,
-                             CERTIFY_TOL / 2, self._quad_H_exact)
+            return _ChebLogG(self._quad_exact, max(SERIES_MAX, lo),
+                             min(1e14, hi), 64, 24, CERTIFY_TOL / 2,
+                             self._quad_H_exact)
         except _CertificationError:
             return None
 

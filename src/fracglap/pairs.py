@@ -12,13 +12,16 @@ patterns:
   depends only on the offset is kept once per shift and gathered onto the
   pairs through j - i (``shift_values``), so no distance matrix or
   per-pair distance array is formed.
-* the O(m^2) ball sums of the estimate checks raise the table to the
-  powers they need once per call and gather them with row blocks of
-  integer table indices for two node sets (``OffsetTable.blocks``).
+* the estimate checks raise the table to the powers they need once per
+  call and gather them with blocks of integer table indices: the square
+  tiles of the O(m^2) ball sums, which are symmetric in the pair, so a
+  walk takes each unordered pair once (``OffsetTable.tiles``), and row
+  blocks for two node sets (``OffsetTable.blocks``).
 
-No temporary grows past ``CHUNK_ELEMENTS`` entries, except the row
-blocks whose height a caller fixes (a block is then the summation unit
-of a reported sum, so its height is part of the result).
+The solver's walks bound a temporary by ``CHUNK_ELEMENTS`` entries, the
+checks' walks by ``TILE``^2, so that no temporary grows with the ball.
+A tile is the summation unit of a reported ball sum, so its edge is part
+of the result; the height of a row block is not (row sums, maxima).
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ import math
 import numpy as np
 
 CHUNK_ELEMENTS = 2**18
-# row-block height of the ball sums whose blocks are summation units
-BALL_ROWS = 512
+# tile edge of the ball sums, their summation unit: a float temporary of
+# a 128 x 128 tile is 128 KiB, well inside a core's L2 cache
+TILE = 128
 
 
 def truncated_pairs(lattice, omega_mask, radius):
@@ -109,7 +113,8 @@ class OffsetTable:
     sum_d (k_d + counts_d - 1) P_d, with P the row-major strides of the
     padded shape (2 counts_d - 1).  A caller raises ``dist`` to the
     powers it needs once and gathers them with the index blocks of
-    ``blocks``; no pair distance is formed from coordinates.
+    ``blocks`` and ``tiles``; no pair distance is formed from
+    coordinates.
 
     The zero offset holds inf, not 0: a ball-sum term is a function of
     the node difference that vanishes with it, over nonnegative powers of
@@ -132,18 +137,38 @@ class OffsetTable:
         return np.ravel_multi_index(np.unravel_index(idx, self._counts),
                                     self._span)
 
-    def blocks(self, ia, ib, rows=None):
+    def blocks(self, ia, ib):
         """Yield (sl, kc) over row blocks of the node indices ``ia``:
         kc[i, j] indexes ``dist`` at the offset from ib[j] to ia[sl][i].
-
-        ``rows`` None bounds each block to ``CHUNK_ELEMENTS`` indices;
-        use that when the result does not depend on the block height
-        (row sums, maxima).
-        """
+        A block holds at most ``TILE``^2 indices, or one row, so use it
+        where the result does not depend on the block height (row sums,
+        maxima)."""
         ca = self._codes(ia)
         cb = self._codes(ib) - self._zero
-        if rows is None:
-            rows = max(1, CHUNK_ELEMENTS // max(1, cb.size))
+        rows = max(1, TILE * TILE // max(1, cb.size))
         for start in range(0, ca.size, rows):
             sl = slice(start, start + rows)
             yield sl, ca[sl, None] - cb[None, :]
+
+    def tiles(self, idx):
+        """Yield (rows, cols, kc, mult) over the tiles of the pairs of the
+        node indices ``idx`` with themselves: kc[i, j] indexes ``dist`` at
+        the offset from idx[cols][j] to idx[rows][i].
+
+        The tiles are the squares of edge ``TILE`` with cols at or right
+        of rows, row by row.  A symmetric pair sum is the sum over the
+        tiles of mult times the tile's sum: a diagonal tile (rows ==
+        cols) holds both orders of its pairs and has mult 1, an
+        off-diagonal one stands for its mirror too and has mult 2, which
+        is exact.  So each unordered pair is walked once, and the order
+        of the tiles, and of the pairs within a tile, depends on ``idx``
+        alone.
+        """
+        ca = self._codes(idx)
+        cb = ca - self._zero
+        for i in range(0, ca.size, TILE):
+            rows = slice(i, i + TILE)
+            for j in range(i, ca.size, TILE):
+                cols = slice(j, j + TILE)
+                yield (rows, cols, ca[rows, None] - cb[None, cols],
+                       1.0 if i == j else 2.0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import funcspace as fsp
 from .funcspace import GridFunction
-from .pairs import BALL_ROWS, OffsetTable
+from .pairs import OffsetTable
 from .quadrature import integrate_radial
 from .reports import EstimateReport
 
@@ -202,10 +202,11 @@ def caccioppoli_check(u, ball, points, cutoff, s, nf, bound=math.inf):
     plus the w phi^q mass times the sup over supp(phi) of the exterior
     tail-type integral of w.
 
-    The points share one walk over the ball's ``BALL_ROWS`` row blocks:
-    a block's geometry (d^s, d^n, min(phi^q), |dphi|, the Lipschitz
-    quotient) is gathered once, and each point sums its own terms over
-    the same blocks, so a point's report does not depend on the others.
+    The points share one walk over the ball's tiles
+    (``OffsetTable.tiles``, each unordered pair once): a tile's geometry
+    (d^s, d^n, min(phi^q), |dphi|, the Lipschitz quotient) is gathered
+    once, and each point sums its own terms over the same tiles, so a
+    point's report does not depend on the others.
     """
     for k, sign in points:
         if k < 0:
@@ -237,18 +238,18 @@ def caccioppoli_check(u, ball, points, cutoff, s, nf, bound=math.inf):
     lhs = [0.0] * len(points)
     rhs_cut = [0.0] * len(points)
     lip = 0.0
-    for sl, kc in table.blocks(idx, idx, BALL_ROWS):
+    for rows, cols, kc, mult in table.tiles(idx):
         dds = ds.take(kc)
         ddn = dn.take(kc)
-        pq = np.minimum(phiq[sl, None], phiq[None, :])
-        dphi = np.abs(phi[sl, None] - phi[None, :])
+        pq = np.minimum(phiq[rows, None], phiq[None, cols])
+        dphi = np.abs(phi[rows, None] - phi[None, cols])
         cut = dphi / dds
         lip = max(lip, float((dphi / dist.take(kc)).max(initial=0.0)))
         for j, w in enumerate(ws):
-            dw = np.abs(w[sl, None] - w[None, :])
-            wmax = np.maximum(w[sl, None], w[None, :])
-            lhs[j] += float(np.sum(nf.G(dw / dds) * pq / ddn))
-            rhs_cut[j] += float(np.sum(nf.G(cut * wmax) / ddn))
+            dw = np.abs(w[rows, None] - w[None, cols])
+            wmax = np.maximum(w[rows, None], w[None, cols])
+            lhs[j] += mult * float(np.sum(nf.G(dw / dds) * pq / ddn))
+            rhs_cut[j] += mult * float(np.sum(nf.G(cut * wmax) / ddn))
 
     # sup over the cutoff support of the exterior tail-type integral of w
     supp = idx[phi > 0]
@@ -265,10 +266,14 @@ def caccioppoli_check(u, ball, points, cutoff, s, nf, bound=math.inf):
         sup_tail = 0.0
         if supp.size:
             svals = np.zeros(supp.size)
-            # row sums do not depend on the block height
+            # row sums do not depend on the block height; in place, a
+            # block holds three temporaries of its size at a time
             for sl, kc in table.blocks(supp, out_idx):
-                svals[sl] = np.sum(nf.g(wo[None, :] / ds.take(kc))
-                                   * kern.take(kc), axis=1) * hn
+                term = ds.take(kc)
+                np.divide(wo, term, out=term)
+                term = nf.g(term)
+                term *= kern.take(kc)
+                svals[sl] = np.sum(term, axis=1) * hn
             far = _truncation_far_tail(u, x0, r, k, sign, s, nf)
             sup_tail = float(svals.max(initial=0.0)) + far
         reports.append(EstimateReport.from_sides(
@@ -348,9 +353,9 @@ def log_estimate_check(u, x0, r, R, d, nf, s, a=None, b=None, bound=math.inf):
     table = OffsetTable(lat)
     dn = table.dist ** n
     lhs = 0.0
-    for sl, kc in table.blocks(idx, idx, BALL_ROWS):
-        dl = np.abs(logs[sl, None] - logs[None, :])
-        lhs += float(np.sum(dl / dn.take(kc)))
+    for rows, cols, kc, mult in table.tiles(idx):
+        dl = np.abs(logs[rows, None] - logs[None, cols])
+        lhs += mult * float(np.sum(dl / dn.take(kc)))
     lhs *= hn * hn
 
     model = u.exterior
@@ -510,8 +515,8 @@ def holder_decay_fit(u, brep, sigmas, levels, s, nf):
                           for i, osc in enumerate(oscs_a))
         da = table.dist ** max(alpha_hat, 0.0)
         seminorm = 0.0
-        for sl, kc in table.blocks(half, half):
-            quot = np.abs(vh[sl, None] - vh[None, :]) / da.take(kc)
+        for rows, cols, kc, _ in table.tiles(half):
+            quot = np.abs(vh[rows, None] - vh[None, cols]) / da.take(kc)
             seminorm = max(seminorm, float(quot.max(initial=0.0)))
         c_holder = seminorm * r ** alpha_hat / bracket if bracket > 0 else 0.0
         results.append(HolderDecayResult(

@@ -167,6 +167,53 @@ def coordinate_distance_blocks(xa, xb, rows=64):
         yield sl, np.linalg.norm(xa[sl, None, :] - xb[None, :, :], axis=2)
 
 
+def naive_pair_sum(u, idx, term):
+    """sum over ordered pairs of distinct nodes of ``idx`` of
+    term(|u(x) - u(y)|, |x - y|), on the full m x m square of coordinate
+    norms taken at once: the naive oracle of the tiled ball sums, for
+    small m."""
+    x, v = u.lattice.coords[idx], u.values[idx]
+    d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+    off = d > 0
+    return np.sum(term(np.abs(v[:, None] - v[None, :])[off], d[off]))
+
+
+def naive_caccioppoli(u, ball, k, cutoff, sign, s, nf):
+    """lhs, cutoff term, discrete Lipschitz constant and the lattice part
+    of the sup tail of ``caccioppoli_check``, from coordinate norms: the
+    pair terms on the full m x m square taken at once, the sup tail in
+    row blocks."""
+    lat = u.lattice
+    x, n, hn = lat.coords, lat.dim, lat.h ** lat.dim
+    x0 = np.asarray(ball.center)
+
+    def trunc(v):
+        return np.maximum(v - k if sign == "plus" else k - v, 0.0)
+
+    idx = np.flatnonzero(lat.select(ball))
+    w = trunc(u.values[idx])
+    phi = cutoff(np.linalg.norm(x[idx] - x0, axis=1))
+    phiq = phi ** nf.q
+    d = np.linalg.norm(x[idx, None, :] - x[None, idx, :], axis=2)
+    off = d > 0
+    dd = d[off]
+    dw = np.abs(w[:, None] - w[None, :])[off]
+    wmax = np.maximum(w[:, None], w[None, :])[off]
+    pq = np.minimum(phiq[:, None], phiq[None, :])[off]
+    dphi = np.abs(phi[:, None] - phi[None, :])[off]
+    lhs = np.sum(nf.G(dw / dd ** s) * pq / dd ** n) * hn * hn
+    cut = np.sum(nf.G(dphi / dd ** s * wmax) / dd ** n) * hn * hn
+    lip = (dphi / dd).max()
+    supp = idx[phi > 0]
+    out = np.flatnonzero(np.linalg.norm(x - x0, axis=1) > ball.radius)
+    wo = trunc(u.values[out])
+    sup = 0.0
+    for _, d in coordinate_distance_blocks(x[supp], x[out]):
+        rows = np.sum(nf.g(wo / d ** s) * d ** (-(n + s)), axis=1) * hn
+        sup = max(sup, rows.max())
+    return lhs, cut, lip, sup
+
+
 def pair_distances(prob):
     """Each stored pair's distance, expanded from the per-shift table of
     ``prob._pairs`` by direct indexing."""
@@ -352,8 +399,8 @@ def minimality_reference(ctx, rng):
 
 def gagliardo_modular_reference(f, region, s, nf):
     """``funcspace.gagliardo_modular`` of the one function ``f`` in its own
-    walk over the region's row blocks: the route before the functions of
-    a Sobolev-Poincare sweep shared one walk, kept as its oracle."""
+    walk over the region's tiles: the route before the functions of a
+    Sobolev-Poincare sweep shared one walk, kept as its oracle."""
     from fracglap import pairs
     lat = f.lattice
     idx = np.flatnonzero(lat.select(region))
@@ -364,9 +411,10 @@ def gagliardo_modular_reference(f, region, s, nf):
     ds = table.dist ** s
     dn = table.dist ** n
     total = 0.0
-    for sl, kc in table.blocks(idx, idx, pairs.BALL_ROWS):
-        dv = np.abs(v[sl, None] - v[None, :])
-        total += float(np.sum(nf.G(dv / ds.take(kc)) / dn.take(kc))) * w_pair
+    for rows, cols, kc, mult in table.tiles(idx):
+        dv = np.abs(v[rows, None] - v[None, cols])
+        total += mult * float(np.sum(nf.G(dv / ds.take(kc))
+                                     / dn.take(kc))) * w_pair
     return total
 
 
@@ -394,15 +442,15 @@ def caccioppoli_reference(u, ball, k, cutoff, sign, s, nf, bound=math.inf):
     ds = dist ** s
     dn = dist ** n
     lhs = rhs_cut = lip = 0.0
-    for sl, kc in table.blocks(idx, idx, pairs.BALL_ROWS):
+    for rows, cols, kc, mult in table.tiles(idx):
         dds = ds.take(kc)
         ddn = dn.take(kc)
-        dw = np.abs(w[sl, None] - w[None, :])
-        wmax = np.maximum(w[sl, None], w[None, :])
-        pq = np.minimum(phiq[sl, None], phiq[None, :])
-        dphi = np.abs(phi[sl, None] - phi[None, :])
-        lhs += float(np.sum(nf.G(dw / dds) * pq / ddn))
-        rhs_cut += float(np.sum(nf.G(dphi / dds * wmax) / ddn))
+        dw = np.abs(w[rows, None] - w[None, cols])
+        wmax = np.maximum(w[rows, None], w[None, cols])
+        pq = np.minimum(phiq[rows, None], phiq[None, cols])
+        dphi = np.abs(phi[rows, None] - phi[None, cols])
+        lhs += mult * float(np.sum(nf.G(dw / dds) * pq / ddn))
+        rhs_cut += mult * float(np.sum(nf.G(dphi / dds * wmax) / ddn))
         lip = max(lip, float((dphi / dist.take(kc)).max(initial=0.0)))
     lhs *= hn * hn
     rhs_cut *= hn * hn

@@ -90,31 +90,43 @@ def _without_seed(pipeline):
 # strict objects reject: case -> (edit, phrase of the one error line)
 SCHEMA_REJECTS = {
     "unknown-stage": (_set(["pipeline"], ["solve", "verify:boundednes"]),
-                      "'verify:boundednes' is not one of ['solve', "),
+                      "at $.pipeline[1]: 'verify:boundednes' is not one of "
+                      "['solve', "),
     "unknown-tolerance": (_set(["tolerances"], {"boundednes": 1.0}),
-                          "('boundednes' was unexpected)"),
+                          "at $.tolerances: Additional properties are not "
+                          "allowed ('boundednes' was unexpected)"),
     "string-tolerance": (_set(["tolerances"], {"boundedness": "1e-3"}),
-                         "'1e-3' is not of type 'number'"),
+                         "at $.tolerances.boundedness: '1e-3' is not of type "
+                         "'number'"),
     "seeded-stage-without-seed": (_without_seed(["solve",
                                                  "verify:minimality"]),
-                                  "'seed' is a required property"),
+                                  "at $: 'seed' is a required property"),
     "top-level-key": (_set(["pipline"], ["solve"]),
+                      "at $: Additional properties are not allowed "
                       "('pipline' was unexpected)"),
     "problem-key": (_set(["problem", "truncaton_radius"], 1.0),
+                    "at $.problem: Additional properties are not allowed "
                     "('truncaton_radius' was unexpected)"),
     "omega-key": (_set(["problem", "omega", "high"], [0.5]),
-                  "('high' was unexpected)"),
+                  "at $.problem.omega: Additional properties are not "
+                  "allowed ('high' was unexpected)"),
     "nfunction-key": (_set(["problem", "nfunction", "exponent"], 2.0),
-                      "('exponent' was unexpected)"),
+                      "at $.problem.nfunction: Additional properties are "
+                      "not allowed ('exponent' was unexpected)"),
     "kernel-key": (_set(["problem", "kernel", "lamda"], 0.5),
-                   "('lamda' was unexpected)"),
+                   "at $.problem.kernel: Additional properties are not "
+                   "allowed ('lamda' was unexpected)"),
     "kernel-kind": (_set(["problem", "kernel", "kind"], "smooth"),
-                    "'smooth' is not one of ['oscillating']"),
+                    "at $.problem.kernel.kind: 'smooth' is not one of "
+                    "['oscillating']"),
     "exterior-key": (_set(["problem", "exterior", "valeu"], 0.3),
-                     "('valeu' was unexpected)"),
+                     "at $.problem.exterior: Additional properties are not "
+                     "allowed ('valeu' was unexpected)"),
     "exterior-center": (_set(["problem", "exterior", "center"], "origin"),
-                        "'origin' is not of type 'array'"),
+                        "at $.problem.exterior.center: 'origin' is not of "
+                        "type 'array'"),
     "solver-key": (_set(["solver", "max_iters"], 1),
+                   "at $.solver: Additional properties are not allowed "
                    "('max_iters' was unexpected)"),
 }
 
@@ -214,8 +226,10 @@ class TestConfigValidation:
         code = main(["solve", write_config(tmp_path, cfg), "--out",
                      str(tmp_path / "out")] + flag)
         err = capsys.readouterr().err
+        path = "$" if case == "not_object" else f"$.{case}"
         assert code == EXIT_CONFIG
-        assert err.startswith("config error: config schema violation:")
+        assert err.startswith(
+            f"config error: config schema violation at {path}: ")
         assert one_line(err)
         assert not (tmp_path / "out").exists()
 
@@ -248,7 +262,7 @@ class TestConfigValidation:
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: config schema violation: "
+            f"config error: config schema violation at $.problem.{key}: "
             f"'{missing}' is a required property\n")
 
     def test_unknown_datum_family_is_schema_violation(self, tmp_path,
@@ -258,8 +272,8 @@ class TestConfigValidation:
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: config schema violation: "
-                              "'cosine' is not one of")
+        assert err.startswith("config error: config schema violation at "
+                              "$.problem.datum.family: 'cosine' is not one of")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("family", ["power", "power_log"])
@@ -300,15 +314,16 @@ class TestConfigValidation:
         assert run(write_config(tmp_path, cfg),
                    out_override=str(tmp_path / "out")) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: config schema violation: Additional properties "
-            f"are not allowed ({key!r} was unexpected)\n")
+            "config error: config schema violation at $.tolerances: "
+            f"Additional properties are not allowed ({key!r} was "
+            "unexpected)\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["1e-9", True, None])
     def test_non_numeric_tolerance_rejected(self, value):
         with pytest.raises(cli.ConfigError, match=re.escape(
-                f"config schema violation: {value!r} is not of type "
-                "'number'")):
+                "config schema violation at $.tolerances.boundedness: "
+                f"{value!r} is not of type 'number'")):
             validate_config(base_config(tolerances={"boundedness": value}))
 
     def test_sweeps_schema_names_the_sweep_stages(self):
@@ -332,7 +347,8 @@ class TestConfigValidation:
                      str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert err.startswith("config error: config schema violation:")
+        assert err.startswith("config error: config schema violation at "
+                              "$.sweeps")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -350,7 +366,7 @@ class TestConfigValidation:
         assert main(["run", write_config(tmp_path, cfg), "--out",
                      str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: config schema violation: ")
+        assert err.startswith("config error: config schema violation at $")
         assert one_line(err), err
         assert phrase in err
         assert not out.exists()

@@ -8,7 +8,7 @@ import fracglap.nfunction as nfm
 import fracglap.quadrature as quadm
 from fracglap import (check_doubling, check_growth_sandwich, check_scaling,
                       check_young, make_power, make_power_log, make_table)
-from fracglap.nfunction import NFunction, from_config
+from fracglap.nfunction import CERTIFY_TOL, SERIES_MAX, NFunction, from_config
 from fracglap.quadrature import integrate_zero_to
 
 
@@ -307,20 +307,28 @@ class TestPowerLogQuadrature:
     def test_accelerator_certifies_while_G_is_representable(self):
         # G stays a normal float on the accelerator's range [1e-14, 1e14]
         # up to p of about 21; every exponent there certifies its fit of
-        # log G at the one tier
+        # log G at the one tier on the whole range
         for p in np.linspace(1.001, 20.0, 30):
-            assert make_power_log(p)._accel is not None, p
+            accel = make_power_log(p)._accel
+            assert (accel.lo, accel.hi) == (SERIES_MAX, 1e14), p
 
     @pytest.mark.parametrize("p", [25.0, 40.0])
-    def test_unrepresentable_range_falls_back_to_quadrature(self, p):
-        # past p = 21 G overflows (or underflows) somewhere on
-        # [1e-14, 1e14]: the fit reads NaN, which fails the
-        # certification, and G is the quadrature itself
+    def test_accelerator_range_is_clipped_where_G_leaves_the_floats(self, p):
+        # past p = 21 G underflows near 1e-14 and overflows near 1e14: the
+        # range shrinks to where G is a normal float, the fit certifies
+        # there, and the quadrature takes the arguments beyond it
         nf = make_power_log(p)
-        assert nf._accel is None
-        t = np.geomspace(1e-3, 1e3, 13)
-        np.testing.assert_array_equal(nf.G(t), nf._quad_exact(t))
-        assert np.all(np.isfinite(nf.G(t)))
+        accel = nf._accel
+        assert accel is not None
+        assert SERIES_MAX < accel.lo < accel.hi < 1e14
+        tiny, big = np.finfo(float).tiny, np.finfo(float).max
+        assert tiny <= nf._quad_exact(np.array([accel.lo]))[0]
+        assert nf._quad_exact(np.array([accel.hi]))[0] <= big
+        t = np.geomspace(accel.lo, accel.hi, 401)
+        np.testing.assert_allclose(nf.G(t), nf._quad_exact(t),
+                                   rtol=CERTIFY_TOL, atol=0.0)
+        for x in (0.5 * (SERIES_MAX + accel.lo), accel.hi * (1.0 + 1e-3)):
+            assert nf.G(x) == nf._quad_exact(np.array([x]))[0]
 
 
 class TestInverses:

@@ -1,6 +1,6 @@
 """The offset-table pair build against the dense construction it
-replaced, the ball sums' offset table against coordinate norms, and the
-chunk budget as a pure memory knob."""
+replaced, the ball sums' tiles against coordinate norms, and the chunk
+budget as a pure memory knob."""
 
 import math
 import tracemalloc
@@ -15,7 +15,8 @@ from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Kernel,
                       log_estimate_check, make_power)
 from fracglap.regularity import _truncation_far_tail
 
-from helpers import coordinate_distance_blocks, pair_distances
+from helpers import (coordinate_distance_blocks, naive_caccioppoli,
+                     naive_pair_sum, pair_distances)
 
 
 def dense_pairs(prob):
@@ -200,9 +201,9 @@ def test_shift_values_gather_in_blocks(monkeypatch):
 
 
 def test_offset_blocks_bounded(monkeypatch):
-    # a block holds at most CHUNK_ELEMENTS indices unless the caller fixes
-    # its height; the gathered distances are the coordinate norms
-    monkeypatch.setattr(pairs, "CHUNK_ELEMENTS", 64)
+    # a block holds at most TILE^2 indices; the gathered distances are the
+    # coordinate norms
+    monkeypatch.setattr(pairs, "TILE", 8)
     lat = Lattice.from_box([0.0, 0.0], [1.0, 0.75], 0.125)
     rng = np.random.default_rng(0)
     ia = rng.choice(lat.n_nodes, 50, replace=False)
@@ -212,12 +213,37 @@ def test_offset_blocks_bounded(monkeypatch):
     blocks = list(table.blocks(ia, ib))
     assert all(kc.size <= 64 for _, kc in blocks)
     assert all(kc.shape == (3, 20) for _, kc in blocks[:-1])
-    tall = list(table.blocks(ia, ia, pairs.BALL_ROWS))
-    assert len(tall) == 1 and tall[0][1].shape == (50, 50)
     x = lat.coords
     full = np.linalg.norm(x[ia, None, :] - x[None, ib, :], axis=2)
     got = table.dist.take(np.vstack([kc for _, kc in blocks]))
     np.testing.assert_array_equal(got, np.where(full > 0, full, np.inf))
+
+
+def test_offset_tiles_cover_each_unordered_pair_once(monkeypatch):
+    # 50 nodes in tiles of 7: 8 tile rows, the last of one node; the
+    # tiles at or right of the diagonal, row by row, off-diagonal ones
+    # counted twice
+    monkeypatch.setattr(pairs, "TILE", 7)
+    lat = Lattice.from_box([0.0, 0.0], [1.0, 0.75], 0.125)
+    idx = np.random.default_rng(1).choice(lat.n_nodes, 50, replace=False)
+    table = pairs.OffsetTable(lat)
+    tiles = list(table.tiles(idx))
+    starts = [(rows.start, cols.start) for rows, cols, _, _ in tiles]
+    assert starts == [(i, j) for i in range(0, 50, 7)
+                      for j in range(i, 50, 7)]
+    x = lat.coords[idx]
+    full = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+    full[full == 0] = np.inf
+    weight = np.zeros((50, 50))
+    for rows, cols, kc, mult in tiles:
+        assert kc.shape == (len(range(50)[rows]), len(range(50)[cols]))
+        assert mult == (1.0 if rows == cols else 2.0)
+        np.testing.assert_array_equal(table.dist.take(kc), full[rows, cols])
+        weight[rows, cols] += mult
+    assert {kc.shape for _, _, kc, _ in tiles} == {(7, 7), (7, 1), (1, 1)}
+    # each ordered pair once: in a diagonal tile itself, off the diagonal
+    # through its mirror's weight 2
+    np.testing.assert_array_equal(weight + weight.T, np.full((50, 50), 2.0))
 
 
 # non-dyadic spacings in 1-D and 2-D, whose coordinate differences round
@@ -234,52 +260,6 @@ def grid_function(dim, half):
     return GridFunction(lat, vals, ExteriorModel(value=0.3))
 
 
-def oracle_caccioppoli(u, ball, k, cutoff, sign, s, nf):
-    """lhs, cutoff term, discrete Lipschitz constant and the lattice part
-    of the sup tail of ``caccioppoli_check``, from coordinate norms."""
-    lat = u.lattice
-    x, n, hn = lat.coords, lat.dim, lat.h ** lat.dim
-    x0 = np.asarray(ball.center)
-
-    def trunc(v):
-        return np.maximum(v - k if sign == "plus" else k - v, 0.0)
-
-    idx = np.flatnonzero(lat.select(ball))
-    w = trunc(u.values[idx])
-    phi = cutoff(np.linalg.norm(x[idx] - x0, axis=1))
-    phiq = phi ** nf.q
-    lhs = cut = lip = 0.0
-    for sl, d in coordinate_distance_blocks(x[idx], x[idx]):
-        off = d > 0
-        dd = d[off]
-        dw = np.abs(w[sl, None] - w[None, :])[off]
-        wmax = np.maximum(w[sl, None], w[None, :])[off]
-        pq = np.minimum(phiq[sl, None], phiq[None, :])[off]
-        dphi = np.abs(phi[sl, None] - phi[None, :])[off]
-        lhs += np.sum(nf.G(dw / dd ** s) * pq / dd ** n) * hn * hn
-        cut += np.sum(nf.G(dphi / dd ** s * wmax) / dd ** n) * hn * hn
-        lip = max(lip, (dphi / dd).max())
-    supp = idx[phi > 0]
-    out = np.flatnonzero(np.linalg.norm(x - x0, axis=1) > ball.radius)
-    wo = trunc(u.values[out])
-    sup = 0.0
-    for _, d in coordinate_distance_blocks(x[supp], x[out]):
-        rows = np.sum(nf.g(wo / d ** s) * d ** (-(n + s)), axis=1) * hn
-        sup = max(sup, rows.max())
-    return lhs, cut, lip, sup
-
-
-def oracle_pair_sum(u, idx, term):
-    """sum over ordered pairs of distinct nodes of ``idx`` of
-    term(|u(x) - u(y)|, |x - y|), from coordinate norms."""
-    x, v = u.lattice.coords[idx], u.values[idx]
-    total = 0.0
-    for sl, d in coordinate_distance_blocks(x, x):
-        off = d > 0
-        total += np.sum(term(np.abs(v[sl, None] - v[None, :])[off], d[off]))
-    return total
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_caccioppoli_matches_coordinate_oracle(dim):
     u = grid_function(dim, 1.0)
@@ -290,8 +270,8 @@ def test_caccioppoli_matches_coordinate_oracle(dim):
     for k in levels:
         for sign in ("plus", "minus"):
             rep, = caccioppoli_check(u, ball, [(k, sign)], cutoff, s, nf)
-            lhs, cut, lip, sup = oracle_caccioppoli(u, ball, k, cutoff, sign,
-                                                    s, nf)
+            lhs, cut, lip, sup = naive_caccioppoli(u, ball, k, cutoff, sign,
+                                                   s, nf)
             far = _truncation_far_tail(u, np.asarray(ball.center), 0.6, k,
                                        sign, s, nf)
             assert rep.lhs == pytest.approx(lhs, rel=1e-13)
@@ -311,7 +291,7 @@ def test_gagliardo_modular_matches_coordinate_oracle(dim, region):
     nf, s, n = make_power(1.5), 0.6, dim
     reg = Ball(CENTER[dim], 0.7) if region else None
     idx = np.flatnonzero(u.lattice.select(reg))
-    want = oracle_pair_sum(u, idx, lambda dv, d: nf.G(dv / d ** s) / d ** n) \
+    want = naive_pair_sum(u, idx, lambda dv, d: nf.G(dv / d ** s) / d ** n) \
         * u.lattice.h ** (2 * n)
     got, = gagliardo_modular([u], reg, s, nf)
     assert got == pytest.approx(want, rel=1e-13)
@@ -326,7 +306,7 @@ def test_log_estimate_matches_coordinate_oracle(dim):
     idx = np.flatnonzero(np.linalg.norm(u.lattice.coords - x0, axis=1)
                          <= r + 1e-12)
     logs = GridFunction(u.lattice, np.log(u.values + dshift))
-    want = oracle_pair_sum(logs, idx, lambda dl, d: dl / d ** n) \
+    want = naive_pair_sum(logs, idx, lambda dl, d: dl / d ** n) \
         * u.lattice.h ** (2 * n)
     assert rep.lhs == pytest.approx(want, rel=1e-13)
 
@@ -348,3 +328,15 @@ def test_holder_seminorm_matches_coordinate_oracle(dim):
         quot = np.abs(v[sl, None] - v[None, :])[off] / d[off] ** res.alpha_hat
         want = max(want, quot.max())
     assert res.holder_seminorm == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_small_tiles_match_coordinate_oracle(monkeypatch, dim):
+    # tiles of edge 7: several tile rows, most walks with a partial last
+    # one (48, 162 and 464 Caccioppoli nodes), and one-row tail blocks
+    monkeypatch.setattr(pairs, "TILE", 7)
+    test_caccioppoli_matches_coordinate_oracle(dim)
+    for region in ("ball", None):
+        test_gagliardo_modular_matches_coordinate_oracle(dim, region)
+    test_log_estimate_matches_coordinate_oracle(dim)
+    test_holder_seminorm_matches_coordinate_oracle(dim)

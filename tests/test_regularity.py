@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fracglap import funcspace, pairs, regularity
+from fracglap import funcspace, pairs
 from fracglap import (Ball, Cutoff, EstimateReport, ExteriorModel,
                       GridFunction, Lattice, boundedness_check,
                       caccioppoli_check, de_giorgi_iterate, holder_decay_fit,
@@ -423,8 +424,8 @@ class TestTwoDimensionalChecks:
 class TestBatchedChecks:
     """A sweep scores all its points in one walk over the ball: each
     point's report is bitwise the report of its own walk (the per-point
-    references in ``helpers``), with row blocks split and the last one
-    partial."""
+    references in ``helpers``), with the ball split into several tiles
+    and the last tile row partial."""
 
     CASES = {1: (lambda: line_problem(h=1 / 32, s=0.5, p=2.0, datum="sin"),
                  Ball([0.0], 0.45), Cutoff(plateau=0.2, support=0.4)),
@@ -432,18 +433,12 @@ class TestBatchedChecks:
                  Ball([0.0, 0.0], 0.4), Cutoff(plateau=0.15, support=0.3))}
 
     @staticmethod
-    def split_blocks(monkeypatch, u, ball, rows=7):
-        """Ball blocks of ``rows`` rows, and tail blocks of at least three
-        rows (exactly three when every node off the ball is live); both
-        split, and the last ball block is partial."""
-        lat = u.lattice
-        m = int(lat.select(ball).sum())
-        assert m > rows and m % rows
-        outside = int(np.sum(np.linalg.norm(
-            lat.coords - np.asarray(ball.center), axis=1) > ball.radius))
-        for mod in (pairs, regularity, funcspace):
-            monkeypatch.setattr(mod, "BALL_ROWS", rows)
-        monkeypatch.setattr(pairs, "CHUNK_ELEMENTS", 3 * outside + 1)
+    def split_blocks(monkeypatch, u, ball, tile=7):
+        """Tiles of edge ``tile``, several of them with a partial last
+        row; the tail blocks then hold tile^2 indices, one row each."""
+        m = int(u.lattice.select(ball).sum())
+        assert m > tile and m % tile
+        monkeypatch.setattr(pairs, "TILE", tile)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_caccioppoli_points_match_per_point_reference(self, monkeypatch,
@@ -489,3 +484,54 @@ class TestBatchedChecks:
             assert rep.to_dict() == alone.to_dict()
             assert rep.rhs_terms["pair_modular_avg"] == \
                 modular / (m * u.lattice.h ** dim)
+
+
+class TestBallSumMemory:
+    """The ball sums walk cache-sized tiles, so their temporaries do not
+    grow with the ball: at 2-D h = 1/64 (2601 nodes in the default ball)
+    each check stays within a fixed budget above its inputs."""
+
+    BUDGET = 8e6
+
+    @staticmethod
+    def peak_above_inputs(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        # the verify-2d geometry; the datum on the whole lattice, since a
+        # solve at this h takes seconds and hundreds of MB
+        prob = square_problem(h=1 / 64, s=0.5, p=2.0, rext=0.5)
+        u = prob.datum_extension(prob.exterior_datum.values[prob.omega_mask])
+        return prob, u, Ball([0.0, 0.0], 0.45)
+
+    def test_caccioppoli_six_points(self, case):
+        prob, u, ball = case
+        assert int(u.lattice.select(ball).sum()) == 2601
+        vals = np.abs(u.values[u.lattice.select(ball)])
+        points = [(float(k), sign)
+                  for k in np.quantile(vals, [0.25, 0.5, 0.75])
+                  for sign in ("plus", "minus")]
+        cut = Cutoff(plateau=0.225, support=0.3825)
+        assert self.peak_above_inputs(lambda: caccioppoli_check(
+            u, ball, points, cut, prob.s, prob.nf)) <= self.BUDGET
+
+    def test_gagliardo_modular(self, case):
+        prob, u, ball = case
+        assert self.peak_above_inputs(lambda: funcspace.gagliardo_modular(
+            [u], ball, prob.s, prob.nf)) <= self.BUDGET
+
+    def test_log_estimate(self, case):
+        prob, u, ball = case
+        shift = float(np.abs(u.values).max()) + 1.0
+        upos = GridFunction(u.lattice, u.values + shift,
+                            ExteriorModel(value=u.exterior.level + shift))
+        assert self.peak_above_inputs(lambda: log_estimate_check(
+            upos, ball.center, 0.22, 0.45, 0.1, prob.nf, prob.s)) \
+            <= self.BUDGET
