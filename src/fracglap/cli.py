@@ -494,12 +494,7 @@ def _stage_tail_closed_form(ctx, rng):
     f = GridFunction(lat, np.zeros(lat.n_nodes), model)
     R = max(lat.circumradius(lat.center()), model.start_radius) * 1.25
     got = tail(f, lat.center(), R, prob.s, nf)
-    if nf.family == "power":
-        sp = prob.s * nf.p
-        want = sphere_measure(lat.dim) * M ** (nf.p - 1.0) * R ** (-sp) / sp
-    else:
-        want = sphere_measure(lat.dim) * nf.G(M * R ** -prob.s) \
-            / (prob.s * M)
+    want = sphere_measure(lat.dim) * nf.G(M * R ** -prob.s) / (prob.s * M)
     rel = abs(got - want) / want
     tol = ctx.tol("tail_closed_form", 1e-6)
     return EstimateReport.from_sides(
@@ -580,10 +575,10 @@ def _stage_holder_decay(ctx, rng):
     r0 = 0.5 * _default_ball(ctx).radius
     sigma = _decay_sigma(ctx, r0)
     res = _holder_decay(ctx, [sigma])[0]
-    passed = res.osc_monotone and res.alpha_hat >= 0.0 and res.schedule_ok
     return EstimateReport(
         name="holder_decay", lhs=res.alpha_hat, rhs_terms={"unit": 1.0},
-        empirical_constant=res.alpha_hat, tolerance=math.inf, passed=passed,
+        empirical_constant=res.alpha_hat, tolerance=math.inf,
+        passed=res.passed,
         witnesses={"r0": r0, "sigma": sigma, "levels": res.resolved_levels},
         details={"oscillations": res.oscillations, "radii": res.radii,
                  "omega0": res.schedule.omega0,
@@ -614,7 +609,7 @@ def _sweep_holder_decay(ctx, rng, params):
     return [EstimateReport(
         name="holder_decay", lhs=res.alpha_hat, rhs_terms={"unit": 1.0},
         empirical_constant=res.alpha_hat, tolerance=math.inf,
-        passed=res.osc_monotone and res.schedule_ok,
+        passed=res.passed,
         witnesses={"sigma": sg, "levels": res.resolved_levels},
         details={"c_holder": res.c_holder})
         for sg, res in zip(sigmas, _holder_decay(ctx, sigmas))]

@@ -112,7 +112,8 @@ class _ChebLogG:
     [log lo, log hi]: one of log G(e^x), and the antiderivative in x of
     a fit of G(e^x), which is H up to the constant H(lo).  Both are
     certified at construction against the direct quadrature on off-node
-    points.  A failed G fit raises; a failed H fit leaves ``hcoef`` None.
+    points: ``err`` is the G fit's worst relative error, which the
+    caller judges, and a failed H fit leaves ``hcoef`` None.
     """
 
     def __init__(self, exact, lo, hi, intervals, degree, target, exact_H):
@@ -132,10 +133,7 @@ class _ChebLogG:
         probe = np.linspace(-0.97, 0.97, 9)
         xs = (0.5 * (a + b) + 0.5 * (b - a) * probe).ravel()
         truth = exact(np.exp(xs))
-        err = np.max(np.abs(self(np.exp(xs)) - truth) / truth)
-        # NaN (G leaving the float range) fails too
-        if not err <= target:
-            raise _CertificationError(err)
+        self.err = np.max(np.abs(self(np.exp(xs)) - truth) / truth)
 
         # dH/dx = G(e^x): integrate a fit of G itself, certified the same way
         self.hcoef = None
@@ -165,10 +163,6 @@ class _ChebLogG:
     def H(self, t):
         idx, xi = self._locate(t)
         return self.H_left[idx] + _clenshaw(self.hcoef, idx, xi)
-
-
-class _CertificationError(Exception):
-    pass
 
 
 def _segment_H(t0, g0, G0, slope, dt):
@@ -307,9 +301,7 @@ class NFunction:
             return val
         if self.family == "table":
             return self._table_H(t)
-        accel = self._accel
-        fast = accel.H if accel is not None and accel.hcoef is not None \
-            else None
+        fast = self._accel.H if self._accel.hcoef is not None else None
         return self._accelerated(np.atleast_1d(t), fast, self._quad_H_exact,
                                  self._series_H).reshape(t.shape)
 
@@ -407,8 +399,9 @@ class NFunction:
 
     def _build_accelerator(self):
         """64 intervals of degree 24 on the part of [SERIES_MAX, 1e14]
-        where G is a normal float, or None (direct quadrature on every
-        call) when they miss the certification.
+        where G is a normal float.  Every p the profile can be built for
+        certifies (1.000977 <= p <= 48.96: below, ell overflows, above,
+        ``_validate``'s grid does); a miss is a ``ValueError`` naming p.
 
         On [0, t], tau / 2 <= log1p(tau) for t <= 1 and log1p(tau) <=
         log1p(t), so t^(p+1) / (2 (p+1)) <= G(t) <= t^p log1p(t) / p;
@@ -421,12 +414,13 @@ class NFunction:
                       / (p + 1.0))
         hi = math.exp((math.log(fi.max) + math.log(p)
                        - math.log(math.log1p(1e14))) / p)
-        try:
-            return _ChebLogG(self._quad_exact, max(SERIES_MAX, lo),
-                             min(1e14, hi), 64, 24, CERTIFY_TOL / 2,
-                             self._quad_H_exact)
-        except _CertificationError:
-            return None
+        accel = _ChebLogG(self._quad_exact, max(SERIES_MAX, lo),
+                          min(1e14, hi), 64, 24, CERTIFY_TOL / 2,
+                          self._quad_H_exact)
+        if not accel.err <= CERTIFY_TOL / 2:  # NaN too: G left the floats
+            raise ValueError("the power_log accelerator misses its "
+                             f"certification at p={p:g}: error {accel.err:.3g}")
+        return accel
 
     # -- table internals -----------------------------------------------
 

@@ -18,10 +18,11 @@ patterns:
   walk takes each unordered pair once (``OffsetTable.tiles``), and row
   blocks for two node sets (``OffsetTable.blocks``).
 
-The solver's walks bound a temporary by ``CHUNK_ELEMENTS`` entries, the
-checks' walks by ``TILE``^2, so that no temporary grows with the ball.
-A tile is the summation unit of a reported ball sum, so its edge is part
-of the result; the height of a row block is not (row sums, maxima).
+Walks over pair-length arrays bound a temporary by ``PAIR_BLOCK``
+entries, the checks' walks by ``TILE``^2, so none grows with the pairs
+or the ball.  Tiles, and the blocks of the solver's energy pass, are
+summation units, so their sizes are part of the result; row blocks (row
+sums, maxima), the pair build's blocks and the gathers' are not.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ import math
 
 import numpy as np
 
-CHUNK_ELEMENTS = 2**18
+# entries per block of a walk over pair-length arrays, 512 KiB per float
+# temporary; 2^14 and 2^18 measured slower for the solver's energy pass
+PAIR_BLOCK = 2**16
 # tile edge of the ball sums, their summation unit: a float temporary of
 # a 128 x 128 tile is 128 KiB, well inside a core's L2 cache
 TILE = 128
@@ -66,7 +69,7 @@ def truncated_pairs(lattice, omega_mask, radius):
                  zip(np.unravel_index(codes, table._span), counts, strides))
     halo = ~omega_mask
     omega_idx = np.flatnonzero(omega_mask)
-    rows = max(1, CHUNK_ELEMENTS // shifts.size)
+    rows = max(1, PAIR_BLOCK // shifts.size)
     # one byte per candidate pair, against 16 for the kept ends
     keeps = []
     for start in range(0, omega_idx.size, rows):
@@ -92,12 +95,12 @@ def shift_values(table, ia, ja):
     """The per-shift values ``table`` on the pairs (ia, ja): the value of
     a pair is table[ja - ia + table.size // 2], the table holding shift k
     at k + table.size // 2, as the ``dist`` of ``truncated_pairs`` does.
-    Gathered in blocks of ``CHUNK_ELEMENTS`` pairs, so the only
-    pair-length array is the result; a value reads the same bits as the
-    table entry."""
+    Gathered in blocks of ``PAIR_BLOCK`` pairs, so the only pair-length
+    array is the result; a value reads the same bits as the table
+    entry."""
     out = np.empty(ia.size, dtype=table.dtype)
-    for start in range(0, ia.size, CHUNK_ELEMENTS):
-        sl = slice(start, start + CHUNK_ELEMENTS)
+    for start in range(0, ia.size, PAIR_BLOCK):
+        sl = slice(start, start + PAIR_BLOCK)
         code = ja[sl] - ia[sl]
         code += table.size // 2
         np.take(table, code, out=out[sl])

@@ -448,6 +448,12 @@ class HolderDecayResult:
     c_holder: float
     boundedness: EstimateReport
 
+    @property
+    def passed(self):
+        """The one verdict of a fit: monotone oscillations, a nonnegative
+        exponent and the schedule."""
+        return self.osc_monotone and self.alpha_hat >= 0.0 and self.schedule_ok
+
 
 def holder_decay_fit(u, brep, sigmas, levels, s, nf):
     """One result per ratio of ``sigmas``: measure oscillations over the

@@ -28,10 +28,11 @@ and d^(-s); the distance h |k| is kept once per flat shift, not per
 pair.  Every energy then gathers over them in one blocked walk
 (``_pair_blocks``), and every per-node pair sum (the gradient, the
 stopping scale) scatters onto the nodes in one order, block by block
-(``_node_sums``).  The descent scores each trial point by one walk that
-gives both its energy and its gradient (``_energy_gradient``), so an
-accepted trial's gradient is the next iteration's; a caller that needs
-only the gradient skips the energy.
+(``_node_sums``); a block holds ``pairs.PAIR_BLOCK`` entries.  The
+descent scores each trial point by one walk that gives both its energy
+and its gradient (``_energy_gradient``), so an accepted trial's
+gradient is the next iteration's; a caller that needs only the gradient
+skips the energy.
 
 Strict convexity of the energy (g strictly increasing) makes the
 minimizer unique; descent with Armijo backtracking therefore converges
@@ -54,6 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import pairs
 from .funcspace import GridFunction, sphere_measure
 from .nfunction import REPRESENTABLE_MAX
 from .pairs import shift_values, truncated_pairs
@@ -65,10 +67,6 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 # width of the diagonal blocks of the factor that ``_cholesky`` inverts
 SUBST_BLOCK = 128
-# pair-by-candidate entries per block of ``_pair_blocks`` (512 KiB per
-# temporary), and pairs per block of ``_assemble_surrogate``; 2^14 and
-# 2^18 (``pairs.CHUNK_ELEMENTS``) measured slower for the energy pass
-ENERGY_BLOCK = 2**16
 
 
 class InadmissibleError(ValueError):
@@ -99,7 +97,7 @@ class NonlocalProblem:
     """
 
     def __init__(self, lattice, omega_mask, nf, kernel, s, exterior_datum,
-                 truncation_radius=None):
+                 truncation_radius):
         if not 0.0 < s < 1.0:
             raise ValueError("s must lie in (0, 1)")
         omega_mask = np.asarray(omega_mask, dtype=bool).ravel()
@@ -127,9 +125,6 @@ class NonlocalProblem:
         if np.any(om <= lo + 1e-12) or np.any(om >= hi - 1e-12):
             raise ValueError("domain nodes must lie strictly inside the box")
         margin = float(min((om - lo).min(), (hi - om).min()))
-        diam = float(np.linalg.norm(om.max(axis=0) - om.min(axis=0)))
-        if truncation_radius is None:
-            truncation_radius = min(8.0 * max(diam, lattice.h), margin)
         if truncation_radius > margin + 1e-12:
             raise ValueError(
                 "every domain node needs lattice neighbours up to the "
@@ -161,8 +156,8 @@ class NonlocalProblem:
             return ia, ja, dist, shift_values(
                 2.0 * dist ** (-float(lat.dim)) * hn2, ia, ja)
         weight = np.empty(ia.size)
-        for start in range(0, ia.size, ENERGY_BLOCK):
-            sl = slice(start, start + ENERGY_BLOCK)
+        for start in range(0, ia.size, pairs.PAIR_BLOCK):
+            sl = slice(start, start + pairs.PAIR_BLOCK)
             kvals = self.kernel.pair_values(
                 lat.coords[ia[sl]], lat.coords[ja[sl]],
                 shift_values(dist, ia[sl], ja[sl]))
@@ -176,7 +171,9 @@ class NonlocalProblem:
 
     @cached_property
     def _inv_ds_max(self):
-        return float(self._inv_ds.max())
+        """max d^(-s), at the nearest offset h (the radius is >= h), by
+        the array power of ``_inv_ds``: a scalar ``h ** -s`` may differ."""
+        return float(np.power([self.lattice.h], -self.s)[0])
 
     @cached_property
     def _far_coef(self):
@@ -188,17 +185,15 @@ class NonlocalProblem:
     def _gradient_scale(self):
         """Dimensionless stopping scale: the largest per-node sum
         (``_node_sums``) of K d^(-s) g(osc(f)/d^s) h^(2n) over
-        interacting pairs, walked in blocks of ``ENERGY_BLOCK`` pairs.
+        interacting pairs, walked in blocks of ``pairs.PAIR_BLOCK`` pairs.
         Data whose oscillation puts the argument of g past the profile's
         range are rejected by name."""
         osc = self.data_oscillation()
-        if osc == 0.0:
-            return 0.0
         w, inv_ds = self._pairs[3], self._inv_ds
         contrib = np.empty(w.size)
         try:
-            for start in range(0, w.size, ENERGY_BLOCK):
-                blk = slice(start, start + ENERGY_BLOCK)
+            for start in range(0, w.size, pairs.PAIR_BLOCK):
+                blk = slice(start, start + pairs.PAIR_BLOCK)
                 contrib[blk] = w[blk] * inv_ds[blk] \
                     * self.nf.g(osc * inv_ds[blk])
         except OverflowError as exc:
@@ -410,7 +405,7 @@ def _pair_energies(prob, Vt, sub=None):
     G, _ = _profile(prob, Vt)
     out = np.zeros(Vt.shape[1])
     for w, _, t in _pair_blocks(prob, Vt, sub):
-        out += w @ G(t)
+        out += w @ G(np.abs(t, out=t))
     return out
 
 
@@ -428,28 +423,26 @@ def _profile(prob, Vt):
     return nf.G, nf.g
 
 
-def _pair_blocks(prob, Vt, sub=None, signed=False):
+def _pair_blocks(prob, Vt, sub=None):
     """Walk the stored pairs, or the pairs ``sub`` only, for the
-    node-major stack Vt (nodes, B) in blocks of at most ``ENERGY_BLOCK``
-    pair-by-candidate entries, yielding (w, d^(-s), t) of a block: its
-    pair weights and inverse distance powers, and t = |v(x) - v(y)|
-    d^(-s) of shape (pairs, B), or (v(x) - v(y)) d^(-s) when ``signed``
-    (the same bits up to the sign, as d^(-s) > 0).  Node-major, one pair
-    index gathers the B values of a node at once.  The block height
+    node-major stack Vt (nodes, B) in blocks of at most
+    ``pairs.PAIR_BLOCK`` pair-by-candidate entries, yielding (w, d^(-s),
+    t) of a block: its pair weights and inverse distance powers, and
+    t = (v(x) - v(y)) d^(-s) of shape (pairs, B), the caller's to
+    overwrite.  Node-major, one pair index gathers the B values of a
+    node at once.  The block height
     depends on B only, so a stack of one is walked in the same blocks by
     ``_energy_values`` and ``_energy_gradient``."""
     ia, ja, _, w = prob._pairs
     inv_ds = prob._inv_ds
     if sub is not None:
         ia, ja, w, inv_ds = ia[sub], ja[sub], w[sub], inv_ds[sub]
-    rows = max(1, ENERGY_BLOCK // Vt.shape[1])
+    rows = max(1, pairs.PAIR_BLOCK // Vt.shape[1])
     for start in range(0, ia.size, rows):
         blk = slice(start, start + rows)
         t = np.take(Vt, ia[blk], axis=0)
         t -= np.take(Vt, ja[blk], axis=0)
         t *= inv_ds[blk, None]
-        if not signed:
-            np.abs(t, out=t)
         yield w[blk], inv_ds[blk], t
 
 
@@ -492,13 +485,13 @@ def _node_sums(prob, contrib, second):
     domain, the first ends in pair order, then the second ends.
     ``np.bincount`` adds in index order from 0, as ``np.add.at`` into
     zeros would, and makes no pair-length temporary; the second ends go
-    by ``second.at`` over blocks of ``ENERGY_BLOCK`` pairs, so their
+    by ``second.at`` over blocks of ``pairs.PAIR_BLOCK`` pairs, so their
     selection does not grow with the pair count."""
     ia, ja = prob._pairs[:2]
     omega = prob.omega_mask
     acc = np.bincount(ia, contrib, minlength=prob.lattice.n_nodes)
-    for start in range(0, ja.size, ENERGY_BLOCK):
-        blk = slice(start, start + ENERGY_BLOCK)
+    for start in range(0, ja.size, pairs.PAIR_BLOCK):
+        blk = slice(start, start + pairs.PAIR_BLOCK)
         j = ja[blk]
         both = omega[j]
         second.at(acc, j[both], contrib[blk][both])
@@ -519,7 +512,7 @@ def _energy_gradient(prob, vals, energy=True):
     pair = np.zeros(1)
     deriv = np.empty(prob._pairs[0].size)
     stop = 0
-    for w, inv_ds, t in _pair_blocks(prob, Vt, signed=True):
+    for w, inv_ds, t in _pair_blocks(prob, Vt):
         start, stop = stop, stop + w.size
         # sign, then |t|, then the product in place: a pass holds two
         # pair-length temporaries besides ``deriv``
@@ -575,7 +568,7 @@ def assemble_quadratic(prob):
 def _assemble_surrogate(prob):
     """Quadratic-growth surrogate system on the same pair structure.
 
-    The pairs are walked in blocks of ``ENERGY_BLOCK``, so no temporary
+    The pairs are walked in blocks of ``pairs.PAIR_BLOCK``, so no temporary
     grows with the pair count; d^(-2s) is raised once per shift and
     gathered (``pairs.shift_values``).  Every pair has its first end in the
     domain, and a pair of two domain nodes is stored once
@@ -597,8 +590,8 @@ def _assemble_surrogate(prob):
     def blocks(domain):
         """(first-end positions, second ends, w d^(-2s)) of each block's
         pairs whose second end lies in the domain (``domain``) or not."""
-        for start in range(0, ia.size, ENERGY_BLOCK):
-            blk = slice(start, start + ENERGY_BLOCK)
+        for start in range(0, ia.size, pairs.PAIR_BLOCK):
+            blk = slice(start, start + pairs.PAIR_BLOCK)
             sel = omega[ja[blk]] == domain
             i, j = ia[blk][sel], ja[blk][sel]
             yield pos[i], j, w[blk][sel] * shift_values(inv_d2s, i, j)
@@ -711,9 +704,8 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
     osc = prob.data_oscillation()
     if osc == 0.0:
         # constant data: the constant extension is the exact minimizer
-        level = float(vals[prob.halo_mask][0]) if prob.halo_mask.any() \
-            else prob.exterior_datum.exterior.value
-        vals[omega] = level
+        # (domain nodes lie strictly inside the box, so a halo node exists)
+        vals[omega] = vals[prob.halo_mask][0]
         u = GridFunction(prob.lattice, vals, prob.exterior_datum.exterior)
         e_now, g_now = _energy_gradient(prob, vals)
         res = float(np.abs(g_now).max())

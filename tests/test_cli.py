@@ -21,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracglap
-from fracglap import GridFunction, Lattice
+from fracglap import (Ball, ExteriorModel, GridFunction, Lattice,
+                      make_power, make_power_log)
 from fracglap import cli
+from fracglap import regularity as rg
 from fracglap import solver as sl
 from fracglap.cli import (EXIT_CONFIG, EXIT_ESTIMATE, EXIT_IO, EXIT_OK,
                           EXIT_SOLVER, SCHEMA, build_problem, generate_corpus,
@@ -1042,6 +1044,75 @@ class TestEstimateMemo:
             assert len(set(seen[key])) == counts[key]
 
 
+class TestHolderDecayVerdict:
+    """``verify:holder_decay`` and each row of ``sweep:holder_decay``
+    judge a decay fit by one rule (``HolderDecayResult.passed``)."""
+
+    @staticmethod
+    def _flat_fit():
+        # a unit step at 0 plus 1e-13 sin(50 x): the nested balls all see
+        # the jump, so the oscillations agree to the last bits, and the
+        # fitted exponent is a rounding-level negative number
+        lat = Lattice.from_box([-1.5], [1.5], 1 / 256)
+        x = lat.coords[:, 0]
+        u = GridFunction(lat, (x >= 0.0) + 1e-13 * np.sin(50.0 * x),
+                         ExteriorModel(value=0.5).resolved(lat))
+        nf = make_power(2.0)
+        brep = rg.boundedness_check(u, Ball((0.0,), 0.5), 0.5, nf)
+        return rg.holder_decay_fit(u, brep, [0.8], 10, 0.5, nf)[0]
+
+    def test_negative_exponent_fails_both_stages(self, tmp_path,
+                                                 monkeypatch, capsys):
+        res = self._flat_fit()
+        assert -1e-28 < res.alpha_hat < 0.0
+        assert res.osc_monotone and res.schedule_ok and not res.passed
+        monkeypatch.setattr(cli.rg, "holder_decay_fit",
+                            lambda u, brep, sigmas, *args: [res] * len(sigmas))
+        out = tmp_path / "out"
+        cfg = base_config(pipeline=["solve", "verify:holder_decay",
+                                    "sweep:holder_decay"])
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) == EXIT_ESTIMATE
+        for name in ("estimate_holder_decay.json", "sweep_holder_decay.json"):
+            assert json.loads((out / name).read_text())["passed"] is False
+        rows = (out / "sweep_holder_decay.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(r.endswith(",False") for r in rows)
+        assert "holder_decay: FAIL" in capsys.readouterr().out
+
+
+class TestDatumFamilies:
+    """The ``linear`` and ``two_level`` data against their formulas at
+    every lattice node."""
+
+    @staticmethod
+    def _problem(datum):
+        cfg = base_config()
+        cfg["problem"].update({
+            "dim": 2, "h": 0.125, "truncation_radius": 0.25,
+            "omega": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]}, "datum": datum})
+        return build_problem(cfg)
+
+    @pytest.mark.parametrize("keys, grad, offset", [
+        ({}, (1.0, 1.0), 0.0),
+        ({"gradient": [0.5, -2.0], "offset": 0.25}, (0.5, -2.0), 0.25)])
+    def test_linear(self, keys, grad, offset):
+        prob = self._problem({"family": "linear", **keys})
+        want = [grad[0] * x + grad[1] * y + offset
+                for x, y in prob.lattice.coords]
+        np.testing.assert_allclose(prob.exterior_datum.values, want,
+                                   rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("keys, freq", [({}, 3.0),
+                                            ({"frequency": 5.0}, 5.0)])
+    def test_two_level(self, keys, freq):
+        prob = self._problem({"family": "two_level", "low": -0.5,
+                              "high": 2.0, **keys})
+        want = [-0.5 if math.sin(freq * (x + y)) < 0 else 2.0
+                for x, y in prob.lattice.coords]
+        np.testing.assert_array_equal(prob.exterior_datum.values, want)
+        assert set(want) == {-0.5, 2.0}
+
+
 def one_line(err):
     """The failure message is exactly one line, with no traceback."""
     return err.count("\n") == 1 and "Traceback" not in err
@@ -1081,6 +1152,47 @@ class TestFailureTable:
         assert err.startswith("i/o failure:") and one_line(err)
         assert (out / "SolveReport.json").exists()
         assert not (out / "estimate_boundedness.json").exists()
+
+    def test_line_search_failure_is_solver_failure(self, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setattr(sl, "MAX_BACKTRACKS", 0)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config())
+        assert main(["run", path, "--out", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == "solver did not converge\n"
+        report = json.loads((out / "SolveReport.json").read_text())
+        assert report["line_search_failures"] == 1
+        assert report["converged"] is False
+
+    def test_certification_miss_is_config_error(self, tmp_path, monkeypatch,
+                                                capsys):
+        # every power_log exponent that can be built certifies; a miss,
+        # forced here by a target of 0, names p
+        monkeypatch.setattr(cli.nfm, "CERTIFY_TOL", 0.0)
+        with pytest.raises(ValueError, match="certification at p=2:"):
+            make_power_log(2.0)
+        cfg = base_config()
+        cfg["problem"]["nfunction"] = {"family": "power_log", "p": 2.0}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out",
+                     str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the power_log accelerator "
+                              "misses its certification at p=2:")
+        assert one_line(err)
+
+    def test_logarithmic_on_power_exterior_is_config_error(self, tmp_path,
+                                                           capsys):
+        cfg = base_config(pipeline=["solve", "verify:logarithmic"])
+        cfg["problem"]["exterior"] = {"kind": "power", "value": 0.3,
+                                      "exponent": 0.25}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out",
+                     str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: logarithmic stage needs a "
+                              "level exterior model")
+        assert one_line(err)
 
     def test_invalid_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -1147,7 +1259,7 @@ class TestConfigErrors:
         prob = build_problem(cfg)
         n = int(prob.omega_mask.sum())
         assert n == 289
-        prob._inv_ds_max
+        prob._inv_ds
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="oscillation"):

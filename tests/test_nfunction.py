@@ -305,12 +305,20 @@ class TestPowerLogQuadrature:
         assert accel.hcoef is not None
 
     def test_accelerator_certifies_while_G_is_representable(self):
-        # G stays a normal float on the accelerator's range [1e-14, 1e14]
-        # up to p of about 21; every exponent there certifies its fit of
-        # log G at the one tier on the whole range
-        for p in np.linspace(1.001, 20.0, 30):
+        # a power_log profile is built for 1.000977 <= p <= 48.96: below,
+        # ell overflows, above, the validation grid does.  Every exponent
+        # between certifies its fit of log G, on the whole accelerator
+        # range [1e-14, 1e14] while G stays a normal float there (p up to
+        # about 21)
+        for p in np.linspace(1.000977, 48.96, 60):
             accel = make_power_log(p)._accel
-            assert (accel.lo, accel.hi) == (SERIES_MAX, 1e14), p
+            assert accel.err <= CERTIFY_TOL / 2, p
+            if p <= 20.0:
+                assert (accel.lo, accel.hi) == (SERIES_MAX, 1e14), p
+        with pytest.raises(ValueError, match="ell = 2"):
+            make_power_log(1.000976)
+        with pytest.raises(ValueError, match="overflows the float range"):
+            make_power_log(48.97)
 
     @pytest.mark.parametrize("p", [25.0, 40.0])
     def test_accelerator_range_is_clipped_where_G_leaves_the_floats(self, p):

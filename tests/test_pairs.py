@@ -49,7 +49,7 @@ WEIGHTED = {"form": "weighted", "lambda": 0.5, "Lambda": 2.0,
             "frequency": 3.0}
 
 
-def box_problem(dim, h, rext, kernel=None, half=0.5):
+def box_problem(dim, h, rext, kernel=None, half=0.5, s=0.5):
     """Instance on the cube (-half, half)^dim with a halo of width rext
     rounded up to the lattice."""
     pad = math.ceil(rext / h + 1e-9) * h
@@ -59,7 +59,7 @@ def box_problem(dim, h, rext, kernel=None, half=0.5):
     f = np.sin(2.0 * x.sum(axis=1)) + 0.1 * x[:, 0]
     model = ExteriorModel(value=float(f[-1]))
     kernel = Kernel() if kernel is None else Kernel.from_config(kernel)
-    return NonlocalProblem(lat, omega, make_power(2.0), kernel, 0.5,
+    return NonlocalProblem(lat, omega, make_power(2.0), kernel, s,
                            GridFunction(lat, f, model),
                            truncation_radius=rext)
 
@@ -162,7 +162,7 @@ def test_tiny_chunk_budget_changes_nothing(monkeypatch, dim, h, rext):
     ref = box_problem(dim, h, rext)
     ref_pairs = ref._pairs
     ref_checks = _checks(ref)
-    monkeypatch.setattr(pairs, "CHUNK_ELEMENTS", 5)
+    monkeypatch.setattr(pairs, "PAIR_BLOCK", 5)
     tiny = box_problem(dim, h, rext)
     assert_bitwise(tiny._pairs, ref_pairs)
     assert _checks(tiny) == ref_checks
@@ -171,8 +171,8 @@ def test_tiny_chunk_budget_changes_nothing(monkeypatch, dim, h, rext):
 def test_build_writes_the_pairs_in_place(monkeypatch):
     # the pair ends are counted first and written into their arrays, so
     # the build holds them once, plus a byte per candidate pair for the
-    # block masks and blocks of CHUNK_ELEMENTS entries
-    monkeypatch.setattr(pairs, "CHUNK_ELEMENTS", 2**12)
+    # block masks and blocks of PAIR_BLOCK entries
+    monkeypatch.setattr(pairs, "PAIR_BLOCK", 2**12)
     prob = box_problem(2, 1 / 32, 0.5)
     tracemalloc.start()
     try:
@@ -193,11 +193,29 @@ def test_shift_values_gather_in_blocks(monkeypatch):
     ia, ja, dist, _ = prob._pairs
     table = np.sin(np.arange(dist.size) * 0.37)
     want = table[ja - ia + dist.size // 2]
-    monkeypatch.setattr(pairs, "CHUNK_ELEMENTS", 37)
+    monkeypatch.setattr(pairs, "PAIR_BLOCK", 37)
     assert ia.size % 37
     np.testing.assert_array_equal(pairs.shift_values(table, ia, ja), want,
                                   strict=True)
     assert np.all(np.isinf(dist[dist.size // 2]))
+
+
+# 25 problems with weighted kernels: 1-D, 2-D and 3-D, dyadic h and
+# h = 0.1 and 1/3, s from 0.3 to 0.9
+INV_DS_CASES = [(dim, h, rext, s)
+                for dim, h, rext in [(1, 1 / 32, 0.5), (1, 1 / 3, 0.5),
+                                     (2, 1 / 16, 0.25), (2, 0.1, 0.3),
+                                     (3, 1 / 8, 0.25)]
+                for s in (0.3, 0.45, 0.6, 0.75, 0.9)]
+
+
+@pytest.mark.parametrize("dim, h, rext, s", INV_DS_CASES)
+def test_largest_inverse_distance_power_is_read_off_the_lattice(dim, h,
+                                                                 rext, s):
+    # the nearest offset is at distance h, and the closed form takes the
+    # array power that the pairs' d^(-s) takes, bit for bit
+    prob = box_problem(dim, h, rext, WEIGHTED, s=s)
+    assert prob._inv_ds_max == prob._inv_ds.max()
 
 
 def test_offset_blocks_bounded(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, optimize
 
 import fracglap.nfunction as nfm
+from fracglap import pairs
 from fracglap import solver as sl
 from fracglap import (ExteriorModel, GridFunction, InadmissibleError, Kernel,
                       Lattice, NonlocalProblem, assemble_quadratic, energy,
@@ -177,6 +178,18 @@ class TestSolve:
         direct = np.linalg.solve(A, b)
         err = np.abs(rep.minimizer.values[prob.omega_mask] - direct).max()
         assert err < 1e-8
+
+    def test_line_search_failure_stops_at_the_start(self, monkeypatch):
+        # no backtrack allowed: the first step is refused, and the solve
+        # reports the failure and returns the point it started from
+        monkeypatch.setattr(sl, "MAX_BACKTRACKS", 0)
+        prob = line_problem(h=1 / 16, rext=1.0)
+        rep = solve(prob, tol=1e-9)
+        assert rep.line_search_failures == 1
+        assert rep.iterations == 0 and not rep.converged
+        np.testing.assert_array_equal(rep.minimizer.values,
+                                      prob.datum_extension(0.0).values,
+                                      strict=True)
 
     def test_harmonic_start_is_instant_for_quadratic(self, p2_problem):
         rep = solve(p2_problem, tol=1e-8, initial="harmonic")
@@ -426,9 +439,9 @@ class TestPairStorage:
     @pytest.mark.parametrize("what", ["scale", "energy_gradient", "gradient"])
     def test_scatter_temporaries_are_blocks(self, what, monkeypatch):
         prob = square_problem(h=1 / 32, rext=0.5)
-        monkeypatch.setattr(sl, "ENERGY_BLOCK", 2**12)
+        monkeypatch.setattr(pairs, "PAIR_BLOCK", 2**12)
         vals = prob.datum_extension(0.1).values
-        prob._inv_ds_max
+        prob._inv_ds
         calls = {"scale": lambda: prob._gradient_scale,
                  "energy_gradient": lambda: sl._energy_gradient(prob, vals),
                  "gradient": lambda: _gradient_omega(prob, vals)}
@@ -680,18 +693,6 @@ class TestFarTail:
         assert g[0] == 0.0
         assert e[0] == 0.0
 
-    def test_failed_certification_falls_back_to_quadrature(self,
-                                                           monkeypatch):
-        monkeypatch.setattr(nfm, "CERTIFY_TOL", 0.0)
-        nf = make_power_log(2.0)
-        assert nf._accel is None
-        prob = _far_problem(nf, LEVEL_MODELS["constant"])
-        w = self.w[[1, 3, 5]]
-        want_e, want_g = _scipy_far_terms(prob, w)
-        got_e, got_g = prob._far_tail(w, derivative=True)
-        np.testing.assert_allclose(got_e, want_e, rtol=1e-10, atol=0)
-        np.testing.assert_allclose(got_g, want_g, rtol=1e-10, atol=0)
-
     def test_power_exterior_matches_closed_form(self):
         # p = 2, s = 0.5, r = 1, f = 0.3 rho^0.25: the per-node tail is
         # (1/2) int_1^inf (w - 0.3 rho^0.25)^2 rho^-2 drho
@@ -819,7 +820,7 @@ class TestEnergies:
                               STACK_MODELS[model])
         n_pairs = prob._pairs[0].size
         # small blocks: several per pass, the last one partial
-        monkeypatch.setattr(sl, "ENERGY_BLOCK", 700)
+        monkeypatch.setattr(pairs, "PAIR_BLOCK", 700)
         rng = np.random.default_rng(dim)
         for n_cand in (1, 7, 100):
             rows = 700 // n_cand
@@ -852,7 +853,7 @@ class TestEnergyGradient:
                               kernel=WEIGHTED if kernel == "weighted"
                               else None)
         # several blocks per pass, the last one partial
-        monkeypatch.setattr(sl, "ENERGY_BLOCK", 700)
+        monkeypatch.setattr(pairs, "PAIR_BLOCK", 700)
         assert prob._pairs[0].size % 700
         for vals in _noisy_stack(prob, 3, np.random.default_rng(dim)):
             e, g = sl._energy_gradient(prob, vals)
@@ -903,7 +904,7 @@ class TestDomainCheck:
             self, profile, monkeypatch):
         prob = _stack_problem(2, STACK_PROFILES[profile](),
                               STACK_MODELS["constant"])
-        monkeypatch.setattr(sl, "ENERGY_BLOCK", 700)
+        monkeypatch.setattr(pairs, "PAIR_BLOCK", 700)
         Vt = np.ascontiguousarray(
             _noisy_stack(prob, 7, np.random.default_rng(3)).T)
         checks = []
@@ -1056,7 +1057,7 @@ class TestFarBlocks:
 class TestSurrogateAssembly:
     """The surrogate assigns each off-diagonal entry and accumulates the
     diagonal in a vector: bitwise the assembly by ``np.add.at`` on A.  It
-    walks the pairs in blocks of ``ENERGY_BLOCK``; only the constant,
+    walks the pairs in blocks of ``pairs.PAIR_BLOCK``; only the constant,
     summed block by block, may then move at rounding level."""
 
     @staticmethod
@@ -1079,7 +1080,7 @@ class TestSurrogateAssembly:
     def test_blocks_keep_the_bits_of_a_and_b(self, case, monkeypatch):
         prob = self._problem(case)
         # several blocks per walk, the last one partial
-        monkeypatch.setattr(sl, "ENERGY_BLOCK", 300)
+        monkeypatch.setattr(pairs, "PAIR_BLOCK", 300)
         assert prob._pairs[0].size > 600 and prob._pairs[0].size % 300
         A, b, const, _ = sl._assemble_surrogate(prob)
         A_ref, b_ref, const_ref = surrogate_add_at_reference(prob)
