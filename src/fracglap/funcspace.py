@@ -9,8 +9,8 @@ The Luxemburg norm solves modular(t f) = 1 for t = 1/lam with
 ``quadrature.bisect_increasing``: the modular increases in t.
 The nonlocal tail splits into a lattice Riemann sum over box nodes plus
 a 1-D radial integral of the far-field profile, taken after the
-solver's substitution tau = rho^(-m) (``quadrature.integrate_radial``,
-with m from ``far_exponent``).
+solver's substitution tau = rho^(-m) (``far_integral``, the checks'
+one far integral).
 """
 
 from __future__ import annotations
@@ -31,16 +31,6 @@ from .reports import write_atomic
 def sphere_measure(n):
     """Surface measure of the unit sphere in R^n (2 for n = 1)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def far_exponent(a, s, p):
-    """m of tau = rho^(-m) for int g(|f| / rho^s) rho^(-1-s) drho with
-    |f| ~ rho^a and g ~ t^(p-1): the solver's s - max(a, 0) below a = s;
-    from there the integrand decays like rho^(-1-mu),
-    mu = s - (a - s)(p - 1), and diverges iff mu <= 0."""
-    if a < s:
-        return s - max(a, 0.0)
-    return s - (a - s) * (p - 1.0)
 
 
 def knot_radii(arg, knots, r0, turns=(), far=0.0):
@@ -77,11 +67,29 @@ def knot_radii(arg, knots, r0, turns=(), far=0.0):
     return radii
 
 
-def far_limit(c, a, s):
-    """lim of |c| rho^(a - s) as rho -> inf."""
-    if a == s:
-        return abs(c)
-    return 0.0 if a < s else math.inf
+def far_integral(arg, a, c, r0, s, n, nf, turns=(), breaks=(),
+                 weight=None):
+    """|S^(n-1)| int_r0^inf g(arg(rho)) rho^(-1-s) drho for a far field
+    of size ~ |c| rho^a, or the integral of ``weight(rho, gv)`` of the
+    g-values gv instead when given.  ``arg`` (entrywise on arrays) is
+    monotone between the radii of ``turns`` and tends to
+    lim |c| rho^(a - s); the rule breaks at ``breaks`` and at
+    ``knot_radii``.  m of tau = rho^(-m) (``integrate_radial``) is the
+    solver's s - max(a, 0) below a = s; from there the integrand decays
+    like rho^(-1-mu), mu = s - (a - s)(p - 1), inf iff mu <= 0."""
+    if a < s:
+        far, m = 0.0, s - max(a, 0.0)
+    else:
+        far = abs(c) if a == s else math.inf
+        m = s - (a - s) * (nf.p - 1.0)
+
+    def integrand(rho):
+        gv = nf.g(arg(rho))
+        return gv * rho ** (-1.0 - s) if weight is None else weight(rho, gv)
+
+    knot_breaks = knot_radii(arg, nf.knots, r0, turns=turns, far=far)
+    return sphere_measure(n) * integrate_radial(
+        integrand, r0, m, breaks=(*breaks, *knot_breaks))
 
 
 def _dist(coords, center):
@@ -447,18 +455,12 @@ def tail(f, x0, R, s, nf):
     def arg(rho):
         return model.shifted_abs_profile(rho, shift) / rho ** s
 
-    def integrand(rho):
-        return nf.g(arg(rho)) * rho ** (-1.0 - s)
-
     # |f| rho^(-s) falls, except that past a > s it rises again beyond
     # its minimum at rho* = s shift / (a - s)
     a = model.growth_exponent
-    breaks = knot_radii(arg, nf.knots, r_far,
-                        turns=(s * shift / (a - s),) if a > s else (),
-                        far=far_limit(model.value, a, s))
-    m = far_exponent(a, s, nf.p)
-    return part_a + sphere_measure(lat.dim) * integrate_radial(
-        integrand, r_far, m, breaks=breaks)
+    return part_a + far_integral(
+        arg, a, model.value, r_far, s, lat.dim, nf,
+        turns=(s * shift / (a - s),) if a > s else ())
 
 
 def membership_check(f, s, nf):
@@ -482,8 +484,6 @@ def membership_check(f, s, nf):
         * lat.h ** n
 
     model = f.exterior
-    if model is None:
-        raise ValueError("membership check needs an exterior model")
     far = 0.0
     if model.level != 0.0:
         c_norm = float(np.linalg.norm(model.center))
@@ -494,20 +494,17 @@ def membership_check(f, s, nf):
         def arg(rho):
             return model.shifted_abs_profile(rho, 0.0) / base(rho) ** s
 
-        def integrand(rho):
+        def weight(rho, gv):
             b = base(rho)
-            return nf.g(arg(rho)) * (rho / b) ** (n - 1.0) * b ** (-1.0 - s)
+            return gv * (rho / b) ** (n - 1.0) * b ** (-1.0 - s)
 
         # the weight's kink at rho = |center| is a breakpoint; past it
         # |c| rho^a base^(-s) turns at rho* = a (|center| - 1) / (a - s)
         a = model.growth_exponent
         turns = (c_norm, a * (c_norm - 1.0) / (a - s)) if a != s \
             else (c_norm,)
-        breaks = knot_radii(arg, nf.knots, model.start_radius, turns=turns,
-                            far=far_limit(model.value, a, s))
-        m = far_exponent(a, s, nf.p)
-        far = sphere_measure(n) * integrate_radial(
-            integrand, model.start_radius, m, breaks=(c_norm, *breaks))
+        far = far_integral(arg, a, model.value, model.start_radius, s, n, nf,
+                           turns=turns, breaks=(c_norm,), weight=weight)
     weighted = body + far
 
     finite = [math.isfinite(t1), math.isfinite(t2), math.isfinite(weighted)]

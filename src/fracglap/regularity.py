@@ -20,7 +20,6 @@ import numpy as np
 from . import funcspace as fsp
 from .funcspace import GridFunction
 from .pairs import OffsetTable
-from .quadrature import integrate_radial
 from .reports import EstimateReport
 
 
@@ -208,6 +207,8 @@ def caccioppoli_check(u, ball, points, cutoff, s, nf, bound=math.inf):
     once, and each point sums its own terms over the same tiles, so a
     point's report does not depend on the others.
     """
+    if u.exterior is None:
+        raise ValueError("tail needs an exterior model on the grid function")
     for k, sign in points:
         if k < 0:
             raise ValueError("truncation level must be >= 0")
@@ -294,8 +295,6 @@ def _truncation_far_tail(u, x0, r, k, sign, s, nf):
     box, from the exterior model (query point folded to the ball
     center, a bounded-distortion convention)."""
     model = u.exterior
-    if model is None:
-        return 0.0
     if model.level == 0.0 and (k >= 0.0 if sign == "plus" else k <= 0.0):
         return 0.0  # (0 - k)_+ = 0 for k >= 0 and (k - 0)_+ = 0 for k <= 0
     shift = float(np.linalg.norm(np.asarray(x0, float)
@@ -305,9 +304,6 @@ def _truncation_far_tail(u, x0, r, k, sign, s, nf):
     def arg(rho):
         return _truncation(model.signed_profile(rho), k, sign) / rho ** s
 
-    def integrand(rho):
-        return nf.g(arg(rho)) * rho ** (-1.0 - s)
-
     # (f - k)_+ grows only if f -> +inf, (k - f)_+ only if f -> -inf;
     # the radius where f crosses k is a breakpoint, and past it
     # |c rho^a - k| rho^(-s) turns where c rho^a = s k / (s - a)
@@ -316,11 +312,8 @@ def _truncation_far_tail(u, x0, r, k, sign, s, nf):
     crossing = (k / c) ** (1.0 / a) if a and k / c > 0 else 0.0
     turn = s * k / ((s - a) * c) if a and a != s else 0.0
     turns = (crossing, turn ** (1.0 / a)) if turn > 0 else (crossing,)
-    breaks = fsp.knot_radii(arg, nf.knots, r_far, turns=turns,
-                            far=fsp.far_limit(c, grows, s))
-    m = fsp.far_exponent(grows, s, nf.p)
-    return fsp.sphere_measure(u.lattice.dim) * integrate_radial(
-        integrand, r_far, m, breaks=(crossing, *breaks))
+    return fsp.far_integral(arg, grows, c, r_far, s, u.lattice.dim, nf,
+                            turns=turns, breaks=(crossing,))
 
 
 # -- logarithmic estimate --------------------------------------------------

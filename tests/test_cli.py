@@ -1213,7 +1213,8 @@ def strict_json(text):
 
 # configs that each end in one config error line: a datum that is
 # infinite at its cusp, a datum whose square overflows in the surrogate,
-# and profiles whose constants ell = 2^(1/(p-1)) and kappa = 2^q overflow
+# profiles whose constants ell = 2^(1/(p-1)) and kappa = 2^q overflow,
+# and exterior models, growing and level, whose far energy overflows
 CONFIG_ERRORS = {
     "cusp_datum": ({"datum": {"family": "power_cusp", "gamma": -0.4}},
                    "power_cusp datum"),
@@ -1226,6 +1227,12 @@ CONFIG_ERRORS = {
                                                [8, 15], [1e6, 3e6]],
                                     "q": 2000}},
                      "kappa = 2^q overflows at q=2000"),
+    "exterior_overflow_power": (
+        {"exterior": {"kind": "power", "value": 1e300, "exponent": 0.25}},
+        "config error: exterior model overflows the interaction tail\n"),
+    "exterior_overflow_level": (
+        {"exterior": {"kind": "power", "value": 1e300, "exponent": 0.0}},
+        "config error: exterior model overflows the interaction tail\n"),
 }
 
 

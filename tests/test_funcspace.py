@@ -292,6 +292,9 @@ class TestTail:
         f = GridFunction(lat, np.zeros(5))
         with pytest.raises(ValueError, match="exterior"):
             tail(f, [0.0], 0.4, 0.5, nf2)
+        with pytest.raises(ValueError, match="^tail needs an exterior "
+                           "model on the grid function$"):
+            membership_check(f, 0.5, nf2)
 
     def test_far_quadrature_vs_scipy(self):
         # independent oracle for a non-power integrand

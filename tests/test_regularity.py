@@ -205,6 +205,16 @@ class TestCaccioppoli:
         with pytest.raises(ValueError):
             Cutoff(plateau=0.5, support=0.4)
 
+    def test_missing_model_is_error(self, nf2):
+        # the far part of the tail comes from the exterior model: without
+        # one the check raises as ``tail`` does, rather than drop it
+        lat = Lattice.from_box([-0.5], [0.5], 1 / 32)
+        u = GridFunction(lat, np.sin(2.0 * lat.coords[:, 0]))
+        with pytest.raises(ValueError, match="^tail needs an exterior "
+                           "model on the grid function$"):
+            caccioppoli_check(u, Ball([0.0], 0.45), [(0.1, "plus")],
+                              Cutoff(plateau=0.2, support=0.4), 0.5, nf2)
+
     def test_finite_constant_both_signs(self, nf2):
         prob, u = self.make_solved()
         ball = Ball([0.0], 0.45)

@@ -518,6 +518,19 @@ class TestProblemValidation:
             NonlocalProblem(lat, omega, make_power(2.0), Kernel(), 0.5,
                             datum, truncation_radius=1.0)
 
+    @pytest.mark.parametrize("exponent", [0.25, 0.0])
+    def test_overflowing_exterior_model_rejected(self, exponent):
+        # G of the far field's level 1e300 leaves the float range
+        lat = Lattice.from_box([-2.0], [2.0], 0.5)
+        omega = (np.abs(lat.coords[:, 0]) < 0.6)
+        model = ExteriorModel(value=1e300, exponent=exponent)
+        datum = GridFunction(lat, np.zeros(lat.n_nodes), model)
+        with pytest.raises(ValueError, match="^exterior model overflows "
+                           "the interaction tail$") as info:
+            NonlocalProblem(lat, omega, make_power(2.0), Kernel(), 0.5,
+                            datum, truncation_radius=1.0)
+        assert isinstance(info.value.__cause__, OverflowError)
+
     def test_assemble_requires_quadratic(self):
         prob = line_problem(h=1 / 16, p=3.0)
         with pytest.raises(ValueError):
