@@ -384,7 +384,7 @@ def _stage_gradient_fd(ctx, rng):
     prob = ctx.problem
     n_om = int(prob.omega_mask.sum())
     v = prob.datum_extension(rng.normal(size=n_om))
-    g = sl._gradient_omega(prob, v.values)
+    g = sl._energy_gradient(prob, v.values)[1]
     idx = np.flatnonzero(prob.omega_mask)
     probe = rng.choice(n_om, size=min(12, n_om), replace=False)
     scale = max(1.0, float(np.abs(v.values).max()))
@@ -687,7 +687,7 @@ SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     **_strict(
         ["problem", "pipeline"],
-        problem=_strict(
+        problem={**_strict(
             ["dim", "h", "omega", "s", "nfunction", "datum"],
             dim={"type": "integer", "minimum": 1, "maximum": 3},
             h={"type": "number", "exclusiveMinimum": 0},
@@ -729,8 +729,13 @@ SCHEMA = {
                 exponent={"type": "number"},
                 center={"type": "array", "items": {"type": "number"}},
                 start_radius={"type": "number"}),
-            truncation_radius={"type": "number", "exclusiveMinimum": 0},
-        ),
+            truncation_radius={"type": "number", "exclusiveMinimum": 0}),
+            # the default radius 8 |hi - lo| suits 1-D only: on the unit
+            # square at h = 1/32 it would take 448 M pairs
+            "if": {"required": ["dim"], "properties": {
+                "dim": {"type": "integer", "minimum": 2}}},
+            "then": {"required": ["truncation_radius"]},
+        },
         pipeline={"type": "array", "minItems": 1, "items": {"enum": [
             "solve", *(f"{kind}:{name}" for kind, table in STAGES.items()
                        for name in table)]}},
@@ -749,7 +754,8 @@ SCHEMA = {
             holder_decay=_strict(sigmas={
                 "type": "array", "items": {"type": "number"}, "minItems": 1}),
         ),
-        solver=_strict(tol={"type": "number"}, max_iter={"type": "integer"},
+        solver=_strict(tol={"type": "number", "exclusiveMinimum": 0},
+                       max_iter={"type": "integer"},
                        initial={"enum": ["zero", "harmonic"]}),
     ),
     # a seeded stage or a random datum needs a seed; each branch checks
@@ -828,6 +834,11 @@ def _run(config_path, out_override, seed_override, tol_override,
     validate_config(config)
     if tol_override is not None:
         config.setdefault("solver", {})["tol"] = tol_override
+    # --tol comes after the schema, and NaN and inf pass its bound
+    tol = config.get("solver", {}).get("tol")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ConfigError(
+            f"solver.tol must be a positive finite number, not {tol!r}")
     out_dir = (out_override or config.get("output_dir")
                or os.environ.get(OUTPUT_DIR_ENV) or ".")
     ctx = RunContext(config, out_dir, config.get("seed"))

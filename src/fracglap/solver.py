@@ -31,8 +31,8 @@ stopping scale) scatters onto the nodes in one order, block by block
 (``_node_sums``); a block holds ``pairs.PAIR_BLOCK`` entries.  The
 descent scores each trial point by one walk that gives both its energy
 and its gradient (``_energy_gradient``), so an accepted trial's
-gradient is the next iteration's; a caller that needs only the gradient
-skips the energy.
+gradient is the next iteration's; every other gradient (``gradient``,
+``weak_residual``) is the same walk.
 
 Strict convexity of the energy (g strictly increasing) makes the
 minimizer unique; descent with Armijo backtracking therefore converges
@@ -225,11 +225,10 @@ class NonlocalProblem:
                 "for this exterior model"
             )
 
-    def _far_tail(self, w, derivative=False, energy=True):
+    def _far_tail(self, w, derivative=False):
         """Per-domain-node tail c_far int_r^inf G(|w - f(rho)| rho^(-s))
         drho / rho for node values ``w``; with ``derivative``, the pair
-        (tail, its derivative in w), both from one walk, or the
-        derivative alone when ``energy`` is False.
+        (tail, its derivative in w), both from one walk.
 
         A level model c takes tau = |w - c| rho^(-s): the tail is
         c_far H(T)/s, T = |w - c| r^(-s) (``NFunction.H``), and H'(T) =
@@ -245,28 +244,25 @@ class NonlocalProblem:
         zero tau* = (A/B)^(1/delta) of the difference (when A B > 0), T0
         and the taus where the difference crosses a knot of g
         (``NFunction.knots``) are laid out once, and the graded rule
-        evaluates the asked-for integrands on the same nodes; each
-        integral has the same bits whichever others share the walk.
+        evaluates the asked-for integrands on the same nodes; the tail
+        has the same bits whether or not the derivative shares the walk.
         """
         model = self.exterior_datum.exterior
         s, r = self.s, self.truncation_radius
-        out = []
         if model.level is not None:
             dw = w - model.level
             T = np.abs(dw) * r ** (-s)
-            if energy:
-                out.append(self._far_coef * self.nf.H(T) / s)
-            if derivative:
-                ratio = np.divide(self.nf.G(T), T, out=np.zeros_like(T),
-                                  where=T > 0)
-                out.append(self._far_coef * np.sign(dw) * ratio
-                           * r ** (-s) / s)
-            return tuple(out) if len(out) > 1 else out[0]
+            tail = self._far_coef * self.nf.H(T) / s
+            if not derivative:
+                return tail
+            ratio = np.divide(self.nf.G(T), T, out=np.zeros_like(T),
+                              where=T > 0)
+            return tail, self._far_coef * np.sign(dw) * ratio * r ** (-s) / s
         a = model.exponent
         m = s - max(a, 0.0)
         if m <= 0.0:
-            out = [np.full_like(w, np.inf) for _ in range(energy + derivative)]
-            return tuple(out) if len(out) > 1 else out[0]
+            out = [np.full_like(w, np.inf) for _ in range(1 + derivative)]
+            return tuple(out) if derivative else out[0]
         delta = abs(a) / m
         t0 = r ** (-m)
         c = np.full_like(w, model.value)
@@ -286,9 +282,7 @@ class NonlocalProblem:
         def fn(tau, Ao, Bo):
             d = flip * tau * (Ao - Bo * tau ** delta)
             ad = np.abs(d)
-            terms = ()
-            if energy:
-                terms += (self.nf.G(ad) / tau,)
+            terms = (self.nf.G(ad) / tau,)
             if derivative:
                 terms += (self.nf.g(ad) * np.sign(d) * tau ** (s / m - 1.0),)
             return terms
@@ -296,7 +290,7 @@ class NonlocalProblem:
         # segments in blocks of at most BLOCK_NODES quadrature nodes per
         # integrand, so a stack of candidates costs no more memory than
         # one; a segment's integral has the same bits in any block
-        vals = np.empty((energy + derivative, owner.size))
+        vals = np.empty((1 + derivative, owner.size))
         rows = max(1, BLOCK_NODES // (2 * FAR_PANELS * FAR_POINTS))
         for start in range(0, owner.size, rows):
             seg = slice(start, start + rows)
@@ -306,7 +300,7 @@ class NonlocalProblem:
                                             FAR_POINTS)
         out = [self._far_coef / m * np.bincount(owner, v, minlength=w.size)
                for v in vals]
-        return tuple(out) if len(out) > 1 else out[0]
+        return tuple(out) if derivative else out[0]
 
     # -- admissibility ---------------------------------------------------
 
@@ -372,12 +366,7 @@ def _knot_crossings(knots, A, B, delta, kink, t0):
 def energy(prob, v):
     """Interaction energy of an admissible candidate."""
     prob.require_admissible(v)
-    return _energy_values(prob, v.values)
-
-
-def _energy_values(prob, vals):
-    """Energy of the node values ``vals``: ``_energies`` of one row."""
-    return float(_energies(prob, vals[None])[0])
+    return float(_energies(prob, v.values[None])[0])
 
 
 def _energies(prob, V):
@@ -432,7 +421,7 @@ def _pair_blocks(prob, Vt, sub=None):
     overwrite.  Node-major, one pair index gathers the B values of a
     node at once.  The block height
     depends on B only, so a stack of one is walked in the same blocks by
-    ``_energy_values`` and ``_energy_gradient``."""
+    ``_energies`` and ``_energy_gradient``."""
     ia, ja, _, w = prob._pairs
     inv_ds = prob._inv_ds
     if sub is not None:
@@ -474,7 +463,7 @@ def gradient(prob, v):
     """First variation at admissible ``v``; nonzero only on the domain."""
     prob.require_admissible(v)
     full = np.zeros(prob.lattice.n_nodes)
-    full[prob.omega_mask] = _gradient_omega(prob, v.values)
+    full[prob.omega_mask] = _energy_gradient(prob, v.values)[1]
     return GridFunction(prob.lattice, full, v.exterior)
 
 
@@ -498,15 +487,13 @@ def _node_sums(prob, contrib, second):
     return acc[omega]
 
 
-def _energy_gradient(prob, vals, energy=True):
+def _energy_gradient(prob, vals):
     """(energy, domain gradient) of the node values ``vals`` in one walk
     over the stored pairs: each block of ``_pair_blocks`` (a stack of
-    one) adds w G(t) to the energy, as ``_energy_values`` sums it, and
-    stores the pair derivative w d^(-s) g(t) sign(v(x) - v(y)), which
+    one) adds w G(t) to the energy, as ``_energies`` sums a stack of one,
+    and stores the pair derivative w d^(-s) g(t) sign(v(x) - v(y)), which
     ``_node_sums`` scatters onto the nodes.  g(0) = 0 makes the integrand
-    differentiable at coincident values.  With ``energy`` False the walk
-    skips G and the far energy and the energy is None; the gradient has
-    the same bits."""
+    differentiable at coincident values."""
     Vt = vals[:, None]
     G, g = _profile(prob, Vt)
     pair = np.zeros(1)
@@ -519,23 +506,15 @@ def _energy_gradient(prob, vals, energy=True):
         d = deriv[start:stop]
         np.sign(t[:, 0], out=d)
         np.abs(t, out=t)
-        if energy:
-            pair += w @ G(t)
+        pair += w @ G(t)
         d *= g(t[:, 0])
         d *= inv_ds
         d *= w
-    far = prob._far_tail(vals[prob.omega_mask], derivative=True,
-                         energy=energy)
-    far_energy, far_grad = far if energy else (None, far)
+    far_energy, far_grad = prob._far_tail(vals[prob.omega_mask],
+                                          derivative=True)
     grad = _node_sums(prob, deriv, np.subtract)
     grad += far_grad
-    return (float(pair[0] + far_energy.sum()) if energy else None), grad
-
-
-def _gradient_omega(prob, vals):
-    """Domain gradient at the node values ``vals``: ``_energy_gradient``
-    without the energy."""
-    return _energy_gradient(prob, vals, energy=False)[1]
+    return float(pair[0] + far_energy.sum()), grad
 
 
 def weak_residual(prob, v):
@@ -544,7 +523,7 @@ def weak_residual(prob, v):
     component there, which is what makes the minimizer/weak-solution
     equivalence checkable."""
     prob.require_admissible(v)
-    return float(np.abs(_gradient_omega(prob, v.values)).max())
+    return float(np.abs(_energy_gradient(prob, v.values)[1]).max())
 
 
 # -- quadratic assembly (closed-form oracle route for p = q = 2) ----------

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from fracglap import (ExteriorModel, GridFunction, Kernel, Lattice,
                       NonlocalProblem, make_power, make_power_log)
+from fracglap import solver as sl
 
 
 def line_problem(h=1 / 32, s=0.5, p=2.0, family="power", datum="sin",
@@ -254,6 +255,20 @@ def surrogate_add_at_reference(prob):
     return A, b, const
 
 
+def energy_values(prob, vals):
+    """Energy of the node values ``vals``, admissible or not:
+    ``solver._energies`` of a stack of one, as ``solver.energy`` takes
+    it."""
+    return float(sl._energies(prob, vals[None])[0])
+
+
+def gradient_values(prob, vals):
+    """Domain gradient at the node values ``vals``, admissible or not:
+    the gradient half of ``solver._energy_gradient``, as
+    ``solver.gradient`` takes it."""
+    return sl._energy_gradient(prob, vals)[1]
+
+
 def energy_reference(prob, vals):
     """Energy of the node values ``vals`` by one unblocked pair sum: the
     single-candidate route before ``solver._energies``, kept as its
@@ -288,7 +303,6 @@ def far_terms_reference(prob, w):
     two walks, one per term, each laying out its own segments: the route
     before ``NonlocalProblem._far_tail`` gave both from one walk, kept as
     its oracle."""
-    from fracglap import solver as sl
     from fracglap.quadrature import (BLOCK_NODES, FAR_PANELS, FAR_POINTS,
                                      integrate_graded)
 

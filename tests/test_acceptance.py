@@ -17,9 +17,8 @@ from fracglap import (Ball, Cutoff, ExteriorModel, GridFunction, Kernel,
                       make_power, make_power_log, solve, sphere_measure,
                       tail, weak_residual)
 from fracglap.cli import EXIT_OK, generate_corpus, run
-from fracglap.solver import _energy_values, _gradient_omega
 
-from helpers import quadratic_oracle
+from helpers import energy_values, gradient_values, quadratic_oracle
 
 
 def _report(num, name, ok, detail=""):
@@ -85,7 +84,7 @@ def test_criterion_02_gradient_correctness():
             n_om = int(prob.omega_mask.sum())
             assert n_om <= 20
             v = prob.datum_extension(rng.normal(size=n_om))
-            g = _gradient_omega(prob, v.values)
+            g = gradient_values(prob, v.values)
             idx = np.flatnonzero(prob.omega_mask)
             scale = max(1.0, float(np.abs(v.values).max()))
             eps = 1e-6 * scale
@@ -94,8 +93,8 @@ def test_criterion_02_gradient_correctness():
                 vp[idx[k]] += eps
                 vm = v.values.copy()
                 vm[idx[k]] -= eps
-                fd = (_energy_values(prob, vp)
-                      - _energy_values(prob, vm)) / (2 * eps)
+                fd = (energy_values(prob, vp)
+                      - energy_values(prob, vm)) / (2 * eps)
                 rel = abs(g[k] - fd) / max(abs(fd), 1e-12)
                 worst = max(worst, rel)
     _report(2, "gradient correctness", worst <= 1e-5,
@@ -120,14 +119,14 @@ def test_criterion_03_euler_lagrange_equivalence():
         wres = weak_residual(prob, rep.minimizer)
         thr = rep.details["threshold"]
         worst_res = max(worst_res, wres / thr)
-        e0 = _energy_values(prob, rep.minimizer.values)
+        e0 = energy_values(prob, rep.minimizer.values)
         base = rep.minimizer.values
         scale = 0.01 * (1.0 + prob.data_oscillation())
         for _ in range(100):
             pert = base.copy()
             pert[prob.omega_mask] += scale * rng.normal(
                 size=int(prob.omega_mask.sum()))
-            if _energy_values(prob, pert) <= e0:
+            if energy_values(prob, pert) <= e0:
                 violations += 1
     _report(3, "euler-lagrange equivalence",
             worst_res <= 1.0 and violations == 0,

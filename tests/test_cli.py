@@ -88,6 +88,15 @@ def _without_seed(pipeline):
     return edit
 
 
+def _without_radius(dim):
+    """A config edit to a ``dim``-D box without ``truncation_radius``."""
+    def edit(cfg):
+        cfg["problem"].update(dim=dim, omega={"lo": [-0.5] * dim,
+                                              "hi": [0.5] * dim})
+        del cfg["problem"]["truncation_radius"]
+    return edit
+
+
 # configs that the stage and tolerance tables, the seed rule and the
 # strict objects reject: case -> (edit, phrase of the one error line)
 SCHEMA_REJECTS = {
@@ -130,6 +139,18 @@ SCHEMA_REJECTS = {
     "solver-key": (_set(["solver", "max_iters"], 1),
                    "at $.solver: Additional properties are not allowed "
                    "('max_iters' was unexpected)"),
+    "negative-tol": (_set(["solver", "tol"], -1.0),
+                     "at $.solver.tol: -1.0 is less than or equal to the "
+                     "minimum of 0"),
+    "zero-tol": (_set(["solver", "tol"], 0),
+                 "at $.solver.tol: 0 is less than or equal to the minimum "
+                 "of 0"),
+    "2d-without-radius": (_without_radius(2),
+                          "at $.problem: 'truncation_radius' is a required "
+                          "property"),
+    "3d-without-radius": (_without_radius(3),
+                          "at $.problem: 'truncation_radius' is a required "
+                          "property"),
 }
 
 
@@ -139,9 +160,9 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
-def run_subprocess(tmp_path, cfg):
-    """``fracglap run`` on ``cfg`` in a fresh interpreter, so that its
-    whole stderr, warnings included, is what a user sees."""
+def run_subprocess(tmp_path, cfg, *flags):
+    """``fracglap run`` on ``cfg`` with ``flags`` in a fresh interpreter,
+    so that its whole stderr, warnings included, is what a user sees."""
     path = write_config(tmp_path, cfg)
     env = dict(os.environ)
     src = str(Path(fracglap.__file__).resolve().parents[1])
@@ -151,7 +172,7 @@ def run_subprocess(tmp_path, cfg):
             "sys.exit(main(sys.argv[1:]))")
     return subprocess.run(
         [sys.executable, "-c", code, "run", path, "--out",
-         str(tmp_path / "out")],
+         str(tmp_path / "out"), *flags],
         env=env, capture_output=True, text=True, timeout=300)
 
 
@@ -427,7 +448,7 @@ def broken_configs(draw):
     cfg = base_config(tolerances={"boundedness": 1.0})
     how = draw(st.sampled_from(["drop", "unknown_key", "wrong_type",
                                 "unknown_stage", "unknown_tolerance",
-                                "no_seed"]))
+                                "no_seed", "no_radius", "tol_bound"]))
     if how == "drop":
         path, key = draw(st.sampled_from(REQUIRED_KEYS))
         del _node(cfg, path)[key]
@@ -448,6 +469,11 @@ def broken_configs(draw):
     elif how == "unknown_tolerance":
         key = draw(NAMES.filter(lambda k: k not in cli.TOLERANCE_KEYS))
         cfg["tolerances"][key] = 1e-6
+    elif how == "no_radius":
+        _without_radius(draw(st.sampled_from([2, 3])))(cfg)
+    elif how == "tol_bound":
+        cfg["solver"]["tol"] = draw(st.floats(max_value=0.0,
+                                              allow_nan=False))
     else:
         del cfg["seed"]
         if draw(st.booleans()):
@@ -760,7 +786,7 @@ def probed_components(cfg):
     rng = np.random.default_rng([cfg["seed"], 2])
     v = prob.datum_extension(rng.normal(size=n_om))
     probe = rng.choice(n_om, size=min(12, n_om), replace=False)
-    return probe, sl._gradient_omega(prob, v.values)
+    return probe, sl._energy_gradient(prob, v.values)[1]
 
 
 class TestDegenerateExterior:
@@ -830,14 +856,14 @@ class TestGradientFD:
         probe, g = probed_components(cfg)
         k = probe[np.argmin(np.abs(g[probe]))]
         assert abs(g[k]) < 1e-3
-        exact = sl._gradient_omega
+        exact = sl._energy_gradient
 
         def wrong(prob, vals):
-            out = exact(prob, vals)
+            e, out = exact(prob, vals)
             out[k] *= 1.0 + 1e-4
-            return out
+            return e, out
 
-        monkeypatch.setattr(sl, "_gradient_omega", wrong)
+        monkeypatch.setattr(sl, "_energy_gradient", wrong)
         out = tmp_path / "out"
         assert run(write_config(tmp_path, cfg),
                    out_override=str(out)) == EXIT_ESTIMATE
@@ -854,14 +880,14 @@ class TestGradientFD:
         cfg = small_component_config()
         probe, g = probed_components(cfg)
         k = probe[np.argmin(np.abs(g[probe]))]
-        exact = sl._gradient_omega
+        exact = sl._energy_gradient
 
         def wrong(prob, vals):
-            out = exact(prob, vals)
+            e, out = exact(prob, vals)
             out[k] *= 1.0 + 2e-5
-            return out
+            return e, out
 
-        monkeypatch.setattr(sl, "_gradient_omega", wrong)
+        monkeypatch.setattr(sl, "_energy_gradient", wrong)
         out = tmp_path / "out"
         assert run(write_config(tmp_path, cfg),
                    out_override=str(out)) == EXIT_ESTIMATE
@@ -1292,6 +1318,101 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: declared upper index q=1.5")
         assert one_line(err)
+
+
+# solver tolerances that are not a positive finite number, as --tol or
+# as solver.tol: case -> (flags, solver.tol, phrase of the error line).
+# -1, NaN and 0 used to run every iteration and exit 3; inf exited 0,
+# "converged" at the start
+BAD_TOLERANCES = {
+    "flag-negative": (["--tol", "-1"], None,
+                      "solver.tol must be a positive finite number, not "
+                      "-1.0"),
+    "flag-nan": (["--tol", "nan"], None, "not nan"),
+    "flag-zero": (["--tol", "0"], None, "not 0.0"),
+    "flag-inf": (["--tol", "inf"], None, "not inf"),
+    "config-negative": ([], -1.0, "at $.solver.tol: -1.0 is less than or "
+                                  "equal to the minimum of 0"),
+    "config-inf": ([], math.inf, "not inf"),
+    "config-nan": ([], math.nan, "not nan"),
+}
+
+
+class TestRunRules:
+    """A rule on values that the run states before any stage: the
+    solver tolerance is a positive finite number, and a 2-D or 3-D
+    config names its truncation radius."""
+
+    @staticmethod
+    def _config(case):
+        flags, tol, phrase = BAD_TOLERANCES[case]
+        cfg = base_config()
+        cfg["problem"]["datum"] = {"family": "constant", "value": 0.3}
+        if tol is not None:
+            cfg["solver"]["tol"] = tol
+        return cfg, flags, phrase
+
+    def test_schema_states_the_tolerance_bound(self):
+        tol = printed_schema()["properties"]["solver"]["properties"]["tol"]
+        assert tol == {"type": "number", "exclusiveMinimum": 0}
+
+    @pytest.mark.parametrize("case", sorted(BAD_TOLERANCES))
+    def test_bad_tolerance_in_process(self, tmp_path, capsys, monkeypatch,
+                                      case):
+        cfg, flags, phrase = self._config(case)
+
+        def built(*args):
+            raise AssertionError("problem built")
+
+        monkeypatch.setattr(cli, "build_problem", built)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out),
+                     *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and one_line(err), err
+        assert phrase in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_TOLERANCES))
+    def test_bad_tolerance_through_fracglap_run(self, tmp_path, case):
+        cfg, flags, phrase = self._config(case)
+        res = run_subprocess(tmp_path, cfg, *flags)
+        assert res.returncode == EXIT_CONFIG, res.stderr
+        assert res.stderr.startswith("config error: ")
+        assert one_line(res.stderr), res.stderr
+        assert phrase in res.stderr
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_radius_required_from_2d(self, tmp_path, capsys, monkeypatch,
+                                     dim):
+        cfg = base_config()
+        _without_radius(dim)(cfg)
+        want = ("config error: config schema violation at $.problem: "
+                "'truncation_radius' is a required property\n")
+        res = run_subprocess(tmp_path, cfg)
+        assert res.returncode == EXIT_CONFIG, res.stderr
+        assert res.stderr == want
+
+        def built(*args):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(cli.Lattice, "from_box", built)
+        out = tmp_path / "in-process"
+        assert main(["run", write_config(tmp_path, cfg), "--out",
+                     str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+        cfg["problem"]["truncation_radius"] = 0.25
+        validate_config(cfg)
+
+    def test_1d_keeps_the_default_radius(self, tmp_path):
+        cfg = base_config()
+        del cfg["problem"]["truncation_radius"]
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg),
+                   out_override=str(out)) == EXIT_OK
+        assert json.loads((out / "SolveReport.json").read_text())["converged"]
+        assert build_problem(cfg).truncation_radius == 8.0
 
 
 class TestArtifacts:

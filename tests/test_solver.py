@@ -15,12 +15,11 @@ from fracglap import (ExteriorModel, GridFunction, InadmissibleError, Kernel,
                       sphere_measure, weak_residual)
 from fracglap.cli import FD_ROUNDING, build_problem, run
 from fracglap.quadrature import integrate_graded, integrate_radial
-from fracglap.solver import _energy_values, _gradient_omega
 
 from helpers import (KINKED_TABLE, central_differences_full,
-                     energy_reference, far_terms_reference,
-                     gradient_reference, line_problem, oracle_energy,
-                     quadratic_oracle, square_problem,
+                     energy_reference, energy_values, far_terms_reference,
+                     gradient_reference, gradient_values, line_problem,
+                     oracle_energy, quadratic_oracle, square_problem,
                      surrogate_add_at_reference)
 
 
@@ -108,8 +107,8 @@ class TestEnergy:
         e1 = energy(prob, prob.datum_extension(vom))
         e2 = energy(prob2, prob2.datum_extension(c * vom))
         assert e2 == pytest.approx(c ** p * e1, rel=1e-12)
-        g1 = _gradient_omega(prob, prob.datum_extension(vom).values)
-        g2 = _gradient_omega(prob2, prob2.datum_extension(c * vom).values)
+        g1 = gradient_values(prob, prob.datum_extension(vom).values)
+        g2 = gradient_values(prob2, prob2.datum_extension(c * vom).values)
         np.testing.assert_allclose(g2, c ** (p - 1) * g1, rtol=1e-11)
 
     def test_inadmissible_rejected(self, p2_problem):
@@ -126,7 +125,7 @@ class TestGradient:
         prob = line_problem(h=1 / 16, s=0.6, p=p, family=family)
         rng = np.random.default_rng(5)
         v = prob.datum_extension(rng.normal(size=int(prob.omega_mask.sum())))
-        g = _gradient_omega(prob, v.values)
+        g = gradient_values(prob, v.values)
         idx = np.flatnonzero(prob.omega_mask)
         eps = 1e-6
         for k in range(0, idx.size, 3):
@@ -134,7 +133,7 @@ class TestGradient:
             vp[idx[k]] += eps
             vm = v.values.copy()
             vm[idx[k]] -= eps
-            fd = (_energy_values(prob, vp) - _energy_values(prob, vm)) / (2 * eps)
+            fd = (energy_values(prob, vp) - energy_values(prob, vm)) / (2 * eps)
             assert g[k] == pytest.approx(fd, rel=2e-6, abs=1e-12)
 
     def test_constant_data_zero_gradient(self):
@@ -147,7 +146,7 @@ class TestGradient:
         A, b, _, oi = quadratic_oracle(prob)
         rng = np.random.default_rng(3)
         vom = rng.normal(size=oi.size)
-        g = _gradient_omega(prob, prob.datum_extension(vom).values)
+        g = gradient_values(prob, prob.datum_extension(vom).values)
         np.testing.assert_allclose(g, A @ vom - b, rtol=1e-11, atol=1e-13)
 
     def test_gradient_supported_on_domain(self, p2_problem):
@@ -214,7 +213,7 @@ class TestSolve:
             pert = base.copy()
             pert[prob.omega_mask] += 0.01 * rng.normal(
                 size=int(prob.omega_mask.sum()))
-            assert _energy_values(prob, pert) > e0
+            assert energy_values(prob, pert) > e0
 
     def test_minimizer_scaling_homogeneous(self):
         c = 3.0
@@ -249,14 +248,14 @@ class TestSolve:
                                datum, truncation_radius=1.0)
         rep = solve(prob, tol=1e-10)
         assert rep.converged
-        g = _gradient_omega(prob, rep.minimizer.values)
+        g = gradient_values(prob, rep.minimizer.values)
         assert abs(g[0]) <= rep.details["threshold"]
         # the one unknown is the root of the scalar derivative
         vals = rep.minimizer.values.copy()
 
         def dphi(x):
             vals[1] = x
-            return _gradient_omega(prob, vals)[0]
+            return gradient_values(prob, vals)[0]
 
         root = optimize.brentq(dphi, -1.0, 1.0, xtol=1e-14, rtol=1e-14)
         assert rep.minimizer.values[1] == pytest.approx(root, abs=1e-10)
@@ -440,11 +439,12 @@ class TestPairStorage:
     def test_scatter_temporaries_are_blocks(self, what, monkeypatch):
         prob = square_problem(h=1 / 32, rext=0.5)
         monkeypatch.setattr(pairs, "PAIR_BLOCK", 2**12)
-        vals = prob.datum_extension(0.1).values
+        v = prob.datum_extension(0.1)
         prob._inv_ds
         calls = {"scale": lambda: prob._gradient_scale,
-                 "energy_gradient": lambda: sl._energy_gradient(prob, vals),
-                 "gradient": lambda: _gradient_omega(prob, vals)}
+                 "energy_gradient": lambda: sl._energy_gradient(prob,
+                                                                v.values),
+                 "gradient": lambda: gradient(prob, v)}
         tracemalloc.start()
         try:
             calls[what]()
@@ -821,7 +821,7 @@ STACK_MODELS = {
 
 class TestEnergies:
     """``_energies`` scores a stack of candidates in one blocked pass; each
-    row, and ``_energy_values`` of that candidate alone, is the unblocked
+    row, and the energy of that candidate alone, is the unblocked
     pair sum up to summation order."""
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -842,7 +842,7 @@ class TestEnergies:
             want = [energy_reference(prob, v) for v in V]
             np.testing.assert_allclose(sl._energies(prob, V), want,
                                        rtol=1e-13, atol=0)
-            np.testing.assert_allclose([_energy_values(prob, v) for v in V],
+            np.testing.assert_allclose([energy_values(prob, v) for v in V],
                                        want, rtol=1e-13, atol=0)
 
 
@@ -852,8 +852,8 @@ WEIGHTED = Kernel.from_config({"form": "weighted", "lambda": 0.5,
 
 class TestEnergyGradient:
     """``_energy_gradient`` gives the energy and the domain gradient in one
-    walk over the pairs: bitwise ``_energy_values`` and the unblocked
-    gradient (``gradient_reference``)."""
+    walk over the pairs: bitwise the energy of a stack of one
+    (``_energies``) and the unblocked gradient (``gradient_reference``)."""
 
     @pytest.mark.parametrize("kernel", ["pure", "weighted"])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -870,40 +870,9 @@ class TestEnergyGradient:
         assert prob._pairs[0].size % 700
         for vals in _noisy_stack(prob, 3, np.random.default_rng(dim)):
             e, g = sl._energy_gradient(prob, vals)
-            assert e == _energy_values(prob, vals)
+            assert e == energy_values(prob, vals)
             np.testing.assert_array_equal(g, gradient_reference(prob, vals),
                                           strict=True)
-            np.testing.assert_array_equal(_gradient_omega(prob, vals), g,
-                                          strict=True)
-
-
-class TestGradientOnly:
-    """Gradient-only callers skip G on the pairs and the far energy; the
-    gradient keeps the bits of ``_energy_gradient``'s."""
-
-    @pytest.mark.parametrize("model", ["constant", "power0.25"])
-    @pytest.mark.parametrize("profile", sorted(STACK_PROFILES))
-    def test_skips_the_energy(self, profile, model, monkeypatch):
-        prob = _stack_problem(2, STACK_PROFILES[profile](),
-                              STACK_MODELS[model])
-        vals = _noisy_stack(prob, 1, np.random.default_rng(9))[0]
-        e, want = sl._energy_gradient(prob, vals)
-        assert e == _energy_values(prob, vals)
-
-        def boom(*args):
-            raise AssertionError("energy evaluated")
-
-        # the pairs evaluate G unchecked, the level tail's energy is H;
-        # a level tail's derivative reads G(T), a power tail's only g
-        monkeypatch.setattr(prob.nf, "_G_unchecked", boom)
-        monkeypatch.setattr(prob.nf, "H", boom)
-        if model != "constant":
-            monkeypatch.setattr(prob.nf, "G", boom)
-        e, got = sl._energy_gradient(prob, vals, energy=False)
-        assert e is None
-        np.testing.assert_array_equal(got, want, strict=True)
-        np.testing.assert_array_equal(_gradient_omega(prob, vals), want,
-                                      strict=True)
 
 
 class TestDomainCheck:
@@ -983,6 +952,43 @@ ORACLE_MODELS = {**LEVEL_MODELS,
                     for a in POWER_EXPONENTS}}
 
 
+class TestSolverResidual:
+    """The solver's residual is the weak residual of its minimizer, bit
+    for bit: the solve and the checks read one gradient
+    (``_energy_gradient``)."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("model", ["constant", "power0.25"])
+    @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
+    def test_descent(self, profile, model, dim):
+        # converged or stopped at max_iter (2-D p = 1.5 crawls), the
+        # residual is that of the last accepted trial
+        prob = _stack_problem(dim, ORACLE_PROFILES[profile](),
+                              STACK_MODELS[model])
+        rep = solve(prob, tol=1e-9, max_iter=50)
+        assert rep.iterations > 0
+        assert weak_residual(prob, rep.minimizer) == rep.residual_norm
+
+    @pytest.mark.parametrize("make", [lambda: line_problem(datum=2.5),
+                                      lambda: square_problem(datum=2.5)],
+                             ids=["1d", "2d"])
+    def test_constant_datum(self, make):
+        prob = make()
+        rep = solve(prob, tol=1e-9)
+        assert rep.converged and rep.iterations == 0
+        assert weak_residual(prob, rep.minimizer) == rep.residual_norm
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_line_search_failure(self, dim, monkeypatch):
+        monkeypatch.setattr(sl, "MAX_BACKTRACKS", 0)
+        prob = _stack_problem(dim, make_power(3.0),
+                              STACK_MODELS["power0.25"])
+        rep = solve(prob, tol=1e-9)
+        assert rep.line_search_failures == 1 and not rep.converged
+        assert rep.residual_norm > 0.0
+        assert weak_residual(prob, rep.minimizer) == rep.residual_norm
+
+
 class TestFarTailOneWalk:
     """``_far_tail`` gives the tail energy and its derivative from one
     walk: bitwise the two walks it replaced (``far_terms_reference``),
@@ -1005,9 +1011,6 @@ class TestFarTailOneWalk:
             np.testing.assert_array_equal(g, wnt, strict=True)
         np.testing.assert_array_equal(prob._far_tail(w), want[0],
                                       strict=True)
-        np.testing.assert_array_equal(
-            prob._far_tail(w, derivative=True, energy=False), want[1],
-            strict=True)
 
     @pytest.mark.parametrize("model", ["power0.25", "power-0.3"])
     def test_one_layout_per_energy_gradient(self, model, monkeypatch):
