@@ -138,6 +138,9 @@ def build_problem(cfg, rng=None):
     nf = nfm.from_config(p["nfunction"])
     kernel = Kernel.from_config(p.get("kernel", {"form": "pure"}))
     s = float(p["s"])
+    # the schema's rule, for a config that skips the schema
+    if dim > 1 and "truncation_radius" not in p:
+        raise ConfigError(f"problem.truncation_radius is required in {dim}-D")
     r_ext = float(p.get("truncation_radius",
                         8.0 * float(np.linalg.norm(om_hi - om_lo))))
     pad = math.ceil(r_ext / h + 1e-9) * h
@@ -835,10 +838,8 @@ def _run(config_path, out_override, seed_override, tol_override,
     if tol_override is not None:
         config.setdefault("solver", {})["tol"] = tol_override
     # --tol comes after the schema, and NaN and inf pass its bound
-    tol = config.get("solver", {}).get("tol")
-    if tol is not None and not 0.0 < tol < math.inf:
-        raise ConfigError(
-            f"solver.tol must be a positive finite number, not {tol!r}")
+    if "tol" in config.get("solver", {}):
+        sl.check_tol(config["solver"]["tol"], "solver.tol")
     out_dir = (out_override or config.get("output_dir")
                or os.environ.get(OUTPUT_DIR_ENV) or ".")
     ctx = RunContext(config, out_dir, config.get("seed"))

@@ -186,10 +186,10 @@ class NFunction:
     ``family`` selects the evaluation rule, ``exponent`` is the power p
     of the closed-form families and ``table`` the (t_i, g_i) samples of
     a tabulated g, anchored at (0, 0); ``t_max`` ends the domain.  The
-    indices of a table are exact (``_table_indices``); declared indices
-    may widen the band but not cut into it.  Construction validates the
-    structural inequalities on a sampled grid; kappa = 2**q and
-    ell = 2**(1/(p-1)) hold under the index sandwich.
+    indices are exact (``_table_indices`` for a table); a declared band
+    may widen them but not cut into them.  They imply kappa = 2**q,
+    ell = 2**(1/(p-1)) and every structural inequality, so construction
+    samples only the float range (``_validate``).
     """
 
     def __init__(self, family, exponent=None, table=None, p=None, q=None):
@@ -208,19 +208,20 @@ class NFunction:
             self.exponent = p0 = float(exponent)
             q0 = p0 if family == "power" else p0 + 1.0
 
-        tol = 1e-6 * max(1.0, q0)
+        # the exact indices allow a declared band only their rounding
+        tol = 1e-12 * q0
         if p is None:
             p = p0
         elif p > p0 + tol:
             raise ValueError(
-                f"declared lower index p={p:g} exceeds the observed "
-                f"infimum {p0:g} of t*g(t)/G(t)")
+                f"declared lower index p={float(p)!r} exceeds the "
+                f"infimum {p0!r} of t*g(t)/G(t)")
         if q is None:
             q = q0
         elif q < q0 - tol:
             raise ValueError(
-                f"declared upper index q={q:g} is below the observed "
-                f"supremum {q0:g} of t*g(t)/G(t)")
+                f"declared upper index q={float(q)!r} is below the "
+                f"supremum {q0!r} of t*g(t)/G(t)")
         if not (1.0 < p <= q):
             raise ValueError("indices must satisfy 1 < p <= q")
         self.p = float(p)
@@ -480,48 +481,26 @@ class NFunction:
         r = t * self._g_unchecked(t) / self._table_G(t)
         p0 = min(2.0, float(r.min()))
         q0 = max(2.0, float(r.max()))
-        if p0 <= 1.0 + 1e-9:
-            raise ValueError("tabulated g has lower growth index <= 1")
         return p0, q0
 
     # -- validation ----------------------------------------------------
 
     def _validate(self):
+        """Reject a profile that leaves the float range on a grid over
+        its domain: g and G, G at 2t against kappa G, and G at ell t.
+        This sets the range of p; the exact indices imply the rest."""
         if self.table is not None:
             t = np.geomspace(self.table[1, 0], self.t_max, 600)
         else:
             t = np.geomspace(1e-6, 1e6, 61)
         td = t[2.0 * t <= self.t_max]
         tn = t[self.ell * t <= self.t_max]
-        gv, Gv = self.g(t), self.G(t)
-        r = t * gv / Gv
-        mid = self.G(0.5 * (t[:-1] + t[1:]))
-        dbl = self.G(2.0 * td), self.kappa * self.G(td) * (1 + 1e-7)
-        rev = self.G(tn), self.G(self.ell * tn) / (2 * self.ell) * (1 + 1e-7)
-        # a sample past the float range would make a comparison below
-        # arbitrary
-        if not all(np.isfinite(x).all() for x in (gv, r, mid, *dbl, *rev)):
+        samples = (self.g(t), self.G(t), self.G(2.0 * td),
+                   self.kappa * self.G(td), self.G(self.ell * tn))
+        if not all(np.isfinite(x).all() for x in samples):
             raise ValueError(
                 "the profile overflows the float range on its validation "
                 f"grid [{t[0]:g}, {t[-1]:g}] (p = {self.p:g}, q = {self.q:g})")
-        if self.g(0.0) != 0.0:
-            raise ValueError("g(0) must be 0")
-        if np.any(np.diff(gv) <= 0):
-            raise ValueError("g must be strictly increasing")
-        slack = 1e-6 * self.q
-        if r.min() < self.p - slack or r.max() > self.q + slack:
-            raise ValueError(
-                "growth sandwich violated on the sampled grid: "
-                f"t*g/G in [{r.min():.6g}, {r.max():.6g}] vs [{self.p:g}, {self.q:g}]"
-            )
-        # midpoint convexity on neighbouring grid points
-        if np.any(mid > 0.5 * (Gv[:-1] + Gv[1:]) * (1 + 1e-9)):
-            raise ValueError("G failed the midpoint convexity check")
-        # doubling constants on the sampled grid
-        if np.any(dbl[0] > dbl[1]):
-            raise ValueError("doubling constant kappa does not hold")
-        if np.any(rev[0] > rev[1]):
-            raise ValueError("reverse doubling constant ell does not hold")
 
     def __repr__(self):
         return f"NFunction({self.family}, p={self.p:g}, q={self.q:g})"

@@ -187,22 +187,29 @@ class NonlocalProblem:
         (``_node_sums``) of K d^(-s) g(osc(f)/d^s) h^(2n) over
         interacting pairs, walked in blocks of ``pairs.PAIR_BLOCK`` pairs.
         Data whose oscillation puts the argument of g past the profile's
-        range are rejected by name."""
+        range are rejected by name, and so are data whose scale squared
+        is not a finite float: the descent forms g A^(-1) g."""
         osc = self.data_oscillation()
         w, inv_ds = self._pairs[3], self._inv_ds
         contrib = np.empty(w.size)
         try:
-            for start in range(0, w.size, pairs.PAIR_BLOCK):
-                blk = slice(start, start + pairs.PAIR_BLOCK)
-                contrib[blk] = w[blk] * inv_ds[blk] \
-                    * self.nf.g(osc * inv_ds[blk])
+            with np.errstate(over="ignore"):
+                for start in range(0, w.size, pairs.PAIR_BLOCK):
+                    blk = slice(start, start + pairs.PAIR_BLOCK)
+                    contrib[blk] = w[blk] * inv_ds[blk] \
+                        * self.nf.g(osc * inv_ds[blk])
         except OverflowError as exc:
             raise ValueError(
                 f"the datum's oscillation {osc:g} overflows the growth "
                 f"profile: osc max d^(-s) = {osc * self._inv_ds_max:g} "
                 f"exceeds the representable range [0, "
                 f"{REPRESENTABLE_MAX:g}]") from exc
-        return float(_node_sums(self, contrib, np.add).max())
+        scale = float(_node_sums(self, contrib, np.add).max())
+        if not math.isfinite(scale * scale):
+            raise ValueError(f"the datum's oscillation {osc:g} gives the "
+                             f"stopping scale {scale:g}, whose square "
+                             "overflows")
+        return scale
 
     def data_oscillation(self):
         datum = self.exterior_datum
@@ -656,6 +663,13 @@ def _cholesky_solve(factor, g):
     return x
 
 
+def check_tol(tol, name="tol"):
+    """The one rule on a solver tolerance: 0 < tol < inf (not NaN)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(
+            f"{name} must be a positive finite number, not {tol!r}")
+
+
 def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
     """Minimize the energy over admissible candidates.
 
@@ -674,6 +688,7 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
     with one unknown the Barzilai-Borwein step is a secant step on the
     scalar derivative.
     """
+    check_tol(tol)
     if initial not in ("zero", "harmonic"):
         raise ValueError("initial must be 'zero' or 'harmonic'")
     harmonic = initial == "harmonic"
@@ -702,55 +717,59 @@ def solve(prob, tol=1e-8, max_iter=5000, initial="zero"):
     vals[omega] = _cholesky_solve(factor, b) if harmonic else 0.0
 
     v_om = vals[omega].copy()
-    e_now, g_now = _energy_gradient(prob, vals)
-    history = [e_now]
-    alpha = 1.0
-    step = 0.0
-    failures = 0
-    iterations = 0
-    v_prev = None
-    g_prev = None
-    converged = float(np.abs(g_now).max()) <= threshold
-
-    while not converged and iterations < max_iter:
-        d = _cholesky_solve(factor, g_now)
-        slope = float(np.dot(g_now, d))
-        if v_prev is not None:
-            sv = v_om - v_prev
-            yv = g_now - g_prev
-            denom = float(np.dot(sv, yv))
-            if denom > 0:
-                # the last step was sv = -step A^(-1) g_prev, so
-                # s'As = -step s'g_prev needs no A
-                alpha = -step * float(np.dot(sv, g_prev)) / denom
-                alpha = min(max(alpha, 1e-12), 1e12)
-            else:
-                alpha = 1.0
-        t = 1.0
-        accepted = False
-        # sufficient decrease up to the rounding noise of the energy sum,
-        # without which descent stalls once decrements sink below 1 ulp
-        noise = 8.0 * np.finfo(float).eps * (1.0 + abs(e_now))
-        for _ in range(MAX_BACKTRACKS):
-            trial = v_om - t * alpha * d
-            vals[omega] = trial
-            e_trial, g_trial = _energy_gradient(prob, vals)
-            if e_trial <= e_now - ARMIJO_C1 * t * alpha * slope + noise:
-                accepted = True
-                break
-            t *= BACKTRACK
-        if not accepted:
-            failures += 1
-            vals[omega] = v_om
-            break
-        v_prev, g_prev = v_om, g_now
-        v_om = trial
-        step = t * alpha
-        e_now = e_trial
-        history.append(e_now)
-        g_now = g_trial
-        iterations += 1
+    # a trial whose energy overflows is a rejected step, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_now, g_now = _energy_gradient(prob, vals)
+        history = [e_now]
+        alpha = 1.0
+        step = 0.0
+        failures = 0
+        iterations = 0
+        v_prev = None
+        g_prev = None
         converged = float(np.abs(g_now).max()) <= threshold
+
+        while not converged and iterations < max_iter:
+            d = _cholesky_solve(factor, g_now)
+            slope = float(np.dot(g_now, d))
+            if v_prev is not None:
+                sv = v_om - v_prev
+                yv = g_now - g_prev
+                denom = float(np.dot(sv, yv))
+                if denom > 0:
+                    # the last step was sv = -step A^(-1) g_prev, so
+                    # s'As = -step s'g_prev needs no A
+                    alpha = -step * float(np.dot(sv, g_prev)) / denom
+                    alpha = min(max(alpha, 1e-12), 1e12)
+                else:
+                    alpha = 1.0
+            t = 1.0
+            # sufficient decrease up to the rounding noise of the energy sum,
+            # without which descent stalls once decrements sink below 1 ulp
+            noise = 8.0 * np.finfo(float).eps * (1.0 + abs(e_now))
+            for _ in range(MAX_BACKTRACKS):
+                trial = v_om - t * alpha * d
+                vals[omega] = trial
+                try:
+                    e_trial, g_trial = _energy_gradient(prob, vals)
+                except OverflowError:
+                    e_trial = math.inf
+                if math.isfinite(e_trial) and e_trial <= (
+                        e_now - ARMIJO_C1 * t * alpha * slope + noise):
+                    break
+                t *= BACKTRACK
+            else:
+                failures += 1
+                vals[omega] = v_om
+                break
+            v_prev, g_prev = v_om, g_now
+            v_om = trial
+            step = t * alpha
+            e_now = e_trial
+            history.append(e_now)
+            g_now = g_trial
+            iterations += 1
+            converged = float(np.abs(g_now).max()) <= threshold
 
     vals[omega] = v_om
     u = GridFunction(prob.lattice, vals, prob.exterior_datum.exterior)

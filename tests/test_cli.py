@@ -1405,6 +1405,23 @@ class TestRunRules:
         cfg["problem"]["truncation_radius"] = 0.25
         validate_config(cfg)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_build_problem_requires_the_radius_from_2d(self, monkeypatch,
+                                                       dim):
+        # a config that skips the schema meets the same rule, before the
+        # lattice of the 1-D default radius 8 |hi - lo| is built
+        cfg = base_config()
+        _without_radius(dim)(cfg)
+
+        def built(*args):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(cli.Lattice, "from_box", built)
+        with pytest.raises(cli.ConfigError,
+                           match=rf"problem\.truncation_radius is required "
+                                 rf"in {dim}-D"):
+            build_problem(cfg)
+
     def test_1d_keeps_the_default_radius(self, tmp_path):
         cfg = base_config()
         del cfg["problem"]["truncation_radius"]
@@ -1413,6 +1430,58 @@ class TestRunRules:
                    out_override=str(out)) == EXIT_OK
         assert json.loads((out / "SolveReport.json").read_text())["converged"]
         assert build_problem(cfg).truncation_radius == 8.0
+
+
+# a power p = 12 solve of the sin datum at amplitude A: amplitude ->
+# (exit code, the one stderr line).  At A = 1e3 the first trial step
+# leaves the profile's range, and 60 halvings of it do not bring the
+# energy below its start; at A = 1e15 and 1e28 the stopping scale
+# squared, which the descent forms, is not a finite float
+LARGE_EXPONENT = {
+    1.0: (EXIT_OK, None),
+    1e3: (EXIT_SOLVER, "solver did not converge\n"),
+    1e15: (EXIT_CONFIG, "config error: the datum's oscillation 1.99706e+15 "
+                        "gives the stopping scale 8.52275e+174, whose "
+                        "square overflows\n"),
+    1e28: (EXIT_CONFIG, "config error: the datum's oscillation 1.99706e+28 "
+                        "gives the stopping scale inf, whose square "
+                        "overflows\n"),
+}
+
+
+class TestLargeExponentSolve:
+    @pytest.mark.parametrize("amplitude", sorted(LARGE_EXPONENT))
+    def test_one_line_and_its_exit_code(self, tmp_path, amplitude):
+        code, line = LARGE_EXPONENT[amplitude]
+        cfg = base_config()
+        cfg["problem"].update(
+            truncation_radius=1.0,
+            nfunction={"family": "power", "p": 12.0},
+            datum={"family": "sin", "amplitude": amplitude})
+        res = run_subprocess(tmp_path, cfg)
+        assert res.returncode == code, res.stderr
+        assert "Warning" not in res.stderr
+        if line is None:
+            assert res.stderr == ""
+        else:
+            assert res.stderr == line
+
+
+class TestOneSegmentTable:
+    def test_artifacts_equal_the_power_twin(self, tmp_path):
+        # g(t) = t on [0, 1e6] is the power profile p = 2, bit for bit
+        reports = []
+        for name, nfunction in (
+                ("table", {"family": "table", "points": [[0, 0], [1e6, 1e6]]}),
+                ("power", {"family": "power", "p": 2.0})):
+            cfg = base_config()
+            cfg["problem"]["nfunction"] = nfunction
+            out = tmp_path / name
+            assert run(write_config(tmp_path, cfg, f"{name}.json"),
+                       out_override=str(out)) == EXIT_OK
+            reports.append(read_reports(out))
+        assert sorted(reports[0]) == ["SolveReport.json", "minimizer.csv"]
+        assert reports[0] == reports[1]
 
 
 class TestArtifacts:

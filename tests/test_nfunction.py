@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,53 @@ class TestConstruction:
     ], ids=["power", "power_log", "table", "table-anchored"])
     def test_knots_are_the_interior_table_samples(self, nf, knots):
         np.testing.assert_array_equal(nf.knots, knots)
+
+    def test_one_segment_table_builds_as_the_quadratic_power(self):
+        # g(t) = t from the origin to t_max: the indices are exactly 2,
+        # and the float-range probe's grid [t_max, t_max] has one point
+        nf = make_table([[0.0, 0.0], [1e6, 1e6]])
+        assert (nf.p, nf.q, nf.t_max) == (2.0, 2.0, 1e6)
+        t = np.geomspace(1e-3, 1e6, 19)
+        power = make_power(2.0)
+        for fn in ("g", "G", "H"):
+            np.testing.assert_array_equal(getattr(nf, fn)(t),
+                                          getattr(power, fn)(t), strict=True)
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: NFunction("power_log", exponent=2.0, q=3.0 - 1e-7),
+         "upper index q=2.9999999 is below the supremum 3.0 of"),
+        (lambda: make_table(TABLE, q=make_table(TABLE).q - 1e-6),
+         "upper index q=2.387671258032507 is below the supremum "
+         "2.387672258032507 of"),
+        (lambda: make_table(TABLE, p=2.0 + 1e-6),
+         "lower index p=2.000001 exceeds the infimum 2.0 of"),
+    ], ids=["power_log-q", "table-q", "table-p"])
+    def test_declared_band_cuts_into_the_exact_one(self, build, match):
+        # the exact indices leave a declared band only rounding (1e-12 q),
+        # so a cut of 1e-7 or 1e-6 is rejected, with the digits that show
+        # it
+        with pytest.raises(ValueError, match=re.escape(match)):
+            build()
+
+    def test_declared_band_may_round_the_exact_one(self):
+        q0 = make_table(TABLE).q
+        for q in (q0, q0 * (1.0 - 1e-13)):
+            assert make_table(TABLE, p=2.0 * (1.0 + 1e-13), q=q).q == q
+
+    @pytest.mark.parametrize("g0", [1e-9, 1e-4])
+    def test_table_index_near_one_overflows_ell(self, g0):
+        # g jumps to 1 at t = g0 and stays nearly flat: the exact lower
+        # index is 1 + g0/2 or so, and ell = 2^(1/(p-1)) overflows below
+        # p = 1.000977, so the one rule rejects both tables
+        with pytest.raises(ValueError, match=re.escape(
+                "ell = 2^(1/(p-1)) overflows at p=1")):
+            make_table([[g0, 1.0], [1.0, 1.0 + 1e-12]])
+
+    def test_power_builds_up_to_the_float_range(self):
+        # the float-range probe bounds the power family at p = 48.9213
+        assert make_power(48.92).p == 48.92
+        with pytest.raises(ValueError, match="overflows the float range"):
+            make_power(48.93)
 
     @pytest.mark.parametrize("make", [make_power, make_power_log])
     def test_large_exponents_overflow_by_name(self, make):

@@ -168,6 +168,16 @@ class TestSolve:
         with pytest.raises(ValueError, match="initial must be"):
             solve(line_problem(datum=datum), initial="bogus")
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("datum", [2.0, "sin"], ids=["constant", "sin"])
+    def test_tolerance_is_positive_and_finite(self, tol, datum):
+        # inf would stop at the start, "converged" whatever the residual,
+        # and NaN would run to max_iter
+        with pytest.raises(ValueError,
+                           match=f"tol must be a positive finite number, "
+                                 f"not {tol!r}"):
+            solve(line_problem(h=1 / 16, rext=1.0, datum=datum), tol=tol)
+
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_quadratic_matches_direct_solve(self, s):
         prob = line_problem(h=1 / 32, s=s, p=2.0, datum="sin")
