@@ -230,12 +230,12 @@ class NFunction:
             self.kappa = 2.0 ** self.q
         except OverflowError:
             raise ValueError("doubling constant kappa = 2^q overflows at "
-                             f"q={self.q:g}") from None
+                             f"q={self.q!r}") from None
         try:
             self.ell = 2.0 ** (1.0 / (self.p - 1.0))
         except OverflowError:
             raise ValueError("reverse doubling constant ell = 2^(1/(p-1)) "
-                             f"overflows at p={self.p:g}") from None
+                             f"overflows at p={self.p!r}") from None
 
         # samples past the float range fail the certification or
         # ``_validate`` by name, without a warning first
@@ -464,21 +464,41 @@ class NFunction:
         and c2 = (sig/2)(g_k - sig t_k), so the extremes lie at the
         knots or at the roots inside the segments.
         """
-        tk, gk, Gk, _, slope = self._table_knots
-        t0, g0, G0, sig = tk[1:-1], gk[1:-1], Gk[1:-1], slope[1:]
-        c0 = (g0 + sig * t0) * G0 - t0 * g0 * g0
-        c1 = sig * (2.0 * G0 - t0 * g0)
-        c2 = 0.5 * sig * (g0 - sig * t0)
-        # stable roots qq/c2 and c0/qq; c2 = 0 leaves the linear root c0/qq,
-        # and a complex pair gives its vertex, a harmless extra sample
-        disc = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0))
-        qq = -0.5 * (c1 + np.copysign(disc, c1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.concatenate([qq / c2, c0 / qq])
+        # t -> 2^-a t and g -> 2^-b g, with a and b from each segment's end
+        # knot, scale the coefficients exactly and keep them in the floats
+        with np.errstate(all="ignore"):
+            tk, gk, Gk, _, slope = self._table_knots
+            a, b = np.frexp(tk[2:])[1], np.frexp(gk[2:])[1]
+            t0, g0 = np.ldexp(tk[1:-1], -a), np.ldexp(gk[1:-1], -b)
+            G0, sig = np.ldexp(Gk[1:-1], -a - b), np.ldexp(slope[1:], a - b)
+            c0 = (g0 + sig * t0) * G0 - t0 * g0 * g0
+            c1 = sig * (2.0 * G0 - t0 * g0)
+            c2 = 0.5 * sig * (g0 - sig * t0)
+            # stable roots qq/c2 and c0/qq; c2 = 0 leaves the linear root
+            # c0/qq, and a complex pair gives its vertex, a harmless extra
+            # sample
+            disc = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0))
+            qq = -0.5 * (c1 + np.copysign(disc, c1))
+            us = np.concatenate([qq / c2, c0 / qq])
+            u = np.ldexp(us, np.tile(a, 2))
             inside = (u > 0.0) & (u < np.tile(np.diff(tk)[1:], 2))
-        start = np.tile(t0, 2)
-        t = np.concatenate([tk[1:], start[inside] + u[inside]])
-        r = t * self._g_unchecked(t) / self._table_G(t)
+            start = np.tile(tk[1:-1], 2)
+            t = np.concatenate([tk[1:], start[inside] + u[inside]])
+            den = self._table_G(t)
+            r = t * self._g_unchecked(t) / den
+            # t rounds a root within an ulp of its knot onto the knot; the
+            # ratio in the segment's scaled coordinates keeps it
+            t0, g0, G0, sig = (np.tile(x, 2)[inside]
+                               for x in (t0, g0, G0, sig))
+            us = us[inside]
+            r = np.concatenate([r, (t0 + us) * (g0 + sig * us)
+                                / (G0 + (g0 + 0.5 * sig * us) * us)])
+        # past the floats r is 0/0 or inf/inf, a NaN that min and max would
+        # pass over, or a ratio of subnormals, which is inexact
+        if not (np.isfinite(r).all() and den.min() >= np.finfo(float).tiny):
+            raise ValueError(
+                "t*g(t)/G(t) leaves the normal floats on the table's knots "
+                f"[{float(tk[1])!r}, {float(tk[-1])!r}]")
         p0 = min(2.0, float(r.min()))
         q0 = max(2.0, float(r.max()))
         return p0, q0
@@ -487,7 +507,7 @@ class NFunction:
 
     def _validate(self):
         """Reject a profile that leaves the float range on a grid over
-        its domain: g and G, G at 2t against kappa G, and G at ell t.
+        its domain: g, G, G(2t), kappa G and G(ell t) must be finite.
         This sets the range of p; the exact indices imply the rest."""
         if self.table is not None:
             t = np.geomspace(self.table[1, 0], self.t_max, 600)

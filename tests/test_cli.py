@@ -1240,7 +1240,8 @@ def strict_json(text):
 # configs that each end in one config error line: a datum that is
 # infinite at its cusp, a datum whose square overflows in the surrogate,
 # profiles whose constants ell = 2^(1/(p-1)) and kappa = 2^q overflow,
-# and exterior models, growing and level, whose far energy overflows
+# a table whose index ratio leaves the floats, and exterior models,
+# growing and level, whose far energy overflows
 CONFIG_ERRORS = {
     "cusp_datum": ({"datum": {"family": "power_cusp", "gamma": -0.4}},
                    "power_cusp datum"),
@@ -1252,7 +1253,12 @@ CONFIG_ERRORS = {
                                     "points": [[0.5, 0.4], [1, 1], [2, 2.6],
                                                [8, 15], [1e6, 3e6]],
                                     "q": 2000}},
-                     "kappa = 2^q overflows at q=2000"),
+                     "kappa = 2^q overflows at q=2000.0"),
+    "table_ratio_zero_over_zero": (
+        {"nfunction": {"family": "table",
+                       "points": [[1e-170, 1e-170], [1, 1], [2, 3]]}},
+        "t*g(t)/G(t) leaves the normal floats on the table's knots "
+        "[1e-170, 2.0]"),
     "exterior_overflow_power": (
         {"exterior": {"kind": "power", "value": 1e300, "exponent": 0.25}},
         "config error: exterior model overflows the interaction tail\n"),

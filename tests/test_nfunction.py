@@ -120,14 +120,49 @@ class TestConstruction:
         for q in (q0, q0 * (1.0 - 1e-13)):
             assert make_table(TABLE, p=2.0 * (1.0 + 1e-13), q=q).q == q
 
-    @pytest.mark.parametrize("g0", [1e-9, 1e-4])
-    def test_table_index_near_one_overflows_ell(self, g0):
+    @pytest.mark.parametrize("g0, p", [(1e-9, "1.0000000005005"),
+                                       (1e-4, "1.0000500025006251")])
+    def test_table_index_near_one_overflows_ell(self, g0, p):
         # g jumps to 1 at t = g0 and stays nearly flat: the exact lower
         # index is 1 + g0/2 or so, and ell = 2^(1/(p-1)) overflows below
-        # p = 1.000977, so the one rule rejects both tables
+        # p = 1.000977, so the one rule rejects both tables, with the
+        # digits that show why
         with pytest.raises(ValueError, match=re.escape(
-                "ell = 2^(1/(p-1)) overflows at p=1")):
+                f"ell = 2^(1/(p-1)) overflows at p={p}")):
             make_table([[g0, 1.0], [1.0, 1.0 + 1e-12]])
+
+    @pytest.mark.parametrize("points", [
+        [[1e-170, 1e-170], [1.0, 1.0], [2.0, 3.0]],
+        [[1e-160, 1e-160], [1.0, 1.0], [2.0, 3.0]],
+        [[1e100, 1e100], [1e200, 1e200], [1e300, 1e300]],
+    ], ids=["zero-over-zero", "subnormal", "inf-over-inf"])
+    def test_table_ratio_past_the_floats_is_rejected(self, points):
+        # t*g and G at the first knot are 0 and 0, or subnormal, or both
+        # overflow at the second: a NaN or inexact ratio there would
+        # leave the band to the other knots (q = 2 for the first table,
+        # whose sup is 2.4 at t = 2)
+        with pytest.raises(ValueError, match=re.escape(
+                "t*g(t)/G(t) leaves the normal floats on the table's "
+                f"knots [{points[0][0]!r}, {points[-1][0]!r}]")):
+            make_table(points)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 1e-150, 1e-80, 1e80,
+                                       1e250])
+    def test_table_indices_hold_at_every_scale_of_g(self, scale):
+        # t*g/G does not change when g is scaled, and each segment's root
+        # equation is solved on data scaled into [0, 1], so a g far from
+        # 1 keeps the interior maximum 2.3877 of TABLE
+        nf = make_table([[t, g * scale] for t, g in TABLE])
+        assert nf.p == 2.0
+        assert nf.q == pytest.approx(make_table(TABLE).q, rel=1e-15)
+
+    def test_table_maximum_within_an_ulp_of_a_knot_counts(self):
+        # after g(1) = 1e-40 the slope 1 lifts t*g/G to 1e20 at u = 1e-20
+        # past the knot, where 1 + u rounds to 1; the ratio in the
+        # segment's own coordinates finds it, and kappa = 2^q overflows
+        with pytest.raises(ValueError, match=re.escape(
+                "kappa = 2^q overflows at q=1e+20")):
+            make_table([[1.0, 1e-40], [2.0, 1.0]])
 
     def test_power_builds_up_to_the_float_range(self):
         # the float-range probe bounds the power family at p = 48.9213
